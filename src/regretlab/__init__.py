@@ -34,7 +34,7 @@ from .errors import (
     ShapeError,
     SimulationOverflowError,
 )
-from .hindsight import HindsightSolution, batch_oracle, solve_hindsight
+from .hindsight import HindsightSolution, batch_oracle, hindsight_costs, solve_hindsight
 from .model import (
     DisturbanceSignal,
     LinearPolicy,
@@ -47,6 +47,7 @@ from .model import (
     cost_bounds,
     evaluate_cost,
     simulate,
+    simulate_grid,
     simulate_inputs,
     tracking_transform,
 )

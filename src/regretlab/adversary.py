@@ -8,6 +8,10 @@ Three recipes, all emitting signals with ||w_t|| <= W:
   as the largest scale that respects the bound over the horizon -- under this
   signal the undisturbed-start state is exactly x_t = t C Phi(t, 0) w0;
 * i.i.d. uniform draws from the radius-W ball (seeded, prefix-stable).
+
+Each recipe also realizes a whole horizon grid at once: `realize_grid`
+returns base rows for the longest horizon and one scale per horizon, with
+realize(T).w == scale_T * base[:T].
 """
 
 from __future__ import annotations
@@ -80,6 +84,10 @@ class ConstantEigvecDisturbance:
         w = np.tile(self.bound * self.direction, (T, 1))
         return DisturbanceSignal(w, self.bound)
 
+    def realize_grid(self, horizons) -> tuple[np.ndarray, np.ndarray]:
+        """Prefix-stable: realize(T).w is base[:T] for every T of the grid (scales 1)."""
+        return self.realize(int(horizons[-1])).w, np.ones(len(horizons))
+
 
 def constant_eigvec(F, W: float, complex_convention: str = "real-part") -> ConstantEigvecDisturbance:
     v, lam, tag = dominant_direction(F, complex_convention)
@@ -88,12 +96,11 @@ def constant_eigvec(F, W: float, complex_convention: str = "real-part") -> Const
     )
 
 
-def phi_aligned(F, W: float, T: int, w0=None) -> DisturbanceSignal:
-    """w_{k-1} = C Phi(k, 0) w0 for k = 1..T, C = min_{k<=T} W / ||Phi(k,0) w0||.
+def _phi_rows(F, W: float, T: int, w0=None) -> tuple[np.ndarray, np.ndarray]:
+    """Rows Phi(k, 0) w0 for k = 1..T and the scales C_0..C_T of phi_aligned.
 
-    The min over all k >= 0 is truncated to the horizon; the emitted prefix
-    always satisfies the bound since C is minimized over exactly these k.
-    Steps with Phi(k, 0) w0 = 0 are excluded from the min (they emit zero rows).
+    C_t = min_{k<=t} W / ||Phi(k,0) w0|| is the scale of the horizon-t signal,
+    so phi_aligned(F, W, t, w0).w equals C_t * rows[:t] for every t <= T.
     """
     seq = as_closed_loop(F)
     n = seq.shape[0]
@@ -108,12 +115,20 @@ def phi_aligned(F, W: float, T: int, w0=None) -> DisturbanceSignal:
     for k in range(1, T + 1):
         vecs[k] = seq(k - 1) @ vecs[k - 1]
     norms = np.linalg.norm(vecs, axis=1)
-    usable = norms > 0.0
-    if not np.any(usable):
-        raise ValueError("w0 lies in the kernel of every transition matrix")
-    C = float(np.min(W / norms[usable]))
-    w = C * vecs[1 : T + 1]
-    return DisturbanceSignal(w, float(W))
+    # steps with Phi(k, 0) w0 = 0 emit zero rows and are left out of the min
+    ratios = np.divide(W, norms, out=np.full(T + 1, np.inf), where=norms > 0.0)
+    return vecs[1:], np.minimum.accumulate(ratios)
+
+
+def phi_aligned(F, W: float, T: int, w0=None) -> DisturbanceSignal:
+    """w_{k-1} = C Phi(k, 0) w0 for k = 1..T, C = min_{k<=T} W / ||Phi(k,0) w0||.
+
+    The min over all k >= 0 is truncated to the horizon; the emitted prefix
+    always satisfies the bound since C is minimized over exactly these k.
+    Steps with Phi(k, 0) w0 = 0 are excluded from the min (they emit zero rows).
+    """
+    rows, scales = _phi_rows(F, W, T, w0)
+    return DisturbanceSignal(float(scales[T]) * rows, float(W))
 
 
 @dataclass
@@ -128,6 +143,12 @@ class TransitionAlignedDisturbance:
 
     def realize(self, T: int) -> DisturbanceSignal:
         return phi_aligned(self.F, self.bound, T, self.w0)
+
+    def realize_grid(self, horizons) -> tuple[np.ndarray, np.ndarray]:
+        """Base rows Phi(k, 0) w0 and scales C_T with realize(T).w == C_T * base[:T]."""
+        horizons = np.asarray(horizons, dtype=int)
+        rows, scales = _phi_rows(self.F, self.bound, int(horizons[-1]), self.w0)
+        return rows, scales[horizons]
 
 
 def random_ball(n: int, W: float, T: int, seed: int) -> DisturbanceSignal:
@@ -159,3 +180,7 @@ class BallDisturbance:
 
     def realize(self, T: int) -> DisturbanceSignal:
         return random_ball(self.n, self.bound, T, self.seed)
+
+    def realize_grid(self, horizons) -> tuple[np.ndarray, np.ndarray]:
+        """Prefix-stable: realize(T).w is base[:T] for every T of the grid (scales 1)."""
+        return self.realize(int(horizons[-1])).w, np.ones(len(horizons))

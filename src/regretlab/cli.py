@@ -39,6 +39,7 @@ from .model import (
 )
 from .regret import (
     RegretCurve,
+    check_growth_grid,
     growth_classify,
     linear_regret_certificate,
     regret_curve,
@@ -118,6 +119,9 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
 }
 
+# Built once: jsonschema.validate would re-check the schema itself on every call.
+_SCHEMA_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
 DEFAULT_THRESHOLDS = {
     "marginal_tol": 1e-9,
     "slope_bounded": 0.1,
@@ -158,9 +162,12 @@ def builtin_experiment_curves() -> dict[str, "RegretCurve"]:
         pol = LinearPolicy.constant(K)
         F = closed_loop_matrix(system, pol, 0)
         recipe = constant_eigvec(F, spec["W"], complex_convention=spec["complex_convention"])
-        curves[name] = regret_curve(
-            system, costs, pol, x0, recipe, horizons, metadata={"policy": name}
-        )
+        meta = {
+            "policy": name,
+            "disturbance_direction": [float(v) for v in recipe.direction],
+            "provenance": recipe.provenance,
+        }
+        curves[name] = regret_curve(system, costs, pol, x0, recipe, horizons, metadata=meta)
     return curves
 
 DEFAULT_COUNTEREXAMPLE = {
@@ -215,8 +222,6 @@ class ExperimentConfig:
             F = closed_loop_matrix(self.system, policy, 0)
             return constant_eigvec(F, self.W)
         if self.recipe == "phi":
-            from .model import closed_loop
-
             return TransitionAlignedDisturbance(
                 closed_loop(self.system, policy), self.W, self.w0
             )
@@ -224,11 +229,10 @@ class ExperimentConfig:
 
 
 def _validate_schema(raw: dict) -> None:
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config schema violation at {exc.json_path}: {exc.message}",
-                          field=exc.json_path) from None
+    error = jsonschema.exceptions.best_match(_SCHEMA_VALIDATOR.iter_errors(raw))
+    if error is not None:
+        raise ConfigError(f"config schema violation at {error.json_path}: {error.message}",
+                          field=error.json_path)
 
 
 def load_config(path, overrides: argparse.Namespace, need_system: bool = True) -> ExperimentConfig:
@@ -378,6 +382,11 @@ def cmd_stability(args) -> int:
 
 def cmd_regret(args) -> int:
     cfg = load_config(args.config, args)
+    try:
+        check_growth_grid(cfg.horizons)
+    except ValueError as exc:
+        raise ConfigError(f"regret cannot classify growth on this grid: {exc}",
+                          field="horizons") from None
     out = _out_dir(args)
     report = {}
     for name, pol in cfg.policies:
@@ -419,7 +428,6 @@ def cmd_regret(args) -> int:
 def cmd_figure1(args) -> int:
     out = _out_dir(args)
     spec = BUILTIN_EXPERIMENT
-    system = SystemDynamics.lti(spec["A"], spec["B"])
     meta = {
         "A": spec["A"],
         "B": spec["B"],
@@ -436,13 +444,10 @@ def cmd_figure1(args) -> int:
     for name, K in spec["controllers"]:
         curve = curves[name]
         curve.to_csv(out / f"curve_{name}.csv")
-        pol = LinearPolicy.constant(K)
-        F = closed_loop_matrix(system, pol, 0)
-        recipe = constant_eigvec(F, spec["W"], complex_convention=spec["complex_convention"])
         meta["controllers"][name] = {
             "K": K,
-            "disturbance_direction": [float(v) for v in recipe.direction],
-            "provenance": recipe.provenance,
+            "disturbance_direction": curve.metadata["disturbance_direction"],
+            "provenance": curve.metadata["provenance"],
         }
     finals = {name: float(c.time_averaged[-1]) for name, c in curves.items()}
     meta["final_time_averaged_regret"] = finals

@@ -4,7 +4,8 @@ Two independent routes to the same minimizer:
 
 * `solve_hindsight` runs an affine backward value-function pass (exact for
   linear dynamics with quadratic costs and a known additive disturbance) in
-  O(T) followed by a forward rollout;
+  O(T) followed by a forward rollout; `hindsight_costs` reuses one such pass
+  for a whole horizon grid of a constant loop;
 * `batch_oracle` stacks the dynamics into one dense strictly convex quadratic
   in the input vector and solves the stationarity system directly.
 
@@ -17,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConditioningError, ShapeError
 from .model import (
@@ -113,13 +113,13 @@ def solve_hindsight(
                 f"input Hessian at t={t} is numerically singular (rcond below {RCOND_FLOOR:.0e})"
             )
         try:
-            cho = cho_factor(G)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded above
+            np.linalg.cholesky(G)
+        except np.linalg.LinAlgError as exc:
             raise ConditioningError(f"input Hessian at t={t} not PD: {exc}") from exc
         H = B.T @ Pn @ A
         h = B.T @ (Pn @ wt + 0.5 * pn)
-        KG = cho_solve(cho, H)
-        kg = cho_solve(cho, h)
+        sol = np.linalg.solve(G, np.column_stack([H, h]))
+        KG, kg = sol[:, :n], sol[:, n]
         P[t] = _sym(costs.Q(t) + A.T @ Pn @ A - H.T @ KG)
         p[t] = 2.0 * A.T @ (Pn @ wt) + A.T @ pn - 2.0 * H.T @ kg
         s[t] = wt @ Pn @ wt + pn @ wt + s[t + 1] - h @ kg
@@ -149,6 +149,49 @@ def solve_hindsight(
         offsets=offsets,
         trajectory=traj,
     )
+
+
+def hindsight_costs(
+    system: SystemDynamics,
+    costs: QuadraticStageCost,
+    x0,
+    base,
+    scales,
+    horizons,
+) -> np.ndarray:
+    """Optimal costs of a constant loop on a horizon grid, from one reference solve.
+
+    Horizon horizons[i] sees the disturbance scales[i] * base[:horizons[i]].
+    solve_hindsight at the longest horizon checks every input Hessian, and with
+    A, B, Q, R constant its P[T_max - k] is the Riccati solution at time-to-go k
+    for every horizon.  Only the affine parts differ between horizons: p (one
+    row per horizon) and s are advanced for all horizons at once, one
+    time-to-go step at a time, and each cost is read at time-to-go horizons[i].
+    """
+    horizons = np.asarray(horizons, dtype=int)
+    scales = np.asarray(scales, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
+    T_max = int(horizons[-1])
+    ref = solve_hindsight(system, costs, x0, scales[-1] * base, T_max)
+    A, B = system.A(0), system.B(0)
+    # indexed by time-to-go k; G[k - 1] is the input Hessian of step k
+    P = ref.P[::-1]
+    F = A - B @ ref.gains[::-1]
+    G = costs.R(0) + B.T @ P[:-1] @ B
+    G = 0.5 * (G + G.swapaxes(1, 2))
+    BGinv = np.linalg.solve(G, np.broadcast_to(B.T, (T_max, *B.T.shape))).swapaxes(1, 2)
+
+    p = np.zeros((len(horizons), system.n))
+    s = np.zeros(len(horizons))
+    for k in range(1, T_max + 1):
+        lo = int(np.searchsorted(horizons, k))  # horizons with at least k steps to go
+        w = scales[lo:, None] * base[horizons[lo:] - k]
+        pn = p[lo:]
+        Pw = w @ P[k - 1]
+        v = Pw + 0.5 * pn
+        s[lo:] += np.sum(w * (Pw + pn), axis=1) - np.sum((v @ B) * (v @ BGinv[k - 1]), axis=1)
+        p[lo:] = 2.0 * v @ F[k]
+    return np.einsum("i,hij,j->h", x0, P[horizons], x0) + p @ x0 + s
 
 
 def batch_oracle(

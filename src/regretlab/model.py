@@ -396,6 +396,58 @@ def simulate(
     return Trajectory(states, inputs, stage, float(stage.sum()))
 
 
+def simulate_grid(
+    system: SystemDynamics,
+    policy: LinearPolicy,
+    x0,
+    base,
+    scales,
+    horizons,
+    costs: QuadraticStageCost,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Total costs of the closed loop on a horizon grid, all horizons rolled out together.
+
+    Row i is simulate(system, policy, x0, scales[i] * base[:T], costs, T) with
+    T = horizons[i]; the rows advance in absolute time as one (H, n) state
+    array.  Returns (totals, overflow): a row whose state norm exceeds the
+    guard at step t gets overflow[i] = t and totals[i] = inf, the step that
+    simulate reports in its SimulationOverflowError; overflow[i] = 0 otherwise.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    horizons = np.asarray(horizons, dtype=int)
+    scales = np.asarray(scales, dtype=float)
+    T_max = int(horizons[-1])
+    if len(base) < T_max:
+        raise ShapeError(f"disturbance covers {len(base)} steps, need {T_max}")
+    _check_dims(system, x0, costs, policy)
+
+    X = np.tile(x0, (len(horizons), 1))
+    totals = np.zeros(len(horizons))
+    overflow = np.zeros(len(horizons), dtype=int)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(T_max + 1):
+            lo = int(np.searchsorted(horizons, t))  # rows scored at t
+            if not np.any(overflow[lo:] == 0):
+                break
+            x = X[lo:]
+            u = -x @ policy.K(t).T
+            if policy.d is not None:
+                u = u + policy.offset(t)
+            Qt, Rt = costs.Q(t), costs.R(t)
+            totals[lo:] += np.sum((x @ Qt) * x, axis=1) + np.sum((u @ Rt) * u, axis=1)
+            if t == T_max:
+                break
+            hi = int(np.searchsorted(horizons, t, side="right"))  # rows stepped past t
+            nxt = X[hi:] @ system.A(t).T + u[hi - lo :] @ system.B(t).T + scales[hi:, None] * base[t]
+            dead = overflow[hi:] != 0
+            burst = ~(np.linalg.norm(nxt, axis=1) <= OVERFLOW_LIMIT) & ~dead
+            overflow[hi:][burst] = t + 1
+            nxt[dead | burst] = 0.0
+            X[hi:] = nxt
+    totals[overflow > 0] = np.inf
+    return totals, overflow
+
+
 def simulate_inputs(
     system: SystemDynamics,
     x0,

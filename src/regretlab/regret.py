@@ -28,8 +28,9 @@ from .model import (
     SystemDynamics,
     closed_loop,
     simulate,
+    simulate_grid,
 )
-from .hindsight import solve_hindsight
+from .hindsight import hindsight_costs, solve_hindsight
 from .transition import bibs_partial_sums, partial_sums_converged, summability_constants
 
 
@@ -116,18 +117,48 @@ def regret_curve(
 ) -> RegretCurve:
     """One regret evaluation per horizon.
 
-    `disturbances` is a recipe with .realize(T) or a callable T -> signal; it
-    is re-invoked per horizon, so realizations are deterministic per horizon
-    (seeded recipes additionally give prefix-consistent draws).  Overflowing
-    policy rollouts are recorded as +inf with an overflow flag, the benchmark
-    is still evaluated.
+    `disturbances` is a recipe with .realize(T) or a callable T -> signal.
+    For a constant loop (A, B, Q, R) and a recipe with .realize_grid, the grid
+    is realized once and all horizons share one benchmark solve and one
+    rollout (`hindsight_costs`, `simulate_grid`).  Otherwise the signal is
+    re-realized and solved per horizon, so realizations are deterministic per
+    horizon (seeded recipes additionally give prefix-consistent draws).
+    Overflowing policy rollouts are recorded as +inf with an overflow flag, the
+    benchmark is still evaluated.
     """
     horizons = np.asarray(list(horizons), dtype=int)
     if len(horizons) == 0 or np.any(np.diff(horizons) <= 0):
         raise ShapeError("horizons must be strictly increasing and nonempty")
+    constant = all(seq.constant for seq in (system.A, system.B, costs.Q, costs.R))
+    if constant and hasattr(disturbances, "realize_grid"):
+        base, scales = disturbances.realize_grid(horizons)
+        bench_costs = hindsight_costs(system, costs, x0, base, scales, horizons)
+        totals, overflow = simulate_grid(system, policy, x0, base, scales, horizons, costs)
+        reg = totals - bench_costs
+        flags = [f"overflow@{t}" if t else "ok" for t in overflow]
+    else:
+        reg, bench_costs, flags = _regret_per_horizon(
+            system, costs, policy, x0, disturbances, horizons
+        )
+    meta = dict(metadata or {})
+    if hasattr(disturbances, "bound"):
+        meta.setdefault("W", float(disturbances.bound))
+    if hasattr(disturbances, "kind"):
+        meta.setdefault("disturbance", disturbances.kind)
+    return RegretCurve(
+        horizons=horizons,
+        regret=reg,
+        time_averaged=reg / horizons,
+        flags=flags,
+        metadata=meta,
+        benchmark_costs=bench_costs,
+    )
+
+
+def _regret_per_horizon(system, costs, policy, x0, disturbances, horizons):
+    """(regret, benchmark costs, flags) with a fresh realization and solve per horizon."""
     realize = disturbances.realize if hasattr(disturbances, "realize") else disturbances
     reg = np.zeros(len(horizons))
-    avg = np.zeros(len(horizons))
     bench_costs = np.zeros(len(horizons))
     flags = []
     for i, T in enumerate(horizons):
@@ -141,20 +172,16 @@ def regret_curve(
         except SimulationOverflowError as exc:
             reg[i] = math.inf
             flags.append(f"overflow@{exc.t}")
-        avg[i] = reg[i] / T
-    meta = dict(metadata or {})
-    if hasattr(disturbances, "bound"):
-        meta.setdefault("W", float(disturbances.bound))
-    if hasattr(disturbances, "kind"):
-        meta.setdefault("disturbance", disturbances.kind)
-    return RegretCurve(
-        horizons=horizons,
-        regret=reg,
-        time_averaged=avg,
-        flags=flags,
-        metadata=meta,
-        benchmark_costs=bench_costs,
-    )
+    return reg, bench_costs, flags
+
+
+def check_growth_grid(horizons) -> None:
+    """Raise ValueError unless the grid can be growth-classified: 10+ horizons spanning a decade."""
+    h = np.asarray(horizons, dtype=float)
+    if len(h) < 10:
+        raise ValueError(f"need at least 10 horizons, got {len(h)}")
+    if h[-1] / h[0] < 10.0:
+        raise ValueError("horizons must span at least a decade")
 
 
 def growth_classify(
@@ -168,11 +195,8 @@ def growth_classify(
     superlinear_slope as a linearly growing average, and beyond as faster.
     Needs at least 10 horizons spanning a decade.
     """
+    check_growth_grid(curve.horizons)
     h = np.asarray(curve.horizons, dtype=float)
-    if len(h) < 10:
-        raise ValueError(f"need at least 10 horizons, got {len(h)}")
-    if h[-1] / h[0] < 10.0:
-        raise ValueError("horizons must span at least a decade")
     y = np.asarray(curve.time_averaged, dtype=float)
     upper = slice(len(h) // 2, None)
     ymax = float(np.max(np.abs(y[np.isfinite(y)]))) if np.any(np.isfinite(y)) else 0.0

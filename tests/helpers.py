@@ -23,6 +23,21 @@ def random_loop(rng, n, m, rho_target):
     return SystemDynamics.lti(A, B), LinearPolicy.constant(K), F
 
 
+def overdriven_loop(rng, n, m, rho_target):
+    """Random (system, policy, F): a stable open loop and a gain that makes F = A - B K expand.
+
+    The open loop has spectral radius 0.9, so the benchmark stays well
+    conditioned; the gain is scaled so that B K has spectral radius
+    rho_target, which dominates the closed loop when rho_target >> 1.
+    """
+    A = rng.standard_normal((n, n))
+    A *= 0.9 / max(float(np.max(np.abs(np.linalg.eigvals(A)))), 1e-9)
+    B = rng.standard_normal((n, m))
+    K = rng.standard_normal((m, n))
+    K *= rho_target / float(np.max(np.abs(np.linalg.eigvals(B @ K))))
+    return SystemDynamics.lti(A, B), LinearPolicy.constant(K), A - B @ K
+
+
 def random_pd(rng, n, scale=1.0):
     """Random symmetric positive definite matrix."""
     M = rng.standard_normal((n, n))

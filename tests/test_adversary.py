@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from regretlab import (
+    BallDisturbance,
+    TransitionAlignedDisturbance,
     constant_eigvec,
     dominant_direction,
     phi_aligned,
@@ -139,3 +141,29 @@ def test_random_ball_mean_norm():
     sig = random_ball(2, 1.0, 100_000, seed=123)
     mean = float(np.mean(np.linalg.norm(sig.w, axis=1)))
     assert abs(mean - 2.0 / 3.0) <= 0.01
+
+
+def test_grid_realization_equals_per_horizon_realization():
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        n = int(rng.integers(1, 5))
+        W = float(rng.uniform(0.1, 3.0))
+        F = rng.standard_normal((n, n)) * rng.uniform(0.3, 1.5)
+        recipes = (
+            constant_eigvec(F, W),
+            TransitionAlignedDisturbance(F, W, rng.standard_normal(n)),
+            BallDisturbance(n, W, int(rng.integers(0, 2**31))),
+        )
+        for horizons in ([1, 2, 3, 9, 10, 30], list(range(1, 41)), [7]):
+            for rec in recipes:
+                base, scales = rec.realize_grid(horizons)
+                assert base.shape == (horizons[-1], n) and scales.shape == (len(horizons),)
+                for T, c in zip(horizons, scales):
+                    np.testing.assert_array_equal(c * base[:T], rec.realize(T).w)
+
+
+def test_phi_grid_scale_is_the_running_norm_maximum():
+    # Phi(k,0) w0 = 2^k: the largest row norm up to T is 2^T, so C_T = W / 2^T
+    base, scales = TransitionAlignedDisturbance([[2.0]], 3.0, np.array([1.0])).realize_grid([1, 2, 5])
+    np.testing.assert_array_equal(base.ravel(), [2.0, 4.0, 8.0, 16.0, 32.0])
+    np.testing.assert_array_equal(scales, [1.5, 0.75, 3.0 / 32.0])

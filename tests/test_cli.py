@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,8 @@ from regretlab import (
 )
 from regretlab.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main, parse_horizons
 from regretlab.errors import ConfigError
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 FOUR_STATE = {
     "system": {"A": [[1.0, 1.0], [0.0, 1.0]], "B": [[1.0], [0.5]]},
@@ -267,3 +273,34 @@ def test_threshold_override(tmp_path):
     assert code == EXIT_OK
     rep = json.loads((tmp_path / "out" / "regret_report.json").read_text())
     assert all(v["growth"] == "BoundedAverage" for v in rep.values())
+
+
+def test_schema_violation_message_and_field(tmp_path, capsys):
+    cfg = dict(FOUR_STATE, W=-1.0)
+    code = main(["stability", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    diag = json.loads(capsys.readouterr().err.strip())
+    assert diag["field"] == "$.W"
+    assert diag["message"] == "config schema violation at $.W: -1.0 is less than the minimum of 0"
+
+
+@pytest.mark.parametrize("horizons", ["1:5", "10:55:5", [3, 7, 40, 41, 90]])
+def test_regret_rejects_grid_too_short_to_classify(tmp_path, capsys, horizons):
+    out = tmp_path / "out"
+    cfg = dict(FOUR_STATE, horizons=horizons)
+    code = main(["regret", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    diag = json.loads(lines[0])
+    assert diag["error"] == "config" and diag["field"] == "horizons"
+    assert not out.exists()  # rejected before any solve or output
+
+
+def test_cli_import_does_not_load_scipy():
+    probe = "import sys, regretlab.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+                          check=True, timeout=120)
+    assert proc.stdout.strip() == "False"

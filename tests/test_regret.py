@@ -1,15 +1,20 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 
 from regretlab import (
+    BallDisturbance,
+    ConditioningError,
     DisturbanceSignal,
     GrowthClass,
     LinearPolicy,
     QuadraticStageCost,
     RegretCurve,
+    SimulationOverflowError,
     SystemDynamics,
+    TransitionAlignedDisturbance,
     closed_loop,
     constant_eigvec,
     growth_classify,
@@ -22,7 +27,11 @@ from regretlab import (
     quadratic_floor_check,
 )
 
-from helpers import random_instance
+from helpers import overdriven_loop, random_instance, random_loop, random_pd
+
+# the package re-exports functions named like its modules (regretlab.regret)
+regret_module = importlib.import_module("regretlab.regret")
+hindsight_module = importlib.import_module("regretlab.hindsight")
 
 
 def scalar_instance():
@@ -80,14 +89,13 @@ def test_regret_curve_flags_overflow_with_step():
     sys = SystemDynamics.lti([[3.0]], [[1.0]])
     costs = QuadraticStageCost.constant([[1.0]], [[1.0]])
     pol = LinearPolicy.constant([[0.0]])
-    curve = regret_curve(
-        sys, costs, pol, [1.0],
-        lambda T: DisturbanceSignal.zeros(1, T),
-        [100, 200, 300, 350],
-    )
-    assert curve.flags[:3] == ["ok", "ok", "ok"]
-    assert curve.flags[3] == "overflow@315"
-    assert math.isinf(curve.regret[3])
+    # a plain callable takes the per-horizon path, a recipe the batched one
+    for zeros in (lambda T: DisturbanceSignal.zeros(1, T), constant_eigvec([[3.0]], 0.0)):
+        curve = regret_curve(sys, costs, pol, [1.0], zeros, [100, 200, 300, 350])
+        assert curve.flags[:3] == ["ok", "ok", "ok"]
+        assert curve.flags[3] == "overflow@315"
+        assert math.isinf(curve.regret[3])
+        assert np.isfinite(curve.benchmark_costs[3])
 
 
 def test_regret_curve_metadata_and_monotone_horizons():
@@ -248,3 +256,109 @@ def test_unstable_loop_average_cost_diverges_under_aligned_signal():
     traj = simulate(sys, pol, np.zeros(2), w, costs, 60)
     cum = traj.cumulative_costs()
     assert cum[60] / 60.0 > 10.0 * (cum[20] / 20.0)
+
+
+# ---------------------------------------------------------------- batched curves
+
+
+def _grid_recipes(rng, system, pol, F):
+    n = system.n
+    W = float(rng.uniform(0.5, 2.0))
+    return (
+        constant_eigvec(F, W),
+        TransitionAlignedDisturbance(closed_loop(system, pol), W, rng.standard_normal(n)),
+        BallDisturbance(n, W, int(rng.integers(0, 2**31))),
+    )
+
+
+def _per_horizon_reference(system, costs, pol, x0, recipe, horizons):
+    """R_T, benchmark cost and flag from a fresh realization, solve and rollout per horizon."""
+    reg, bench, flags = [], [], []
+    for T in horizons:
+        w = recipe.realize(T)
+        J_star = solve_hindsight(system, costs, x0, w, T).optimal_cost
+        bench.append(J_star)
+        try:
+            J = simulate(system, pol, x0, w, costs, T).total_cost
+            reg.append(J - J_star)
+            flags.append("ok")
+        except SimulationOverflowError as exc:
+            reg.append(math.inf)
+            flags.append(f"overflow@{exc.t}")
+    return np.array(reg), np.array(bench), flags
+
+
+# the phi recipe's row norms ||Phi(k,0) w0|| overflow on the overdriven loops
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_batched_curve_matches_per_horizon_solves():
+    # stable, marginal and unstable loops, and loops whose gain drives the
+    # closed loop to radius ~60 (they overflow near T = 85), under all three
+    # recipes on an irregular sparse grid; the first 12 loops also run the
+    # dense grid under one recipe each, which covers every (loop class, recipe)
+    # pair while keeping the per-horizon reference affordable
+    rng = np.random.default_rng(21)
+    overflowed = 0
+    for i in range(30):
+        n, m = 1 + i % 4, 1 + (i // 4) % 2
+        if i % 4 == 3:
+            system, pol, F = overdriven_loop(rng, n, m, 60.0)
+        else:
+            system, pol, F = random_loop(rng, n, m, (0.6, 1.0, 1.05)[i % 4])
+        costs = QuadraticStageCost.constant(random_pd(rng, n), random_pd(rng, m))
+        x0 = rng.standard_normal(n)
+        for r, recipe in enumerate(_grid_recipes(rng, system, pol, F)):
+            grids = [[3, 7, 40, 41, 90]]
+            if i < 12 and r == i % 3:
+                grids.append(list(range(1, 61)))
+            for horizons in grids:
+                curve = regret_curve(system, costs, pol, x0, recipe, horizons)
+                reg, bench, flags = _per_horizon_reference(system, costs, pol, x0, recipe, horizons)
+                assert curve.flags == flags
+                ok = np.isfinite(reg)
+                np.testing.assert_array_equal(np.isfinite(curve.regret), ok)
+                scale = np.maximum(1.0, np.where(ok, reg, 0.0) + np.abs(bench))
+                assert np.all(np.abs(curve.benchmark_costs - bench) <= 1e-9 * scale)
+                assert np.all(np.abs(curve.regret[ok] - reg[ok]) <= 1e-9 * scale[ok])
+                overflowed += len(flags) - int(ok.sum())
+    assert overflowed > 0
+
+
+def _count_solves(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[4] if len(args) > 4 else kwargs.get("T"))
+        return solve_hindsight(*args, **kwargs)
+
+    monkeypatch.setattr(regret_module, "solve_hindsight", counting)
+    monkeypatch.setattr(hindsight_module, "solve_hindsight", counting)
+    return calls
+
+
+def test_batched_curve_solves_once_at_the_longest_horizon(monkeypatch):
+    sys, costs = four_system()
+    pol = LinearPolicy.constant([[0.2, 0.4]])
+    calls = _count_solves(monkeypatch)
+    regret_curve(sys, costs, pol, np.zeros(2), BallDisturbance(2, 1.0, 3), range(5, 81, 5))
+    assert calls == [80]
+
+
+def test_ltv_curve_solves_once_per_horizon(monkeypatch):
+    rng = np.random.default_rng(22)
+    A = 0.9 * np.linalg.qr(rng.standard_normal((41, 2, 2)))[0]
+    sys = SystemDynamics.ltv(A, [[1.0], [0.5]], n=2, m=1)
+    costs = QuadraticStageCost.constant(np.eye(2), [[1.0]])
+    pol = LinearPolicy.constant([[0.1, 0.2]])
+    calls = _count_solves(monkeypatch)
+    horizons = [5, 10, 20, 40]
+    curve = regret_curve(sys, costs, pol, np.ones(2), BallDisturbance(2, 1.0, 4), horizons)
+    assert calls == horizons
+    assert curve.flags == ["ok"] * 4
+
+
+def test_batched_curve_rejects_singular_input_hessian():
+    sys = SystemDynamics.lti([[0.5]], [[0.0]])
+    costs = QuadraticStageCost.constant([[1.0]], [[0.0]])
+    rec = constant_eigvec(np.array([[0.5]]), 1.0)
+    with pytest.raises(ConditioningError):
+        regret_curve(sys, costs, LinearPolicy.constant([[0.0]]), [1.0], rec, [1, 2, 3])
