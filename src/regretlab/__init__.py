@@ -44,7 +44,6 @@ from .model import (
     Trajectory,
     closed_loop,
     closed_loop_matrix,
-    cost_bounds,
     evaluate_cost,
     simulate,
     simulate_grid,
@@ -71,6 +70,7 @@ from .transition import (
     classify_lti,
     classify_ltv,
     exponential_fit,
+    norm_sums,
     summability_constants,
     transition_matrix,
     transition_norms,

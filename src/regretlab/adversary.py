@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SimulationOverflowError
 from .model import DisturbanceSignal
 from .transition import as_closed_loop
 
@@ -101,6 +102,7 @@ def _phi_rows(F, W: float, T: int, w0=None) -> tuple[np.ndarray, np.ndarray]:
 
     C_t = min_{k<=t} W / ||Phi(k,0) w0|| is the scale of the horizon-t signal,
     so phi_aligned(F, W, t, w0).w equals C_t * rows[:t] for every t <= T.
+    Raises SimulationOverflowError at the first k whose row is not finite.
     """
     seq = as_closed_loop(F)
     n = seq.shape[0]
@@ -112,9 +114,16 @@ def _phi_rows(F, W: float, T: int, w0=None) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("w0 must be nonzero")
     vecs = np.zeros((T + 1, n))
     vecs[0] = w0
-    for k in range(1, T + 1):
-        vecs[k] = seq(k - 1) @ vecs[k - 1]
-    norms = np.linalg.norm(vecs, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, T + 1):
+            vecs[k] = seq(k - 1) @ vecs[k - 1]
+    finite = np.all(np.isfinite(vecs), axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise SimulationOverflowError(k, np.inf, np.finfo(float).max)
+    # scaled by each row's largest entry, so the squares cannot overflow
+    big = np.max(np.abs(vecs), axis=1, keepdims=True)
+    norms = big[:, 0] * np.linalg.norm(vecs / np.where(big > 0.0, big, 1.0), axis=1)
     # steps with Phi(k, 0) w0 = 0 emit zero rows and are left out of the min
     ratios = np.divide(W, norms, out=np.full(T + 1, np.inf), where=norms > 0.0)
     return vecs[1:], np.minimum.accumulate(ratios)
@@ -151,6 +160,14 @@ class TransitionAlignedDisturbance:
         return rows, scales[horizons]
 
 
+def ball_point(rng, n: int, radius: float) -> np.ndarray:
+    """One uniform draw from the radius ball in R^n: n normals, then one uniform."""
+    g = rng.standard_normal(n)
+    norm = np.linalg.norm(g)
+    direction = g / norm if norm > 0 else np.eye(n)[0]
+    return radius * rng.uniform() ** (1.0 / n) * direction
+
+
 def random_ball(n: int, W: float, T: int, seed: int) -> DisturbanceSignal:
     """i.i.d. uniform draws from the radius-W ball in R^n.
 
@@ -160,11 +177,7 @@ def random_ball(n: int, W: float, T: int, seed: int) -> DisturbanceSignal:
     rng = np.random.default_rng(seed)
     w = np.zeros((T, n))
     for t in range(T):
-        g = rng.standard_normal(n)
-        u = rng.uniform()
-        norm = np.linalg.norm(g)
-        direction = g / norm if norm > 0 else np.eye(n)[0]
-        w[t] = W * u ** (1.0 / n) * direction
+        w[t] = ball_point(rng, n, W)
     return DisturbanceSignal(w, float(W))
 
 

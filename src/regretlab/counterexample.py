@@ -18,13 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adversary import dominant_direction, random_ball
+from .adversary import ball_point, dominant_direction, random_ball
 from .errors import AssumptionViolationError, ConvergenceError
 from .model import (
-    DisturbanceSignal,
     LinearPolicy,
     QuadraticStageCost,
     SystemDynamics,
+    _rollout,
     as_disturbance,
     simulate,
 )
@@ -239,15 +239,8 @@ def discounted_cost_simulated(model: DiscountedLqrModel, x0, w, T: int | None = 
     costs = QuadraticStageCost.constant(model.Q, model.R)
     traj = simulate(model.system(), model.policy(), x0, w, costs, T)
     disc = model.alpha ** np.arange(T + 1)
-    stage = np.array(
-        [
-            traj.states[t] @ model.Q @ traj.states[t]
-            + traj.inputs[t] @ model.R @ traj.inputs[t]
-            for t in range(T)
-        ]
-    )
     terminal = float(traj.states[T] @ model.P @ traj.states[T])
-    return float(np.sum(disc[:T] * stage) + disc[T] * terminal)
+    return float(np.sum(disc[:T] * traj.stage_costs[:T]) + disc[T] * terminal)
 
 
 @dataclass
@@ -326,40 +319,29 @@ def linear_regret_despite_instability(
     n = model.n
     v_dom, _, _ = dominant_direction(model.F)
     rng = np.random.default_rng(seed)
-    signals: list[DisturbanceSignal] = [
-        DisturbanceSignal(np.tile(W * v_dom, (T_max, 1)), W)
-    ]
+    signals = [np.tile(W * v_dom, (T_max, 1))]
     for _ in range(max(trials - 1, 0)):
-        signals.append(random_ball(n, W, T_max, seed=int(rng.integers(0, 2**31))))
+        signals.append(random_ball(n, W, T_max, seed=int(rng.integers(0, 2**31))).w)
     starts = [X * v_dom, np.zeros(n)]
     for _ in range(2):
-        starts.append(_ball_point(rng, n, X))
+        starts.append(ball_point(rng, n, X))
 
+    # one row per (signal, start) pair, signal-major
     costs = QuadraticStageCost.constant(model.Q, model.R)
-    worst_gap = -np.inf
-    undisc_by_T: dict[int, float] = {}
-    for w_sig in signals:
-        for x0 in starts:
-            traj = simulate(model.system(), model.policy(), x0, w_sig, costs, T_max)
-            stage = np.array(
-                [
-                    traj.states[t] @ model.Q @ traj.states[t]
-                    + traj.inputs[t] @ model.R @ traj.inputs[t]
-                    for t in range(T_max + 1)
-                ]
-            )
-            disc_prefix = np.concatenate(([0.0], np.cumsum(alpha ** np.arange(T_max) * stage[:T_max])))
-            undisc_prefix = np.cumsum(stage)
-            for T in T_grid:
-                terminal = alpha**T * float(traj.states[T] @ model.P @ traj.states[T])
-                jd = disc_prefix[T] + terminal
-                bound = c0 + cw * T
-                gap = (jd - bound) / max(1.0, bound)
-                worst_gap = max(worst_gap, gap)
-                undisc_by_T[T] = max(undisc_by_T.get(T, 0.0), float(undisc_prefix[T]) / T)
+    x0 = np.tile(starts, (len(signals), 1))
+    w = np.repeat(signals, len(starts), axis=0)
+    roll = _rollout(model.system(), costs, x0, w, T_max, model.policy())
+    roll.raise_overflow()
+    disc_prefix = np.cumsum(alpha ** np.arange(T_max)[:, None] * roll.stage[:T_max], axis=0)
+    disc_prefix = np.concatenate((np.zeros((1, len(x0))), disc_prefix))
+    Ts = np.array(T_grid)
+    x_T = roll.states[Ts]
+    terminal = alpha ** Ts[:, None] * np.sum((x_T @ model.P) * x_T, axis=-1)
+    bound = (c0 + cw * Ts)[:, None]
+    worst_gap = float(np.max((disc_prefix[Ts] + terminal - bound) / np.maximum(1.0, bound)))
+    undisc = np.max(np.cumsum(roll.stage, axis=0)[Ts] / Ts[:, None], axis=1, initial=0.0)
 
-    lo_T, hi_T = T_grid[0], T_grid[-1]
-    ratio = undisc_by_T[hi_T] / max(undisc_by_T[lo_T], 1e-300)
+    ratio = undisc[-1] / max(undisc[0], 1e-300)
     return InstabilityReport(
         applicable=True,
         reason="",
@@ -376,10 +358,3 @@ def linear_regret_despite_instability(
         horizons=T_grid,
         trials=trials,
     )
-
-
-def _ball_point(rng, n: int, radius: float) -> np.ndarray:
-    g = rng.standard_normal(n)
-    norm = np.linalg.norm(g)
-    direction = g / norm if norm > 0 else np.eye(n)[0]
-    return radius * rng.uniform() ** (1.0 / n) * direction

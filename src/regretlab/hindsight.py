@@ -4,7 +4,7 @@ Two independent routes to the same minimizer:
 
 * `solve_hindsight` runs an affine backward value-function pass (exact for
   linear dynamics with quadratic costs and a known additive disturbance) in
-  O(T) followed by a forward rollout; `hindsight_costs` reuses one such pass
+  O(T) followed by the optimal rollout; `hindsight_costs` reuses one such pass
   for a whole horizon grid of a constant loop;
 * `batch_oracle` stacks the dynamics into one dense strictly convex quadratic
   in the input vector and solves the stationarity system directly.
@@ -27,6 +27,7 @@ from .model import (
     SystemDynamics,
     Trajectory,
     as_disturbance,
+    simulate,
 )
 
 RCOND_FLOOR = 1e-14
@@ -81,7 +82,12 @@ def solve_hindsight(
     w,
     T: int | None = None,
 ) -> HindsightSolution:
-    """Backward affine value-function pass followed by the optimal rollout."""
+    """Backward affine value-function pass followed by the optimal rollout.
+
+    The rollout is simulate() under feedback_policy(), so it carries the
+    overflow guard: an optimal trajectory whose state norm exceeds it raises
+    SimulationOverflowError.
+    """
     x0 = np.asarray(x0, dtype=float)
     w = as_disturbance(w, system.n)
     if T is None:
@@ -126,29 +132,11 @@ def solve_hindsight(
         gains[t] = KG
         offsets[t] = kg
 
-    states = np.zeros((T + 1, n))
-    inputs = np.zeros((T + 1, m))
-    stage = np.zeros(T + 1)
-    states[0] = x0
-    for t in range(T + 1):
-        if t < T:
-            inputs[t] = -gains[t] @ states[t] - offsets[t]
-        stage[t] = costs.stage(t, states[t], inputs[t])
-        if t < T:
-            states[t + 1] = system.A(t) @ states[t] + system.B(t) @ inputs[t] + w.w[t]
-
-    traj = Trajectory(states, inputs, stage, float(stage.sum()))
     optimal = float(x0 @ P[0] @ x0 + p[0] @ x0 + s[0])
-    return HindsightSolution(
-        inputs=inputs[:T].copy(),
-        optimal_cost=optimal,
-        P=P,
-        p=p,
-        s=s,
-        gains=gains,
-        offsets=offsets,
-        trajectory=traj,
-    )
+    sol = HindsightSolution(None, optimal, P, p, s, gains, offsets, trajectory=None)
+    sol.trajectory = simulate(system, sol.feedback_policy(), x0, w, costs, T)
+    sol.inputs = sol.trajectory.inputs[:T].copy()
+    return sol
 
 
 def hindsight_costs(

@@ -85,6 +85,16 @@ class MatrixSequence:
     def __getitem__(self, t):
         return self(t)
 
+    def stack(self, count: int) -> np.ndarray:
+        """Steps 0..count-1 as one (count, *shape) array; a read-only view when constant."""
+        if self._const is not None:
+            return np.broadcast_to(self._const, (count, *self.shape))
+        if self._stack is not None:
+            if count > len(self._stack):
+                self(count - 1)  # raises the ShapeError naming the missing step
+            return self._stack[:count]
+        return np.array([self(t) for t in range(count)]).reshape(count, *self.shape)
+
 
 def matrix_sequence(source, shape, what="matrix") -> MatrixSequence:
     """Coerce an array / stack / callable / MatrixSequence to a MatrixSequence."""
@@ -106,7 +116,6 @@ class SystemDynamics:
     n: int
     m: int
     kind: str  # "LTI" | "LTV"
-    horizon_hint: int = 0
 
     @classmethod
     def lti(cls, A, B) -> "SystemDynamics":
@@ -127,7 +136,7 @@ class SystemDynamics:
         )
 
     @classmethod
-    def ltv(cls, A, B, n=None, m=None, horizon_hint=0) -> "SystemDynamics":
+    def ltv(cls, A, B, n=None, m=None) -> "SystemDynamics":
         if n is None or m is None:
             if callable(A) or callable(B):
                 probe_A = np.asarray(A(0) if callable(A) else np.asarray(A)[0], float)
@@ -143,7 +152,6 @@ class SystemDynamics:
             n=n,
             m=m,
             kind="LTV",
-            horizon_hint=horizon_hint,
         )
 
 
@@ -182,21 +190,19 @@ class LinearPolicy:
     def n(self) -> int:
         return self.K.shape[1]
 
-    def offset(self, t: int) -> np.ndarray:
+    def offsets(self, T: int) -> np.ndarray | None:
+        """Offsets d_0..d_T as a (T+1, m) array, None without offsets; checked against d_max."""
         if self.d is None:
-            return np.zeros(self.m)
-        dt = self.d(t)
-        if np.linalg.norm(dt) > self.d_max + BOUND_SLACK:
+            return None
+        d = self.d.stack(T + 1)
+        norms = np.linalg.norm(d, axis=1)
+        over = np.flatnonzero(norms > self.d_max + BOUND_SLACK)
+        if len(over):
+            t = int(over[0])
             raise AssumptionViolationError(
-                f"offset norm {np.linalg.norm(dt):.3e} exceeds d_max={self.d_max:.3e} at t={t}"
+                f"offset norm {norms[t]:.3e} exceeds d_max={self.d_max:.3e} at t={t}"
             )
-        return dt
-
-    def control(self, t: int, x: np.ndarray) -> np.ndarray:
-        u = -self.K(t) @ x
-        if self.d is not None:
-            u = u + self.offset(t)
-        return u
+        return d
 
 
 @dataclass
@@ -259,11 +265,6 @@ class QuadraticStageCost:
                     m_lower = min(m_lower, eigs[0])
                 m_upper = max(m_upper, eigs[-1])
         return float(m_lower), float(m_upper)
-
-
-def cost_bounds(costs: QuadraticStageCost, T: int) -> tuple[float, float]:
-    """Eigenvalue extrema of the stage-cost weights over 0..T."""
-    return costs.bounds(T)
 
 
 @dataclass
@@ -342,18 +343,105 @@ def closed_loop(system: SystemDynamics, policy: LinearPolicy) -> MatrixSequence:
     )
 
 
-def _check_dims(system, x0, costs, policy=None):
+# The guard is first tested on the whole batch: while the batch's sum of
+# squares stays below this, every row is within OVERFLOW_LIMIT.
+_BATCH_GUARD = 0.99 * OVERFLOW_LIMIT**2
+
+
+@dataclass
+class _Rollout:
+    """One batched rollout: states (T+1, rows, n), inputs (T+1, rows, m) and
+    stage costs (T+1, rows); per row, the step at which the state norm `peak`
+    broke the overflow guard, or 0."""
+
+    states: np.ndarray
+    inputs: np.ndarray
+    stage: np.ndarray
+    overflow: np.ndarray
+    peak: np.ndarray
+
+    def raise_overflow(self) -> None:
+        """Raise SimulationOverflowError for the first row that overflowed, if any."""
+        bad = np.flatnonzero(self.overflow)
+        if len(bad):
+            i = bad[0]
+            raise SimulationOverflowError(self.overflow[i], self.peak[i], OVERFLOW_LIMIT)
+
+    def trajectory(self) -> Trajectory:
+        """The first row as a Trajectory."""
+        stage = self.stage[:, 0]
+        return Trajectory(self.states[:, 0], self.inputs[:, 0], stage, float(stage.sum()))
+
+
+def _stage_costs(costs: QuadraticStageCost, X: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """x_t'Q_t x_t + u_t'R_t u_t for states X (T+1, rows, n) and inputs U (T+1, rows, m)."""
+    total = 0.0
+    for seq, V in ((costs.Q, X), (costs.R, U)):
+        if seq.constant:
+            VM = (V.reshape(-1, V.shape[-1]) @ seq(0)).reshape(V.shape)
+        else:
+            VM = V @ seq.stack(len(V))
+        total = total + np.sum(VM * V, axis=-1)
+    return total
+
+
+def _rollout(system, costs, x0, w, T, policy=None, inputs=None, scales=None) -> _Rollout:
+    """The rollout kernel: rows of (x0, w) stepped together for T steps.
+
+    The input is u_t = -K_t x_t + d_t under `policy`, else the open-loop
+    inputs[t] (T+1, m), else zero.  x0 is (rows, n); w is (T, n), shared by
+    all rows and multiplied by scales[row] when scales is given, or one
+    signal per row, (rows, T, n).  A row whose state norm exceeds
+    OVERFLOW_LIMIT (or is not finite) at step t records overflow = t and is
+    held at zero afterwards; the loop stops once every row has overflowed.
+    Stage costs are computed after the loop.
+    """
     n, m = system.n, system.m
-    if x0.shape != (n,):
-        raise ShapeError(f"x0 has shape {x0.shape}, expected ({n},)")
+    if x0.shape[1:] != (n,):
+        raise ShapeError(f"x0 has shape {x0.shape[1:]}, expected ({n},)")
     if costs.n != n or costs.m != m:
         raise ShapeError(
             f"cost weights sized for (n={costs.n}, m={costs.m}), system has (n={n}, m={m})"
         )
     if policy is not None and (policy.m, policy.n) != (m, n):
-        raise ShapeError(
-            f"gain is {policy.K.shape}, expected ({m}, {n}) for this system"
-        )
+        raise ShapeError(f"gain is {policy.K.shape}, expected ({m}, {n}) for this system")
+    AT = system.A.stack(T).transpose(0, 2, 1)
+    BT = system.B.stack(T).transpose(0, 2, 1)
+    KT = None if policy is None else policy.K.stack(T + 1).transpose(0, 2, 1)
+    d = inputs if policy is None else policy.offsets(T)
+    if w.ndim == 3:
+        w = w.transpose(1, 0, 2)
+
+    rows = len(x0)
+    X = np.zeros((T + 1, rows, n))
+    U = np.zeros((T + 1, rows, m))
+    X[0] = x0
+    overflow = np.zeros(rows, dtype=int)
+    peak = np.zeros(rows)
+    dead = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(T + 1):
+            x, u = X[t], U[t]
+            if KT is not None:
+                np.matmul(-x, KT[t], out=u)
+            if d is not None:
+                u += d[t]
+            if t == T:
+                break
+            nxt = x @ AT[t] + u @ BT[t] + (w[t] if scales is None else scales[:, None] * w[t])
+            if not np.vdot(nxt, nxt) <= _BATCH_GUARD:
+                norms = np.linalg.norm(nxt, axis=1)
+                burst = ~(norms <= OVERFLOW_LIMIT) & (overflow == 0)
+                overflow[burst] = t + 1
+                peak[burst] = norms[burst]
+                dead = overflow > 0
+                if dead.all():
+                    break
+            if dead is not None:
+                nxt[dead] = 0.0
+            X[t + 1] = nxt
+        stage = _stage_costs(costs, X, U)
+    return _Rollout(X, U, stage, overflow, peak)
 
 
 def simulate(
@@ -370,30 +458,14 @@ def simulate(
     applied (it enters c_T but has no successor state).  Aborts with
     SimulationOverflowError at the first state whose norm exceeds the guard.
     """
-    x0 = np.asarray(x0, dtype=float)
     w = as_disturbance(w, system.n)
     if T is None:
         T = w.horizon
     if w.horizon < T:
         raise ShapeError(f"disturbance covers {w.horizon} steps, need {T}")
-    _check_dims(system, x0, costs, policy)
-
-    n, m = system.n, system.m
-    states = np.zeros((T + 1, n))
-    inputs = np.zeros((T + 1, m))
-    stage = np.zeros(T + 1)
-    states[0] = x0
-    for t in range(T + 1):
-        u = policy.control(t, states[t])
-        inputs[t] = u
-        stage[t] = costs.stage(t, states[t], u)
-        if t < T:
-            nxt = system.A(t) @ states[t] + system.B(t) @ u + w.w[t]
-            norm = float(np.linalg.norm(nxt))
-            if not np.isfinite(norm) or norm > OVERFLOW_LIMIT:
-                raise SimulationOverflowError(t + 1, norm, OVERFLOW_LIMIT)
-            states[t + 1] = nxt
-    return Trajectory(states, inputs, stage, float(stage.sum()))
+    roll = _rollout(system, costs, np.asarray(x0, dtype=float)[None], w.w[:T], T, policy)
+    roll.raise_overflow()
+    return roll.trajectory()
 
 
 def simulate_grid(
@@ -408,42 +480,23 @@ def simulate_grid(
     """Total costs of the closed loop on a horizon grid, all horizons rolled out together.
 
     Row i is simulate(system, policy, x0, scales[i] * base[:T], costs, T) with
-    T = horizons[i]; the rows advance in absolute time as one (H, n) state
-    array.  Returns (totals, overflow): a row whose state norm exceeds the
-    guard at step t gets overflow[i] = t and totals[i] = inf, the step that
+    T = horizons[i]; the rows run as one batch up to the longest horizon.
+    Returns (totals, overflow): a row whose state norm exceeds the guard at
+    step t <= T gets overflow[i] = t and totals[i] = inf, the step that
     simulate reports in its SimulationOverflowError; overflow[i] = 0 otherwise.
     """
     x0 = np.asarray(x0, dtype=float)
     horizons = np.asarray(horizons, dtype=int)
-    scales = np.asarray(scales, dtype=float)
     T_max = int(horizons[-1])
     if len(base) < T_max:
         raise ShapeError(f"disturbance covers {len(base)} steps, need {T_max}")
-    _check_dims(system, x0, costs, policy)
-
-    X = np.tile(x0, (len(horizons), 1))
-    totals = np.zeros(len(horizons))
-    overflow = np.zeros(len(horizons), dtype=int)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(T_max + 1):
-            lo = int(np.searchsorted(horizons, t))  # rows scored at t
-            if not np.any(overflow[lo:] == 0):
-                break
-            x = X[lo:]
-            u = -x @ policy.K(t).T
-            if policy.d is not None:
-                u = u + policy.offset(t)
-            Qt, Rt = costs.Q(t), costs.R(t)
-            totals[lo:] += np.sum((x @ Qt) * x, axis=1) + np.sum((u @ Rt) * u, axis=1)
-            if t == T_max:
-                break
-            hi = int(np.searchsorted(horizons, t, side="right"))  # rows stepped past t
-            nxt = X[hi:] @ system.A(t).T + u[hi - lo :] @ system.B(t).T + scales[hi:, None] * base[t]
-            dead = overflow[hi:] != 0
-            burst = ~(np.linalg.norm(nxt, axis=1) <= OVERFLOW_LIMIT) & ~dead
-            overflow[hi:][burst] = t + 1
-            nxt[dead | burst] = 0.0
-            X[hi:] = nxt
+    x0s = np.tile(x0, (len(horizons), 1))
+    roll = _rollout(
+        system, costs, x0s, base[:T_max], T_max, policy, scales=np.asarray(scales, dtype=float)
+    )
+    # sequential prefix sums: each total adds its stage costs in time order
+    totals = np.cumsum(roll.stage, axis=0)[horizons, np.arange(len(horizons))]
+    overflow = np.where(roll.overflow <= horizons, roll.overflow, 0)
     totals[overflow > 0] = np.inf
     return totals, overflow
 
@@ -456,7 +509,6 @@ def simulate_inputs(
     costs: QuadraticStageCost,
 ) -> Trajectory:
     """Roll out an explicit input sequence u_0..u_{T-1}; the terminal input is 0."""
-    x0 = np.asarray(x0, dtype=float)
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim == 1:
         inputs = inputs[:, None]
@@ -464,35 +516,20 @@ def simulate_inputs(
     w = as_disturbance(w, system.n)
     if w.horizon < T:
         raise ShapeError(f"disturbance covers {w.horizon} steps, need {T}")
-    _check_dims(system, x0, costs)
     if inputs.shape[1] != system.m:
         raise ShapeError(f"inputs have m={inputs.shape[1]}, expected {system.m}")
-
-    n, m = system.n, system.m
-    states = np.zeros((T + 1, n))
-    u_full = np.zeros((T + 1, m))
-    u_full[:T] = inputs
-    stage = np.zeros(T + 1)
-    states[0] = x0
-    for t in range(T + 1):
-        stage[t] = costs.stage(t, states[t], u_full[t])
-        if t < T:
-            nxt = system.A(t) @ states[t] + system.B(t) @ u_full[t] + w.w[t]
-            norm = float(np.linalg.norm(nxt))
-            if not np.isfinite(norm) or norm > OVERFLOW_LIMIT:
-                raise SimulationOverflowError(t + 1, norm, OVERFLOW_LIMIT)
-            states[t + 1] = nxt
-    return Trajectory(states, u_full, stage, float(stage.sum()))
+    u = np.zeros((T + 1, system.m))
+    u[:T] = inputs
+    roll = _rollout(system, costs, np.asarray(x0, dtype=float)[None], w.w[:T], T, inputs=u)
+    roll.raise_overflow()
+    return roll.trajectory()
 
 
 def evaluate_cost(traj: Trajectory, costs: QuadraticStageCost) -> float:
     """Recompute the total cost of a trajectory; idempotent with total_cost."""
     if len(traj.states) != len(traj.inputs):
         raise ShapeError("trajectory states and inputs have different lengths")
-    total = 0.0
-    for t in range(len(traj.states)):
-        total += costs.stage(t, traj.states[t], traj.inputs[t])
-    return float(total)
+    return float(_stage_costs(costs, traj.states[:, None], traj.inputs[:, None]).sum())
 
 
 def tracking_transform(system: SystemDynamics, r, w) -> DisturbanceSignal:

@@ -19,19 +19,20 @@ from enum import Enum
 
 import numpy as np
 
-from .adversary import random_ball
+from .adversary import ball_point, random_ball
 from .errors import ShapeError, SimulationOverflowError
 from .model import (
     DisturbanceSignal,
     LinearPolicy,
     QuadraticStageCost,
     SystemDynamics,
+    _rollout,
     closed_loop,
     simulate,
     simulate_grid,
 )
 from .hindsight import hindsight_costs, solve_hindsight
-from .transition import bibs_partial_sums, partial_sums_converged, summability_constants
+from .transition import norm_sums, partial_sums_converged
 
 
 class GrowthClass(str, Enum):
@@ -242,13 +243,6 @@ class LinearRegretCertificate:
         return out
 
 
-def _uniform_ball_point(rng, n: int, radius: float) -> np.ndarray:
-    g = rng.standard_normal(n)
-    norm = np.linalg.norm(g)
-    direction = g / norm if norm > 0 else np.eye(n)[0]
-    return radius * rng.uniform() ** (1.0 / n) * direction
-
-
 def linear_regret_certificate(
     system: SystemDynamics,
     costs: QuadraticStageCost,
@@ -267,9 +261,7 @@ def linear_regret_certificate(
     draws `trials` initial states from the radius-X ball and disturbances from
     the radius-W ball and verifies J_T <= C_0 + C_w T for every prefix T.
     """
-    F = closed_loop(system, policy)
-    sums = summability_constants(F, T_max)
-    bibs = bibs_partial_sums(F, T_max)
+    bibs, sums = norm_sums(closed_loop(system, policy), T_max)
     bibs_ok = (not bibs.capped) and partial_sums_converged(bibs.sums)
     if not (bibs_ok and sums.d_sum_converged and sums.d_bar_converged and sums.h_bar_converged):
         return LinearRegretCertificate(
@@ -299,16 +291,17 @@ def linear_regret_certificate(
 
     rng = np.random.default_rng(seed)
     n = system.n
-    worst = -math.inf
-    for _ in range(trials):
-        x0 = _uniform_ball_point(rng, n, X)
-        w = random_ball(n, W, T_max, seed=int(rng.integers(0, 2**31)))
-        traj = simulate(system, policy, x0, w, costs, T_max)
-        J = traj.cumulative_costs()
-        Ts = np.arange(T_max + 1)
-        bound = c0 + cw * Ts
-        rel = (J[1:] - bound[1:]) / np.maximum(1.0, bound[1:])
-        worst = max(worst, float(np.max(rel)))
+    x0 = np.zeros((trials, n))
+    w = np.zeros((trials, T_max, n))
+    for i in range(trials):
+        x0[i] = ball_point(rng, n, X)
+        w[i] = random_ball(n, W, T_max, seed=int(rng.integers(0, 2**31))).w
+    roll = _rollout(system, costs, x0, w, T_max, policy)
+    roll.raise_overflow()
+    J = np.cumsum(roll.stage, axis=0)[1:]
+    bound = c0 + cw * np.arange(1, T_max + 1)[:, None]
+    rel = (J - bound) / np.maximum(1.0, bound)
+    worst = float(np.max(rel, initial=-math.inf))
     return LinearRegretCertificate(
         applicable=True,
         holds=worst <= rel_slack,
@@ -350,7 +343,8 @@ def quadratic_floor_check(
 
     Applies when the dominant eigenvalue is real, at least one, and has a real
     eigenvector; the rollout starts at the origin with zero input, so the
-    state accumulates at least t aligned disturbance steps.
+    state accumulates at least t aligned disturbance steps.  A rollout that
+    overflows reports cost = inf, which satisfies the floor.
     """
     F = np.asarray(F, dtype=float)
     n = F.shape[0]
@@ -376,12 +370,9 @@ def quadratic_floor_check(
     v = v / np.linalg.norm(v)
 
     m_lower, _ = costs.bounds(T)
-    x = np.zeros(n)
-    cost = 0.0
-    for t in range(T + 1):
-        cost += float(x @ costs.Q(t) @ x)
-        if t < T:
-            x = F @ x + W * v
+    free = SystemDynamics.lti(F, np.zeros((n, costs.m)))
+    roll = _rollout(free, costs, np.zeros((1, n)), np.tile(W * v, (T, 1)), T)
+    cost = math.inf if roll.overflow[0] else float(roll.stage.sum())
     bound = m_lower * W**2 * (T**2 + T) / 2.0
     satisfied = cost >= bound * (1.0 - rel_slack)
     return LowerBoundCheck(True, "", float(bound), cost, bool(satisfied), lam, v)

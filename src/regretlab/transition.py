@@ -70,19 +70,29 @@ def transition_matrix(F, t: int, k: int) -> np.ndarray:
     return M
 
 
-def transition_row(F, t: int) -> list[np.ndarray]:
-    """All blocks Phi(t, k) for k = 0..t, built by the row recurrence.
+def _row_stacks(seq: MatrixSequence, T: int):
+    """Yield row t of the transition table, Phi(t, k) for k = 0..t stacked, for t = 1..T.
 
-    Phi(t, t) = I and Phi(t, k) = F_{t-1} Phi(t-1, k); one left-multiplication
-    per entry from the previous row, never retaining the full table.
+    Phi(t, t) = I and Phi(t, k) = F_{t-1} Phi(t-1, k): one batched
+    left-multiplication of the previous row per step, never the full table.
+    The yielded stack is a view that the next step overwrites.
     """
-    seq = as_closed_loop(F)
     n = seq.shape[0]
-    row = [np.eye(n)]
-    for s in range(1, t + 1):
-        Fs = seq(s - 1)
-        row = [Fs @ M for M in row] + [np.eye(n)]
-    return row
+    rows = np.empty((T + 1, n, n))
+    rows[0] = np.eye(n)
+    for t in range(1, T + 1):
+        rows[:t] = seq(t - 1) @ rows[:t]
+        rows[t] = np.eye(n)
+        yield rows[: t + 1]
+
+
+def transition_row(F, t: int) -> list[np.ndarray]:
+    """All blocks Phi(t, k) for k = 0..t, built by the row recurrence."""
+    seq = as_closed_loop(F)
+    row = np.eye(seq.shape[0])[None]
+    for row in _row_stacks(seq, t):
+        pass
+    return list(row)
 
 
 def transition_norms(F, T: int) -> tuple[np.ndarray, bool]:
@@ -116,56 +126,6 @@ class BibsSums:
     capped: bool
 
 
-def _power_norms(F0: np.ndarray, count: int) -> tuple[np.ndarray, bool]:
-    """||F^j|| for j = 0..count-1 with the overflow cap applied."""
-    norms = np.zeros(count)
-    norms[0] = 1.0
-    M = np.eye(F0.shape[0])
-    for j in range(1, count):
-        M = F0 @ M
-        norm = spectral_norm(M)
-        if not np.isfinite(norm) or norm > NORM_CAP:
-            norms[j:] = np.inf
-            return norms, True
-        norms[j] = norm
-    return norms, False
-
-
-def bibs_partial_sums(F, T: int) -> BibsSums:
-    """Row sums of the transition-norm table, the BIBS stability diagnostic.
-
-    For a constant F the row sum at t is just the prefix sum of ||F^j||, which
-    avoids the O(T^2) product table.
-    """
-    if T < 1:
-        raise ShapeError(f"need T >= 1, got {T}")
-    seq = as_closed_loop(F)
-    n = seq.shape[0]
-    sums = np.zeros(T + 1)
-    if seq.constant:
-        norms, capped = _power_norms(seq(0), T)
-        sums[1:] = np.cumsum(norms)
-    else:
-        capped = False
-        row = [np.eye(n)]  # Phi(t, k) for k = 0..t, rebuilt row by row
-        for t in range(1, T + 1):
-            Ft = seq(t - 1)
-            row = [Ft @ M for M in row] + [np.eye(n)]
-            if capped:
-                sums[t] = np.inf
-                continue
-            total = 0.0
-            for k in range(1, t + 1):
-                total += spectral_norm(row[k])
-            if not np.isfinite(total) or total > NORM_CAP:
-                capped = True
-                sums[t] = np.inf
-            else:
-                sums[t] = total
-    running = np.maximum.accumulate(sums)
-    return BibsSums(sums=sums, running_sup=running, sup=float(running[-1]), capped=capped)
-
-
 def partial_sums_converged(partials: np.ndarray) -> bool:
     """Relative growth of the second half below TAIL_GROWTH_TOL."""
     if not np.all(np.isfinite(partials)):
@@ -188,56 +148,84 @@ class SummabilityConstants:
     horizon: int
 
 
-def summability_constants(F, T: int) -> SummabilityConstants:
-    """Partial values of the norm sums entering the linear-regret certificate."""
+def _row_norm_sums(seq: MatrixSequence, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """sum_k ||Phi(t, k)|| and sum_k ||Phi(t, k)||^2 over k = 1..t, for t = 1..T.
+
+    One row pass with a batched 2-norm per row.  Each sum is +inf from the
+    first row at which it exceeds NORM_CAP (or is not finite) on; the pass
+    stops once the norm sum does, since the squared sum has then done so too.
+    """
+    sums = np.full(T, np.inf)
+    squares = np.full(T, np.inf)
+    squares_ok = True
+    for t, row in enumerate(_row_stacks(seq, T), start=1):
+        blocks = row[1:]
+        if not np.all(np.isfinite(blocks)):
+            break
+        norms = np.linalg.norm(blocks, 2, axis=(1, 2))
+        total = norms.sum()
+        if not total <= NORM_CAP:
+            break
+        sums[t - 1] = total
+        square = np.sum(norms**2)
+        squares_ok = squares_ok and square <= NORM_CAP
+        if squares_ok:
+            squares[t - 1] = square
+    return sums, squares
+
+
+def norm_sums(F, T: int) -> tuple[BibsSums, SummabilityConstants]:
+    """BIBS row sums and summability constants from one pass over the norm table.
+
+    The column ||Phi(t, 0)|| comes from transition_norms.  The row sums
+    sum_{k=1..t} ||Phi(t, k)|| (and their squares) come from the row pass, or
+    for a constant F from prefix sums of ||F^j|| = ||Phi(j, 0)||, j < t,
+    which avoids the O(T^2) product table.
+    """
     if T < 1:
         raise ShapeError(f"need T >= 1, got {T}")
     seq = as_closed_loop(F)
-    n = seq.shape[0]
     norms, capped = transition_norms(seq, T)
+    if seq.constant:
+        powers = norms[:T]
+        row_sums = np.cumsum(powers)
+        row_squares = np.cumsum(powers**2) if np.all(np.isfinite(powers)) else np.full(T, np.inf)
+    else:
+        row_sums, row_squares = _row_norm_sums(seq, T)
+
+    sums = np.concatenate(([0.0], row_sums))
+    running = np.maximum.accumulate(sums)
+    bibs = BibsSums(
+        sums=sums,
+        running_sup=running,
+        sup=float(running[-1]),
+        capped=not np.all(np.isfinite(row_sums)),
+    )
+
     finite = np.where(np.isfinite(norms), norms, 0.0)
     d_partials = np.cumsum(finite)
     d2_partials = np.cumsum(finite**2)
-    d_sum = float("inf") if capped else float(d_partials[-1])
-    d_bar = float("inf") if capped else float(d2_partials[-1])
-
-    if seq.constant:
-        # sum_{k=1..t} ||Phi(t,k)||^2 = prefix sums of ||F^j||^2, monotone in t.
-        pw, pw_capped = _power_norms(seq(0), T)
-        if pw_capped:
-            h_rows = np.full(T, np.inf)
-        else:
-            h_rows = np.cumsum(pw**2)
-        h_capped = pw_capped
-    else:
-        h_rows = np.zeros(T)
-        h_capped = False
-        row = [np.eye(n)]
-        for t in range(1, T + 1):
-            Ft = seq(t - 1)
-            row = [Ft @ M for M in row] + [np.eye(n)]
-            if h_capped:
-                h_rows[t - 1] = np.inf
-                continue
-            total = 0.0
-            for k in range(1, t + 1):
-                total += spectral_norm(row[k]) ** 2
-            if not np.isfinite(total) or total > NORM_CAP:
-                h_capped = True
-                h_rows[t - 1] = np.inf
-            else:
-                h_rows[t - 1] = total
-    h_bar = float("inf") if h_capped else float(np.max(h_rows))
-
-    return SummabilityConstants(
-        d_sum=d_sum,
-        d_bar=d_bar,
-        h_bar=h_bar,
+    h_capped = not np.all(np.isfinite(row_squares))
+    constants = SummabilityConstants(
+        d_sum=float("inf") if capped else float(d_partials[-1]),
+        d_bar=float("inf") if capped else float(d2_partials[-1]),
+        h_bar=float("inf") if h_capped else float(np.max(row_squares)),
         d_sum_converged=(not capped) and partial_sums_converged(d_partials),
         d_bar_converged=(not capped) and partial_sums_converged(d2_partials),
-        h_bar_converged=(not h_capped) and partial_sums_converged(h_rows),
+        h_bar_converged=(not h_capped) and partial_sums_converged(row_squares),
         horizon=T,
     )
+    return bibs, constants
+
+
+def bibs_partial_sums(F, T: int) -> BibsSums:
+    """Row sums of the transition-norm table, the BIBS stability diagnostic."""
+    return norm_sums(F, T)[0]
+
+
+def summability_constants(F, T: int) -> SummabilityConstants:
+    """Partial values of the norm sums entering the linear-regret certificate."""
+    return norm_sums(F, T)[1]
 
 
 def exponential_fit(phi_norms) -> tuple[float, float]:
@@ -340,7 +328,7 @@ def classify_lti(F, horizon: int = 500, marginal_tol: float = 1e-9) -> Stability
     else:
         classification = Stability.UNSTABLE
 
-    norms, capped = _power_norms(F, horizon + 1)
+    norms, capped = transition_norms(F, horizon)
     finite = np.where(np.isfinite(norms), norms, 0.0)
     d_partials = np.cumsum(finite)
     d2_partials = np.cumsum(finite**2)
@@ -390,13 +378,11 @@ def classify_ltv(
     if T < 50:
         raise ShapeError(f"trend classification needs T >= 50, got {T}")
     seq = as_closed_loop(F)
-    n = seq.shape[0]
     norms, capped = transition_norms(seq, T)
     full_rank_ok = all(_full_rank(seq(t)) for t in range(T))
 
     bh = min(T, 150) if bibs_horizon is None else bibs_horizon
-    bibs = bibs_partial_sums(seq, bh)
-    sums = summability_constants(seq, bh)
+    bibs, sums = norm_sums(seq, bh)
 
     notes = ""
     exp_pair = None

@@ -304,3 +304,27 @@ def test_cli_import_does_not_load_scipy():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env,
                           check=True, timeout=120)
     assert proc.stdout.strip() == "False"
+
+
+def test_phi_recipe_scales_large_rows_and_stops_at_non_finite_ones(tmp_path, capsys):
+    # K = 0 leaves the open loop x' = 50 x: the rows Phi(k,0) w0 = 50^k pass
+    # 1e154 (squares overflow) near k = 91 and the float range at k = 182
+    cfg = {
+        "system": {"A": [[50.0]], "B": [[1.0]]},
+        "cost": {"Q": [[1.0]], "R": [[1.0]]},
+        "policies": [{"name": "K0", "K": [[0.0]]}],
+        "disturbance": {"recipe": "phi"},
+    }
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    code = main(["regret", "--config", path, "--out", str(out), "--horizons", "10:180:10"])
+    assert code == EXIT_OK
+    report = json.loads((out / "regret_report.json").read_text())["K0"]
+    assert report == {"flags": ["ok"], "growth": "LinearAverage"}
+    curve = RegretCurve.from_csv(out / "regret_K0.csv")
+    assert np.all(curve.regret > 0.0)
+
+    code = main(["regret", "--config", path, "--out", str(out), "--horizons", "10:200:10"])
+    assert code == EXIT_NUMERICAL
+    diag = json.loads(capsys.readouterr().err.strip())
+    assert diag["error"] == "numerical" and diag["t"] == 182

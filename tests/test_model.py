@@ -12,11 +12,12 @@ from regretlab import (
     SystemDynamics,
     Trajectory,
     closed_loop_matrix,
-    cost_bounds,
     evaluate_cost,
     simulate,
     tracking_transform,
 )
+
+from regretlab.model import _rollout
 
 from helpers import random_instance, random_pd
 
@@ -113,7 +114,7 @@ def test_cost_positivity_floor():
         sys, costs, x0, w, T = random_instance(rng, T_max=30)
         pol = LinearPolicy.constant(0.3 * rng.standard_normal((sys.m, sys.n)))
         traj = simulate(sys, pol, x0, w, costs, T)
-        m_lower, _ = cost_bounds(costs, T)
+        m_lower, _ = costs.bounds(T)
         floor = m_lower * np.sum(np.sum(traj.states**2, axis=1))
         assert traj.total_cost >= floor - 1e-9 * max(1.0, floor)
 
@@ -185,23 +186,23 @@ def test_tracking_transform_requires_full_reference():
 
 
 def test_cost_bounds_examples():
-    assert cost_bounds(QuadraticStageCost.constant(np.eye(2), np.eye(1)), 5) == (1.0, 1.0)
-    assert cost_bounds(QuadraticStageCost.constant(1.5 * np.eye(2), [[1.0]]), 5) == (1.5, 1.5)
-    got = cost_bounds(QuadraticStageCost.constant(np.diag([2.0, 3.0]), np.eye(1)), 5)
+    assert QuadraticStageCost.constant(np.eye(2), np.eye(1)).bounds(5) == (1.0, 1.0)
+    assert QuadraticStageCost.constant(1.5 * np.eye(2), [[1.0]]).bounds(5) == (1.5, 1.5)
+    got = QuadraticStageCost.constant(np.diag([2.0, 3.0]), np.eye(1)).bounds(5)
     assert got == (2.0, 3.0)
 
 
 def test_cost_bounds_rejects_non_pd():
     with pytest.raises(AssumptionViolationError):
-        cost_bounds(QuadraticStageCost.constant(np.diag([1.0, 0.0]), np.eye(1)), 3)
+        QuadraticStageCost.constant(np.diag([1.0, 0.0]), np.eye(1)).bounds(3)
     with pytest.raises(AssumptionViolationError):
-        cost_bounds(QuadraticStageCost.constant([[1.0, 0.5], [0.2, 1.0]], np.eye(1)), 3)
+        QuadraticStageCost.constant([[1.0, 0.5], [0.2, 1.0]], np.eye(1)).bounds(3)
 
 
 def test_cost_bounds_quadratic_sandwich():
     rng = np.random.default_rng(4)
     costs = QuadraticStageCost.constant(random_pd(rng, 3), random_pd(rng, 2))
-    m_lower, m_upper = cost_bounds(costs, 0)
+    m_lower, m_upper = costs.bounds(0)
     for _ in range(100):
         x = rng.standard_normal(3)
         u = rng.standard_normal(2)
@@ -249,3 +250,90 @@ def test_ltv_generator_system_simulation():
     for t in range(6):
         x *= 2.0 if t % 2 == 0 else 0.25
         assert traj.states[t + 1, 0] == x
+
+
+# ---------------------------------------------------------------- rollout kernel
+
+
+def per_row_rollout(system, costs, x0, w, T, K=None, d=None):
+    """Reference loop for one row: u_t = -K_t x_t + d_t, x_{t+1} = A_t x_t + B_t u_t + w_t."""
+    x = np.asarray(x0, dtype=float)
+    states, inputs, stage = [], [], []
+    for t in range(T + 1):
+        u = np.zeros(system.m) if K is None else -K(t) @ x
+        if d is not None:
+            u = u + d[t]
+        states.append(x)
+        inputs.append(u)
+        stage.append(x @ costs.Q(t) @ x + u @ costs.R(t) @ u)
+        if t < T:
+            x = system.A(t) @ x + system.B(t) @ u + w[t]
+    return np.array(states), np.array(inputs), np.array(stage)
+
+
+def assert_rows_match(roll, references):
+    for row, (states, inputs, stage) in enumerate(references):
+        scale = max(1.0, float(np.max(np.abs(states))))
+        np.testing.assert_allclose(roll.states[:, row], states, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(roll.inputs[:, row], inputs, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(roll.stage[:, row], stage, rtol=1e-12, atol=1e-12 * scale**2)
+    assert not np.any(roll.overflow)
+
+
+def test_rollout_kernel_matches_per_row_loop():
+    rng = np.random.default_rng(10)
+    T, rows = 30, 4
+
+    # LTI loop under a constant gain, one disturbance signal per row
+    sys, costs, _, _, _ = random_instance(rng, T_max=1)
+    pol = LinearPolicy.constant(0.3 * rng.standard_normal((sys.m, sys.n)))
+    x0 = rng.standard_normal((rows, sys.n))
+    w = rng.standard_normal((rows, T, sys.n))
+    roll = _rollout(sys, costs, x0, w, T, pol)
+    assert_rows_match(roll, [per_row_rollout(sys, costs, x0[i], w[i], T, pol.K) for i in range(rows)])
+
+    # LTV loop and weights, a time-varying gain with offsets d_t, one shared
+    # disturbance scaled per row
+    n, m = 3, 2
+    A = 0.6 * rng.standard_normal((T, n, n))
+    B = rng.standard_normal((T, n, m))
+    ltv = SystemDynamics.ltv(lambda t: A[t], B, n=n, m=m)
+    Qs = np.array([random_pd(rng, n) for _ in range(T + 1)])
+    ltv_costs = QuadraticStageCost.varying(Qs, lambda t: (1.0 + t % 3) * np.eye(m), n, m)
+    d = rng.standard_normal((T + 1, m))
+    affine = LinearPolicy.varying(0.2 * rng.standard_normal((T + 1, m, n)), m, n, d=d, d_max=10.0)
+    x0 = rng.standard_normal((rows, n))
+    base = rng.standard_normal((T, n))
+    scales = rng.uniform(0.5, 2.0, rows)
+    roll = _rollout(ltv, ltv_costs, x0, base, T, affine, scales=scales)
+    assert_rows_match(roll, [
+        per_row_rollout(ltv, ltv_costs, x0[i], scales[i] * base, T, affine.K, d) for i in range(rows)
+    ])
+
+    # open-loop inputs
+    inputs = rng.standard_normal((T + 1, m))
+    roll = _rollout(ltv, ltv_costs, x0, base, T, inputs=inputs)
+    assert_rows_match(roll, [
+        per_row_rollout(ltv, ltv_costs, x0[i], base, T, d=inputs) for i in range(rows)
+    ])
+
+
+def test_rollout_kernel_rows_overflow_at_their_own_steps():
+    sys = SystemDynamics.lti([[3.0]], [[1.0]])
+    pol = LinearPolicy.constant([[0.0]])
+    costs = QuadraticStageCost.constant([[1.0]], [[1.0]])
+    T = 400
+    w = DisturbanceSignal.zeros(1, T)
+    x0 = np.array([[1.0], [1e20], [1e-20], [0.0]])
+    roll = _rollout(sys, costs, x0, w.w, T, pol)
+    expected = []
+    for row in x0:
+        try:
+            traj = simulate(sys, pol, row, w, costs, T)
+            expected.append(0)
+            np.testing.assert_array_equal(roll.states[:, len(expected) - 1], traj.states)
+        except SimulationOverflowError as exc:
+            expected.append(exc.t)
+    assert expected == [315, 273, 357, 0]
+    np.testing.assert_array_equal(roll.overflow, expected)
+    assert np.all(np.isfinite(roll.stage))

@@ -205,6 +205,15 @@ def test_lower_bound_zero_disturbance_trivial():
     assert chk.applicable and chk.bound == 0.0 and chk.satisfied
 
 
+def test_lower_bound_overflowing_rollout_exceeds_the_floor():
+    # the e1 mode grows as 3^t and passes the overflow guard at t = 315
+    costs = QuadraticStageCost.constant(np.eye(2), [[1.0]])
+    chk = quadratic_floor_check(np.diag([3.0, 0.5]), costs, 1.0, 700)
+    assert chk.applicable and chk.eigenvalue == 3.0
+    assert chk.cost == math.inf
+    assert chk.satisfied
+
+
 def test_lower_bound_not_applicable_cases():
     costs2 = QuadraticStageCost.constant(np.eye(2), [[1.0]])
     stable = quadratic_floor_check(0.5 * np.eye(2), costs2, 1.0, 10)
@@ -288,8 +297,6 @@ def _per_horizon_reference(system, costs, pol, x0, recipe, horizons):
     return np.array(reg), np.array(bench), flags
 
 
-# the phi recipe's row norms ||Phi(k,0) w0|| overflow on the overdriven loops
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_batched_curve_matches_per_horizon_solves():
     # stable, marginal and unstable loops, and loops whose gain drives the
     # closed loop to radius ~60 (they overflow near T = 85), under all three

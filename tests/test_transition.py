@@ -8,11 +8,14 @@ from regretlab import (
     classify_lti,
     classify_ltv,
     exponential_fit,
+    norm_sums,
     summability_constants,
     transition_matrix,
     transition_norms,
     transition_row,
 )
+
+import regretlab.transition as transition
 
 F1 = np.array([[0.8, 0.6], [-0.1, 0.8]])
 F2 = np.array([[1.0, 0.0], [0.0, 0.5]])
@@ -259,3 +262,52 @@ def test_exponential_fit_needs_enough_points():
         exponential_fit(np.ones(5))
     with pytest.raises(ValueError):
         exponential_fit(np.array([1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]))
+
+
+def brute_row_sums(F, T, power, cap=np.inf):
+    """sum_{k=1..t} ||Phi(t, k)||^power per row t = 1..T from transition_matrix.
+
+    With a cap, every row from the first one whose sum exceeds it is +inf.
+    """
+    rows = np.full(T, np.inf)
+    for t in range(1, T + 1):
+        total = sum(np.linalg.norm(transition_matrix(F, t, k), 2) ** power for k in range(1, t + 1))
+        if not total <= cap:
+            break
+        rows[t - 1] = total
+    return rows
+
+
+def test_norm_sums_match_brute_force():
+    rng = np.random.default_rng(12)
+    T = 16
+    constant = rng.standard_normal((3, 3))
+    constant *= 0.9 / max(abs(np.linalg.eigvals(constant)))
+    for F in (constant, 0.6 * rng.standard_normal((T, 3, 3))):
+        bibs, sums = norm_sums(F, T)
+        column = [np.linalg.norm(transition_matrix(F, t, 0), 2) for t in range(T + 1)]
+        np.testing.assert_allclose(bibs.sums[1:], brute_row_sums(F, T, 1), rtol=1e-12)
+        assert not bibs.capped
+        assert sums.d_sum == pytest.approx(sum(column), rel=1e-12)
+        assert sums.d_bar == pytest.approx(sum(c**2 for c in column), rel=1e-12)
+        assert sums.h_bar == pytest.approx(max(brute_row_sums(F, T, 2)), rel=1e-12)
+        assert bibs_partial_sums(F, T).sup == bibs.sup
+        assert summability_constants(F, T) == sums
+
+
+def test_norm_sums_cap_rows_of_a_growing_ltv_loop():
+    # the squared row sums pass NORM_CAP near t = 5, the row sums near t = 9
+    def F(t):
+        return np.diag([1e20, 0.5]) if t % 2 == 0 else np.diag([1e19, 0.4])
+
+    T = 12
+    seq = transition.as_closed_loop(F)
+    row_sums, row_squares = transition._row_norm_sums(seq, T)
+    for got, power in ((row_sums, 1), (row_squares, 2)):
+        want = brute_row_sums(F, T, power, cap=transition.NORM_CAP)
+        np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+        assert 0 < np.sum(np.isinf(want)) < T
+        np.testing.assert_allclose(got[np.isfinite(want)], want[np.isfinite(want)], rtol=1e-12)
+    bibs, sums = norm_sums(F, T)
+    assert bibs.capped and np.isinf(bibs.sup)
+    assert np.isinf(sums.h_bar) and not sums.h_bar_converged
