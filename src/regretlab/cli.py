@@ -35,6 +35,7 @@ from .model import (
     SystemDynamics,
     closed_loop,
     closed_loop_matrix,
+    jsonable,
     simulate,
 )
 from .regret import (
@@ -316,23 +317,9 @@ def load_config(path, overrides: argparse.Namespace, need_system: bool = True) -
     )
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, np.generic):
-        obj = obj.item()
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return "inf" if obj > 0 else "-inf"
-    return obj
-
-
 def _write_json(path: Path, obj) -> None:
     path.write_text(
-        json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(jsonable(obj), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
 

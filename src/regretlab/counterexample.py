@@ -26,6 +26,7 @@ from .model import (
     SystemDynamics,
     _rollout,
     as_disturbance,
+    jsonable,
     simulate,
 )
 
@@ -263,11 +264,7 @@ class InstabilityReport:
     trials: int
 
     def to_dict(self) -> dict:
-        out = dict(self.__dict__)
-        for k, v in out.items():
-            if isinstance(v, float) and not np.isfinite(v):
-                out[k] = "inf"
-        return out
+        return jsonable(self.__dict__)
 
 
 def linear_regret_despite_instability(

@@ -114,14 +114,18 @@ def solve_hindsight(
         pn = p[t + 1]
         wt = w.w[t]
         G = _sym(costs.R(t) + B.T @ Pn @ B)
-        if 1.0 / np.linalg.cond(G) < RCOND_FLOOR:
+        # G is symmetric: its eigenvalues give both the exact 2-norm rcond and
+        # the PD test (a NaN entry reads as singular)
+        eigs = np.linalg.eigvalsh(G)
+        top = np.max(np.abs(eigs))
+        if not (top > 0.0 and np.min(np.abs(eigs)) / top >= RCOND_FLOOR):
             raise ConditioningError(
                 f"input Hessian at t={t} is numerically singular (rcond below {RCOND_FLOOR:.0e})"
             )
-        try:
-            np.linalg.cholesky(G)
-        except np.linalg.LinAlgError as exc:
-            raise ConditioningError(f"input Hessian at t={t} not PD: {exc}") from exc
+        if eigs[0] <= 0.0:
+            raise ConditioningError(
+                f"input Hessian at t={t} not PD (min eigenvalue {eigs[0]:.3e})"
+            )
         H = B.T @ Pn @ A
         h = B.T @ (Pn @ wt + 0.5 * pn)
         sol = np.linalg.solve(G, np.column_stack([H, h]))
@@ -139,6 +143,11 @@ def solve_hindsight(
     return sol
 
 
+def _constant_loop(system: SystemDynamics, costs: QuadraticStageCost) -> bool:
+    """A, B, Q and R constant: one Riccati table serves every horizon."""
+    return all(seq.constant for seq in (system.A, system.B, costs.Q, costs.R))
+
+
 def hindsight_costs(
     system: SystemDynamics,
     costs: QuadraticStageCost,
@@ -147,39 +156,51 @@ def hindsight_costs(
     scales,
     horizons,
 ) -> np.ndarray:
-    """Optimal costs of a constant loop on a horizon grid, from one reference solve.
+    """Optimal costs on a horizon grid, from one reference solve.
 
     Horizon horizons[i] sees the disturbance scales[i] * base[:horizons[i]].
-    solve_hindsight at the longest horizon checks every input Hessian, and with
-    A, B, Q, R constant its P[T_max - k] is the Riccati solution at time-to-go k
-    for every horizon.  Only the affine parts differ between horizons: p (one
-    row per horizon) and s are advanced for all horizons at once, one
-    time-to-go step at a time, and each cost is read at time-to-go horizons[i].
+    The longest horizon's cost is the optimal_cost of solve_hindsight at
+    T_max, which also checks every input Hessian.  With A, B, Q, R constant,
+    its P[T_max - k] is the Riccati solution at time-to-go k for every
+    horizon, and only the affine parts differ: for the shorter horizons, p
+    (one row per horizon) and s are advanced together, one time-to-go step at
+    a time, and each cost is read at time-to-go horizons[i].  A single horizon
+    works on any loop; a grid of several needs A, B, Q, R constant.
     """
     horizons = np.asarray(horizons, dtype=int)
     scales = np.asarray(scales, dtype=float)
     x0 = np.asarray(x0, dtype=float)
+    if len(horizons) > 1 and not _constant_loop(system, costs):
+        raise ValueError("a grid of several horizons needs constant A, B, Q and R")
     T_max = int(horizons[-1])
-    ref = solve_hindsight(system, costs, x0, scales[-1] * base, T_max)
+    ref = solve_hindsight(system, costs, x0, scales[-1] * base[:T_max], T_max)
+    out = np.empty(len(horizons))
+    out[-1] = ref.optimal_cost
+    short = horizons[:-1]
+    if len(short) == 0:
+        return out
+
+    T_s = int(short[-1])
     A, B = system.A(0), system.B(0)
     # indexed by time-to-go k; G[k - 1] is the input Hessian of step k
     P = ref.P[::-1]
-    F = A - B @ ref.gains[::-1]
-    G = costs.R(0) + B.T @ P[:-1] @ B
+    F = A - B @ ref.gains[::-1][: T_s + 1]
+    G = costs.R(0) + B.T @ P[:T_s] @ B
     G = 0.5 * (G + G.swapaxes(1, 2))
-    BGinv = np.linalg.solve(G, np.broadcast_to(B.T, (T_max, *B.T.shape))).swapaxes(1, 2)
+    BGinv = np.linalg.solve(G, np.broadcast_to(B.T, (T_s, *B.T.shape))).swapaxes(1, 2)
 
-    p = np.zeros((len(horizons), system.n))
-    s = np.zeros(len(horizons))
-    for k in range(1, T_max + 1):
-        lo = int(np.searchsorted(horizons, k))  # horizons with at least k steps to go
-        w = scales[lo:, None] * base[horizons[lo:] - k]
+    p = np.zeros((len(short), system.n))
+    s = np.zeros(len(short))
+    for k in range(1, T_s + 1):
+        lo = int(np.searchsorted(short, k))  # horizons with at least k steps to go
+        w = scales[lo:-1, None] * base[short[lo:] - k]
         pn = p[lo:]
         Pw = w @ P[k - 1]
         v = Pw + 0.5 * pn
         s[lo:] += np.sum(w * (Pw + pn), axis=1) - np.sum((v @ B) * (v @ BGinv[k - 1]), axis=1)
         p[lo:] = 2.0 * v @ F[k]
-    return np.einsum("i,hij,j->h", x0, P[horizons], x0) + p @ x0 + s
+    out[:-1] = np.einsum("i,hij,j->h", x0, P[short], x0) + p @ x0 + s
+    return out
 
 
 def batch_oracle(

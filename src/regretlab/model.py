@@ -24,6 +24,21 @@ OVERFLOW_LIMIT = 1e150
 BOUND_SLACK = 1e-12
 
 
+def jsonable(obj):
+    """obj with numpy values as Python ones and non-finite floats as "inf", "-inf", "nan"."""
+    if isinstance(obj, dict):
+        return {k: jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return jsonable(obj.tolist())
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return "nan" if np.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    return obj
+
+
 def _as_array(value, shape, what):
     arr = np.asarray(value, dtype=float)
     if arr.shape != tuple(shape):

@@ -20,18 +20,19 @@ from enum import Enum
 import numpy as np
 
 from .adversary import ball_point, random_ball
-from .errors import ShapeError, SimulationOverflowError
+from .errors import ShapeError
 from .model import (
     DisturbanceSignal,
     LinearPolicy,
     QuadraticStageCost,
     SystemDynamics,
     _rollout,
+    as_disturbance,
     closed_loop,
-    simulate,
+    jsonable,
     simulate_grid,
 )
-from .hindsight import hindsight_costs, solve_hindsight
+from .hindsight import _constant_loop, hindsight_costs
 from .transition import norm_sums, partial_sums_converged
 
 
@@ -53,12 +54,8 @@ def regret(
     w = w if isinstance(w, DisturbanceSignal) else DisturbanceSignal(np.asarray(w, float), np.inf)
     if T is None:
         T = w.horizon
-    bench = solve_hindsight(system, costs, x0, w, T)
-    try:
-        traj = simulate(system, policy, x0, w, costs, T)
-    except SimulationOverflowError:
-        return math.inf
-    return traj.total_cost - bench.optimal_cost
+    reg, _, _ = _regret_group(system, costs, policy, x0, w.w, [1.0], [T])
+    return float(reg[0])
 
 
 @dataclass
@@ -118,29 +115,31 @@ def regret_curve(
 ) -> RegretCurve:
     """One regret evaluation per horizon.
 
-    `disturbances` is a recipe with .realize(T) or a callable T -> signal.
-    For a constant loop (A, B, Q, R) and a recipe with .realize_grid, the grid
-    is realized once and all horizons share one benchmark solve and one
-    rollout (`hindsight_costs`, `simulate_grid`).  Otherwise the signal is
-    re-realized and solved per horizon, so realizations are deterministic per
-    horizon (seeded recipes additionally give prefix-consistent draws).
-    Overflowing policy rollouts are recorded as +inf with an overflow flag, the
-    benchmark is still evaluated.
+    `disturbances` is a recipe with .realize_grid (realized once for the whole
+    grid), a recipe with .realize(T) or a callable T -> signal (realized per
+    horizon).  Horizons are evaluated in groups that share one benchmark-cost
+    call and one rollout: all horizons together on a constant loop (A, B, Q,
+    R) with a grid realization, one horizon per group otherwise.  Overflowing
+    policy rollouts are recorded as +inf with an overflow flag, the benchmark
+    is still evaluated.
     """
     horizons = np.asarray(list(horizons), dtype=int)
     if len(horizons) == 0 or np.any(np.diff(horizons) <= 0):
         raise ShapeError("horizons must be strictly increasing and nonempty")
-    constant = all(seq.constant for seq in (system.A, system.B, costs.Q, costs.R))
-    if constant and hasattr(disturbances, "realize_grid"):
+    if hasattr(disturbances, "realize_grid"):
         base, scales = disturbances.realize_grid(horizons)
-        bench_costs = hindsight_costs(system, costs, x0, base, scales, horizons)
-        totals, overflow = simulate_grid(system, policy, x0, base, scales, horizons, costs)
-        reg = totals - bench_costs
-        flags = [f"overflow@{t}" if t else "ok" for t in overflow]
+        if _constant_loop(system, costs):
+            groups = [(base, scales, horizons)]
+        else:
+            groups = [(base, scales[i : i + 1], horizons[i : i + 1]) for i in range(len(horizons))]
     else:
-        reg, bench_costs, flags = _regret_per_horizon(
-            system, costs, policy, x0, disturbances, horizons
-        )
+        realize = getattr(disturbances, "realize", disturbances)
+        groups = [
+            (as_disturbance(realize(int(T)), system.n).w, [1.0], [T]) for T in horizons
+        ]
+    parts = [_regret_group(system, costs, policy, x0, *group) for group in groups]
+    reg, bench_costs, overflow = (np.concatenate(col) for col in zip(*parts))
+    flags = [f"overflow@{t}" if t else "ok" for t in overflow]
     meta = dict(metadata or {})
     if hasattr(disturbances, "bound"):
         meta.setdefault("W", float(disturbances.bound))
@@ -156,24 +155,17 @@ def regret_curve(
     )
 
 
-def _regret_per_horizon(system, costs, policy, x0, disturbances, horizons):
-    """(regret, benchmark costs, flags) with a fresh realization and solve per horizon."""
-    realize = disturbances.realize if hasattr(disturbances, "realize") else disturbances
-    reg = np.zeros(len(horizons))
-    bench_costs = np.zeros(len(horizons))
-    flags = []
-    for i, T in enumerate(horizons):
-        w = realize(int(T))
-        bench = solve_hindsight(system, costs, x0, w, int(T))
-        bench_costs[i] = bench.optimal_cost
-        try:
-            traj = simulate(system, policy, x0, w, costs, int(T))
-            reg[i] = traj.total_cost - bench.optimal_cost
-            flags.append("ok")
-        except SimulationOverflowError as exc:
-            reg[i] = math.inf
-            flags.append(f"overflow@{exc.t}")
-    return reg, bench_costs, flags
+def _regret_group(system, costs, policy, x0, base, scales, horizons):
+    """(regret, benchmark costs, overflow steps) of horizons sharing one realization.
+
+    Horizon horizons[i] sees scales[i] * base[:horizons[i]]; one benchmark-cost
+    call and one rollout of all rows serve the group.  An overflowing policy
+    rollout gives regret +inf and its overflow step; the benchmark is still
+    evaluated.
+    """
+    bench = hindsight_costs(system, costs, x0, base, scales, horizons)
+    totals, overflow = simulate_grid(system, policy, x0, base, scales, horizons, costs)
+    return totals - bench, bench, overflow
 
 
 def check_growth_grid(horizons) -> None:
@@ -236,11 +228,7 @@ class LinearRegretCertificate:
     trials: int
 
     def to_dict(self) -> dict:
-        out = dict(self.__dict__)
-        for k, v in out.items():
-            if isinstance(v, float) and not np.isfinite(v):
-                out[k] = "inf"
-        return out
+        return jsonable(self.__dict__)
 
 
 def linear_regret_certificate(

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ShapeError
-from .model import MatrixSequence, matrix_sequence
+from .model import MatrixSequence, jsonable, matrix_sequence
 
 # Norm products larger than this are treated as numerically divergent.
 NORM_CAP = 1e140
@@ -185,7 +185,12 @@ def norm_sums(F, T: int) -> tuple[BibsSums, SummabilityConstants]:
     if T < 1:
         raise ShapeError(f"need T >= 1, got {T}")
     seq = as_closed_loop(F)
-    norms, capped = transition_norms(seq, T)
+    return _sums_from_column(seq, *transition_norms(seq, T))
+
+
+def _sums_from_column(seq: MatrixSequence, norms: np.ndarray, capped: bool):
+    """norm_sums from a column (norms, capped) of transition_norms at T = len(norms) - 1 >= 1."""
+    T = len(norms) - 1
     if seq.constant:
         powers = norms[:T]
         row_sums = np.cumsum(powers)
@@ -268,26 +273,19 @@ class StabilityReport:
     notes: str = ""
 
     def to_dict(self) -> dict:
-        def enc(v):
-            if v is None:
-                return None
-            if isinstance(v, float) and not np.isfinite(v):
-                return "inf"
-            return v
+        return jsonable({**self.__dict__, "classification": self.classification.value})
 
-        return {
-            "classification": self.classification.value,
-            "spectral_radius": enc(self.spectral_radius),
-            "phi_norm_tail": enc(self.phi_norm_tail),
-            "bibs_sup": enc(self.bibs_sup),
-            "d_sum": enc(self.d_sum),
-            "d_bar": enc(self.d_bar),
-            "h_bar": enc(self.h_bar),
-            "exp_fit": None if self.exp_fit is None else list(self.exp_fit),
-            "full_rank_ok": self.full_rank_ok,
-            "horizon": self.horizon,
-            "notes": self.notes,
-        }
+
+def _converged_sums(bibs: BibsSums, sums: SummabilityConstants) -> dict:
+    """The report's four sum fields: the finite-horizon value when it looks convergent, else +inf."""
+    inf = float("inf")
+    bibs_ok = (not bibs.capped) and partial_sums_converged(bibs.sums)
+    return {
+        "bibs_sup": bibs.sup if bibs_ok else inf,
+        "d_sum": sums.d_sum if sums.d_sum_converged else inf,
+        "d_bar": sums.d_bar if sums.d_bar_converged else inf,
+        "h_bar": sums.h_bar if sums.h_bar_converged else inf,
+    }
 
 
 def _full_rank(M: np.ndarray) -> bool:
@@ -304,6 +302,8 @@ def classify_lti(F, horizon: int = 500, marginal_tol: float = 1e-9) -> Stability
     F = np.asarray(F, dtype=float)
     if F.ndim != 2 or F.shape[0] != F.shape[1]:
         raise ShapeError(f"F must be square, got {F.shape}")
+    if horizon < 1:
+        raise ShapeError(f"need horizon >= 1, got {horizon}")
     try:
         rho = spectral_radius(F)
     except np.linalg.LinAlgError:
@@ -328,14 +328,9 @@ def classify_lti(F, horizon: int = 500, marginal_tol: float = 1e-9) -> Stability
     else:
         classification = Stability.UNSTABLE
 
-    norms, capped = transition_norms(F, horizon)
-    finite = np.where(np.isfinite(norms), norms, 0.0)
-    d_partials = np.cumsum(finite)
-    d2_partials = np.cumsum(finite**2)
-    bibs_rows = d_partials  # prefix sums of ||F^j||, monotone
-    d_ok = (not capped) and partial_sums_converged(d_partials)
-    d2_ok = (not capped) and partial_sums_converged(d2_partials)
-    bibs_ok = (not capped) and partial_sums_converged(bibs_rows)
+    seq = as_closed_loop(F)
+    norms, capped = transition_norms(seq, horizon)
+    bibs, sums = _sums_from_column(seq, norms, capped)
 
     exp_pair = None
     if rho < 1.0 - marginal_tol:
@@ -348,10 +343,7 @@ def classify_lti(F, horizon: int = 500, marginal_tol: float = 1e-9) -> Stability
         classification=classification,
         spectral_radius=rho,
         phi_norm_tail=float(norms[-1]),
-        bibs_sup=float(bibs_rows[-1]) if bibs_ok else float("inf"),
-        d_sum=float(d_partials[-1]) if d_ok else float("inf"),
-        d_bar=float(d2_partials[-1]) if d2_ok else float("inf"),
-        h_bar=float(d2_partials[-1]) if d2_ok else float("inf"),
+        **_converged_sums(bibs, sums),
         exp_fit=exp_pair,
         full_rank_ok=_full_rank(F),
         horizon=horizon,
@@ -417,10 +409,7 @@ def classify_ltv(
         classification=classification,
         spectral_radius=None,
         phi_norm_tail=float(norms[-1]),
-        bibs_sup=bibs.sup if (not bibs.capped) and partial_sums_converged(bibs.sums) else float("inf"),
-        d_sum=sums.d_sum if sums.d_sum_converged else float("inf"),
-        d_bar=sums.d_bar if sums.d_bar_converged else float("inf"),
-        h_bar=sums.h_bar if sums.h_bar_converged else float("inf"),
+        **_converged_sums(bibs, sums),
         exp_fit=exp_pair,
         full_rank_ok=full_rank_ok,
         horizon=T,

@@ -99,6 +99,10 @@ def test_regret_outputs_and_determinism(tmp_path):
     assert rep["K1"]["certificate"]["holds"] is True
     assert rep["K3"]["growth"] == "SuperlinearAverage"
     assert rep["K3"]["certificate"]["applicable"] is False
+    # never sampled: NaN, written as "nan"
+    assert rep["K3"]["certificate"]["M"] == "nan"
+    assert rep["K3"]["certificate"]["max_relative_violation"] == "nan"
+    assert rep["K3"]["certificate"]["c0"] == "inf"
 
 
 def test_regret_csv_roundtrip(tmp_path):
@@ -328,3 +332,15 @@ def test_phi_recipe_scales_large_rows_and_stops_at_non_finite_ones(tmp_path, cap
     assert code == EXIT_NUMERICAL
     diag = json.loads(capsys.readouterr().err.strip())
     assert diag["error"] == "numerical" and diag["t"] == 182
+
+
+def test_nan_cost_weight_exits_numerical(tmp_path, capsys):
+    cfg = json.loads(json.dumps(FOUR_STATE))
+    cfg["cost"]["Q"] = [[float("nan"), 0.0], [0.0, 1.0]]
+    code = main(["regret", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_NUMERICAL
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    diag = json.loads(lines[0])
+    assert diag["error"] == "numerical" and "numerically singular" in diag["message"]

@@ -127,6 +127,14 @@ def test_conditioning_guard():
         solve_hindsight(sys, costs, np.zeros(2), DisturbanceSignal.zeros(2, 3), 3)
 
 
+def test_indefinite_input_weight_is_not_pd_at_its_step():
+    # G_4 = R + Q = 1, then P_4 = 0 makes G_3 = R = -1: well conditioned but indefinite
+    sys = SystemDynamics.lti([[1.0]], [[1.0]])
+    costs = QuadraticStageCost.constant([[2.0]], [[-1.0]])
+    with pytest.raises(ConditioningError, match="t=3 not PD"):
+        solve_hindsight(sys, costs, [1.0], DisturbanceSignal.zeros(1, 5), 5)
+
+
 def test_batch_oracle_size_cap():
     sys, costs = scalar_instance()
     with pytest.raises(ValueError):

@@ -17,7 +17,7 @@ from regretlab import (
     tracking_transform,
 )
 
-from regretlab.model import _rollout
+from regretlab.model import _rollout, jsonable
 
 from helpers import random_instance, random_pd
 
@@ -337,3 +337,8 @@ def test_rollout_kernel_rows_overflow_at_their_own_steps():
     assert expected == [315, 273, 357, 0]
     np.testing.assert_array_equal(roll.overflow, expected)
     assert np.all(np.isfinite(roll.stage))
+
+
+def test_jsonable_names_each_non_finite_float():
+    obj = {"a": [np.inf, -np.inf, np.nan, 1.5], "b": np.float64(np.nan), "c": np.array([2.0, -np.inf])}
+    assert jsonable(obj) == {"a": ["inf", "-inf", "nan", 1.5], "b": "nan", "c": [2.0, "-inf"]}

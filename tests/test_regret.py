@@ -21,6 +21,8 @@ from regretlab import (
     phi_aligned,
     regret,
     regret_curve,
+    hindsight_costs,
+    random_ball,
     simulate,
     solve_hindsight,
     linear_regret_certificate,
@@ -29,9 +31,8 @@ from regretlab import (
 
 from helpers import overdriven_loop, random_instance, random_loop, random_pd
 
-# the package re-exports functions named like its modules (regretlab.regret)
-regret_module = importlib.import_module("regretlab.regret")
 hindsight_module = importlib.import_module("regretlab.hindsight")
+adversary_module = importlib.import_module("regretlab.adversary")
 
 
 def scalar_instance():
@@ -83,6 +84,17 @@ def test_regret_nonnegative_on_random_instances():
         bench = solve_hindsight(sys, costs, x0, w, T)
         r = regret(sys, costs, pol, x0, w, T)
         assert r >= -1e-9 * max(1.0, bench.optimal_cost)
+
+
+def test_regret_equals_the_single_horizon_curve():
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        sys, costs, x0, w, T = random_instance(rng, T_max=30)
+        pol = LinearPolicy.constant(0.4 * rng.standard_normal((sys.m, sys.n)))
+        r = regret(sys, costs, pol, x0, w, T)
+        curve = regret_curve(sys, costs, pol, x0, lambda T: w[:T], [T])
+        scale = max(1.0, abs(curve.benchmark_costs[0]) + abs(r))
+        assert abs(r - curve.regret[0]) <= 1e-12 * scale
 
 
 def test_regret_curve_flags_overflow_with_step():
@@ -337,7 +349,6 @@ def _count_solves(monkeypatch):
         calls.append(args[4] if len(args) > 4 else kwargs.get("T"))
         return solve_hindsight(*args, **kwargs)
 
-    monkeypatch.setattr(regret_module, "solve_hindsight", counting)
     monkeypatch.setattr(hindsight_module, "solve_hindsight", counting)
     return calls
 
@@ -357,10 +368,33 @@ def test_ltv_curve_solves_once_per_horizon(monkeypatch):
     costs = QuadraticStageCost.constant(np.eye(2), [[1.0]])
     pol = LinearPolicy.constant([[0.1, 0.2]])
     calls = _count_solves(monkeypatch)
+    draws = []
+
+    def counting_ball(*args, **kwargs):
+        draws.append(args[2])
+        return random_ball(*args, **kwargs)
+
+    monkeypatch.setattr(adversary_module, "random_ball", counting_ball)
     horizons = [5, 10, 20, 40]
     curve = regret_curve(sys, costs, pol, np.ones(2), BallDisturbance(2, 1.0, 4), horizons)
     assert calls == horizons
+    assert draws == [40]
     assert curve.flags == ["ok"] * 4
+
+
+def test_hindsight_costs_on_an_ltv_loop():
+    # one horizon equals solve_hindsight bit for bit; a grid of several would
+    # need a Riccati table per horizon and is refused
+    rng = np.random.default_rng(24)
+    A = 0.9 * np.linalg.qr(rng.standard_normal((30, 2, 2)))[0] + np.diag([0.3, 0.0])
+    sys = SystemDynamics.ltv(A, [[1.0], [0.5]], n=2, m=1)
+    costs = QuadraticStageCost.constant(np.eye(2), [[1.0]])
+    w = random_ball(2, 1.0, 30, 5).w
+    for T in (10, 30):
+        got = hindsight_costs(sys, costs, np.ones(2), w, [1.0], [T])
+        assert got[0] == solve_hindsight(sys, costs, np.ones(2), w, T).optimal_cost
+    with pytest.raises(ValueError, match="constant"):
+        hindsight_costs(sys, costs, np.ones(2), w, [1.0, 1.0], [10, 30])
 
 
 def test_batched_curve_rejects_singular_input_hessian():

@@ -163,6 +163,23 @@ def test_classify_lti_three_controllers():
     assert rep3.spectral_radius == pytest.approx((1.77 + np.sqrt(0.0929)) / 2.0, rel=1e-12)
 
 
+def test_classify_lti_sums_are_the_norm_sums():
+    # at radius 0.97 the term ||F^500|| still shows in the last bits
+    rng = np.random.default_rng(7)
+    for rho in (0.5, 0.97, 1.0):
+        M = rng.standard_normal((3, 3))
+        F = M * rho / np.max(np.abs(np.linalg.eigvals(M)))
+        rep = classify_lti(F)
+        bibs, sums = norm_sums(F, 500)
+        bibs_ok = (not bibs.capped) and transition.partial_sums_converged(bibs.sums)
+        assert rep.bibs_sup == (bibs.sup if bibs_ok else np.inf)
+        assert rep.d_sum == (sums.d_sum if sums.d_sum_converged else np.inf)
+        assert rep.d_bar == (sums.d_bar if sums.d_bar_converged else np.inf)
+        assert rep.h_bar == (sums.h_bar if sums.h_bar_converged else np.inf)
+    with pytest.raises(ShapeError):
+        classify_lti(F1, horizon=0)
+
+
 def test_classify_lti_certified_power_bound():
     rep = classify_lti(F1, horizon=200)
     g, eps = rep.exp_fit
