@@ -120,8 +120,17 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
 }
 
-# Built once: jsonschema.validate would re-check the schema itself on every call.
-_SCHEMA_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+def _validator(schema):
+    # built once: jsonschema.validate would re-check the schema itself on every call
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
+_SCHEMA_VALIDATOR = _validator(CONFIG_SCHEMA)
+# a system.path file holds the two matrices of an inline system
+_SYSTEM_FILE_VALIDATOR = _validator(
+    {"properties": {"A": _MATRIX, "B": _MATRIX}, "required": ["A", "B"]}
+)
 
 DEFAULT_THRESHOLDS = {
     "marginal_tol": 1e-9,
@@ -229,21 +238,23 @@ class ExperimentConfig:
         return BallDisturbance(self.system.n, self.W, self.seed)
 
 
-def _validate_schema(raw: dict) -> None:
-    error = jsonschema.exceptions.best_match(_SCHEMA_VALIDATOR.iter_errors(raw))
-    if error is not None:
-        raise ConfigError(f"config schema violation at {error.json_path}: {error.message}",
-                          field=error.json_path)
-
-
-def load_config(path, overrides: argparse.Namespace, need_system: bool = True) -> ExperimentConfig:
+def _read_json(path, what: str, validator, field=None) -> dict:
+    """The JSON object in the file at path, checked against validator; ConfigError otherwise."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}", field=field) from exc
     if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    _validate_schema(raw)
+        raise ConfigError(f"{what} root must be a JSON object", field=field)
+    error = jsonschema.exceptions.best_match(validator.iter_errors(raw))
+    if error is not None:
+        raise ConfigError(f"{what} schema violation at {error.json_path}: {error.message}",
+                          field=field or error.json_path)
+    return raw
+
+
+def load_config(path, overrides: argparse.Namespace, need_system: bool = True) -> ExperimentConfig:
+    raw = _read_json(path, "config", _SCHEMA_VALIDATOR)
 
     system = None
     costs = None
@@ -255,8 +266,8 @@ def load_config(path, overrides: argparse.Namespace, need_system: bool = True) -
                 raise ConfigError(f"missing required config section {key!r}", field=key)
         sysraw = raw["system"]
         if "path" in sysraw:
-            sub = json.loads(Path(sysraw["path"]).read_text(encoding="utf-8"))
-            sysraw = {"A": sub["A"], "B": sub["B"]}
+            sysraw = _read_json(sysraw["path"], "system file", _SYSTEM_FILE_VALIDATOR,
+                                field="system.path")
         if "A" not in sysraw or "B" not in sysraw:
             raise ConfigError("system needs A and B (inline or via path)", field="system")
         try:
@@ -559,11 +570,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ShapeError, AssumptionViolationError) as exc:
         return _diag(exc, EXIT_CONFIG, "config")
-    except (ShapeError, AssumptionViolationError) as exc:
-        return _diag(exc, EXIT_CONFIG, "config")
-    except (SimulationOverflowError, ConvergenceError, ConditioningError) as exc:
+    except (SimulationOverflowError, ConvergenceError, ConditioningError,
+            np.linalg.LinAlgError) as exc:
         return _diag(exc, EXIT_NUMERICAL, "numerical")
     except OSError as exc:
         # unreadable config / unwritable output directory

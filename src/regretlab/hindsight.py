@@ -1,13 +1,13 @@
 """Noncausal benchmark: the cost minimizer computed with the disturbance known.
 
-Two independent routes to the same minimizer:
-
 * `solve_hindsight` runs an affine backward value-function pass (exact for
   linear dynamics with quadratic costs and a known additive disturbance) in
-  O(T) followed by the optimal rollout; `hindsight_costs` reuses one such pass
-  for a whole horizon grid of a constant loop;
-* `batch_oracle` stacks the dynamics into one dense strictly convex quadratic
-  in the input vector and solves the stationarity system directly.
+  O(T), followed by the optimal rollout;
+* `hindsight_costs` gives the optimal cost at every horizon of a grid on any
+  loop, the shorter horizons from one forward cost-to-arrive pass (the
+  Kalman-filter dual of the backward pass);
+* `batch_oracle` stacks the dynamics into one dense least-squares problem in
+  the input vector, an independent check where the open loop is not unstable.
 
 The benchmark optimizes u_0..u_{T-1}; the terminal input is zero (optimal,
 since R_T is PD and u_T affects no state).
@@ -28,6 +28,7 @@ from .model import (
     Trajectory,
     as_disturbance,
     simulate,
+    simulate_grid,
 )
 
 RCOND_FLOOR = 1e-14
@@ -35,6 +36,24 @@ RCOND_FLOOR = 1e-14
 
 def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
+
+
+def _check_pd(G: np.ndarray, what: str, t: int) -> None:
+    """Raise ConditioningError unless the symmetric G is PD with rcond >= RCOND_FLOOR.
+
+    Its ascending eigenvalues give both the exact 2-norm rcond and the PD
+    test; a non-finite G is singular without asking eigvalsh, whose NaN
+    output depends on LAPACK.  The diagnosis runs only on failure.
+    """
+    eigs = np.linalg.eigvalsh(G) if np.isfinite(G).all() else np.zeros(1)
+    if eigs[0] > 0.0 and eigs[0] >= RCOND_FLOOR * eigs[-1]:
+        return
+    mags = np.abs(eigs)
+    if not (mags.max() > 0.0 and mags.min() / mags.max() >= RCOND_FLOOR):
+        raise ConditioningError(
+            f"{what} at t={t} is numerically singular (rcond below {RCOND_FLOOR:.0e})"
+        )
+    raise ConditioningError(f"{what} at t={t} not PD (min eigenvalue {eigs[0]:.3e})")
 
 
 @dataclass
@@ -114,18 +133,7 @@ def solve_hindsight(
         pn = p[t + 1]
         wt = w.w[t]
         G = _sym(costs.R(t) + B.T @ Pn @ B)
-        # G is symmetric: its eigenvalues give both the exact 2-norm rcond and
-        # the PD test (a NaN entry reads as singular)
-        eigs = np.linalg.eigvalsh(G)
-        top = np.max(np.abs(eigs))
-        if not (top > 0.0 and np.min(np.abs(eigs)) / top >= RCOND_FLOOR):
-            raise ConditioningError(
-                f"input Hessian at t={t} is numerically singular (rcond below {RCOND_FLOOR:.0e})"
-            )
-        if eigs[0] <= 0.0:
-            raise ConditioningError(
-                f"input Hessian at t={t} not PD (min eigenvalue {eigs[0]:.3e})"
-            )
+        _check_pd(G, "input Hessian", t)
         H = B.T @ Pn @ A
         h = B.T @ (Pn @ wt + 0.5 * pn)
         sol = np.linalg.solve(G, np.column_stack([H, h]))
@@ -143,11 +151,6 @@ def solve_hindsight(
     return sol
 
 
-def _constant_loop(system: SystemDynamics, costs: QuadraticStageCost) -> bool:
-    """A, B, Q and R constant: one Riccati table serves every horizon."""
-    return all(seq.constant for seq in (system.A, system.B, costs.Q, costs.R))
-
-
 def hindsight_costs(
     system: SystemDynamics,
     costs: QuadraticStageCost,
@@ -156,50 +159,45 @@ def hindsight_costs(
     scales,
     horizons,
 ) -> np.ndarray:
-    """Optimal costs on a horizon grid, from one reference solve.
+    """Optimal costs on a horizon grid of any loop; horizon horizons[i] sees scales[i] * base.
 
-    Horizon horizons[i] sees the disturbance scales[i] * base[:horizons[i]].
     The longest horizon's cost is the optimal_cost of solve_hindsight at
-    T_max, which also checks every input Hessian.  With A, B, Q, R constant,
-    its P[T_max - k] is the Riccati solution at time-to-go k for every
-    horizon, and only the affine parts differ: for the shorter horizons, p
-    (one row per horizon) and s are advanced together, one time-to-go step at
-    a time, and each cost is read at time-to-go horizons[i].  A single horizon
-    works on any loop; a grid of several needs A, B, Q, R constant.
+    T_max, which also checks every input Hessian.  The shorter ones come from
+    the forward cost-to-arrive pass: with Sigma_0 = 0, S_t = (I + Sigma_t Q_t)^-1
+    and Sigma_{t+1} = A_t S_t Sigma_t A_t' + B_t R_t^-1 B_t' (data-free), the
+    cost at horizon T is J*_T = sum_{t <= T} mu_t' Q_t S_t mu_t along
+    mu_0 = x0, mu_{t+1} = A_t S_t mu_t + w_t: one simulate_grid call on that
+    filter loop, one row per shorter horizon.  The pass needs each R_t PD
+    (checked once when R is constant, else per step) and each Q_t PSD.
     """
     horizons = np.asarray(horizons, dtype=int)
     scales = np.asarray(scales, dtype=float)
     x0 = np.asarray(x0, dtype=float)
-    if len(horizons) > 1 and not _constant_loop(system, costs):
-        raise ValueError("a grid of several horizons needs constant A, B, Q and R")
     T_max = int(horizons[-1])
     ref = solve_hindsight(system, costs, x0, scales[-1] * base[:T_max], T_max)
     out = np.empty(len(horizons))
     out[-1] = ref.optimal_cost
-    short = horizons[:-1]
-    if len(short) == 0:
+    if len(horizons) == 1:
         return out
 
-    T_s = int(short[-1])
-    A, B = system.A(0), system.B(0)
-    # indexed by time-to-go k; G[k - 1] is the input Hessian of step k
-    P = ref.P[::-1]
-    F = A - B @ ref.gains[::-1][: T_s + 1]
-    G = costs.R(0) + B.T @ P[:T_s] @ B
-    G = 0.5 * (G + G.swapaxes(1, 2))
-    BGinv = np.linalg.solve(G, np.broadcast_to(B.T, (T_s, *B.T.shape))).swapaxes(1, 2)
-
-    p = np.zeros((len(short), system.n))
-    s = np.zeros(len(short))
-    for k in range(1, T_s + 1):
-        lo = int(np.searchsorted(short, k))  # horizons with at least k steps to go
-        w = scales[lo:-1, None] * base[short[lo:] - k]
-        pn = p[lo:]
-        Pw = w @ P[k - 1]
-        v = Pw + 0.5 * pn
-        s[lo:] += np.sum(w * (Pw + pn), axis=1) - np.sum((v @ B) * (v @ BGinv[k - 1]), axis=1)
-        p[lo:] = 2.0 * v @ F[k]
-    out[:-1] = np.einsum("i,hij,j->h", x0, P[short], x0) + p @ x0 + s
+    T, n, m = int(horizons[-2]), system.n, system.m
+    A, B, Q, R = system.A.stack(T), system.B.stack(T), costs.Q.stack(T + 1), costs.R.stack(T)
+    for t in range(1 if costs.R.constant else T):  # the pass needs each R_t^-1
+        _check_pd(_sym(R[t]), "input weight R", t)
+    BRB = B @ np.linalg.solve(R, B.transpose(0, 2, 1))  # B_t R_t^-1 B_t'
+    AS = np.empty((T, n, n))
+    QS = np.empty((T + 1, n, n))
+    Sigma, eye = np.zeros((n, n)), np.eye(n)
+    for t in range(T + 1):
+        S = np.linalg.inv(eye + Sigma @ Q[t])
+        QS[t] = Q[t] @ S
+        if t < T:
+            AS[t] = A[t] @ S
+            Sigma = _sym(AS[t] @ Sigma @ A[t].T + BRB[t])
+    # the filter loop runs with zero input
+    filt = SystemDynamics.ltv(AS, np.zeros((n, m)), n, m)
+    weight = QuadraticStageCost.varying(QS, np.zeros((m, m)), n, m)
+    out[:-1], _ = simulate_grid(filt, None, x0, base, scales[:-1], horizons[:-1], weight)
     return out
 
 
@@ -211,7 +209,11 @@ def batch_oracle(
     T: int | None = None,
     size_cap: int = 2000,
 ) -> tuple[np.ndarray, float]:
-    """Dense stationarity solve for the same minimizer; O((Tm)^3), cap T*m <= 2000."""
+    """Dense least-squares solve for the same minimizer; O((Tm)^3), cap T*m <= 2000.
+
+    Its design holds A^k up to k = T, so it loses all digits on unstable open
+    loops (1.7e21 against 6.6e3 from both O(T) routes at rho(A) = 2.9, T = 55).
+    """
     x0 = np.asarray(x0, dtype=float)
     w = as_disturbance(w, system.n)
     if T is None:

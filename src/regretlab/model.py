@@ -485,7 +485,7 @@ def simulate(
 
 def simulate_grid(
     system: SystemDynamics,
-    policy: LinearPolicy,
+    policy: LinearPolicy | None,
     x0,
     base,
     scales,
@@ -496,6 +496,7 @@ def simulate_grid(
 
     Row i is simulate(system, policy, x0, scales[i] * base[:T], costs, T) with
     T = horizons[i]; the rows run as one batch up to the longest horizon.
+    policy None applies zero input.
     Returns (totals, overflow): a row whose state norm exceeds the guard at
     step t <= T gets overflow[i] = t and totals[i] = inf, the step that
     simulate reports in its SimulationOverflowError; overflow[i] = 0 otherwise.

@@ -32,7 +32,7 @@ from .model import (
     jsonable,
     simulate_grid,
 )
-from .hindsight import _constant_loop, hindsight_costs
+from .hindsight import hindsight_costs
 from .transition import norm_sums, partial_sums_converged
 
 
@@ -115,23 +115,18 @@ def regret_curve(
 ) -> RegretCurve:
     """One regret evaluation per horizon.
 
-    `disturbances` is a recipe with .realize_grid (realized once for the whole
-    grid), a recipe with .realize(T) or a callable T -> signal (realized per
-    horizon).  Horizons are evaluated in groups that share one benchmark-cost
-    call and one rollout: all horizons together on a constant loop (A, B, Q,
-    R) with a grid realization, one horizon per group otherwise.  Overflowing
-    policy rollouts are recorded as +inf with an overflow flag, the benchmark
-    is still evaluated.
+    `disturbances` is a recipe with .realize_grid, realized once for the whole
+    grid and evaluated as one group: one benchmark-cost call (hindsight_costs,
+    on any loop) and one rollout of all horizons.  A recipe with only
+    .realize(T), or a callable T -> signal, is realized and evaluated per
+    horizon.  Overflowing policy rollouts are recorded as +inf with an
+    overflow flag; the benchmark is still evaluated.
     """
     horizons = np.asarray(list(horizons), dtype=int)
     if len(horizons) == 0 or np.any(np.diff(horizons) <= 0):
         raise ShapeError("horizons must be strictly increasing and nonempty")
     if hasattr(disturbances, "realize_grid"):
-        base, scales = disturbances.realize_grid(horizons)
-        if _constant_loop(system, costs):
-            groups = [(base, scales, horizons)]
-        else:
-            groups = [(base, scales[i : i + 1], horizons[i : i + 1]) for i in range(len(horizons))]
+        groups = [(*disturbances.realize_grid(horizons), horizons)]
     else:
         realize = getattr(disturbances, "realize", disturbances)
         groups = [

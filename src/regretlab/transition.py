@@ -289,7 +289,8 @@ def _converged_sums(bibs: BibsSums, sums: SummabilityConstants) -> dict:
 
 
 def _full_rank(M: np.ndarray) -> bool:
-    return bool(np.linalg.matrix_rank(M) == M.shape[0])
+    """Whether the square matrix M, or every matrix of a (T, n, n) stack, has rank n."""
+    return bool(np.all(np.linalg.matrix_rank(M) == M.shape[-1]))
 
 
 def classify_lti(F, horizon: int = 500, marginal_tol: float = 1e-9) -> StabilityReport:
@@ -304,22 +305,7 @@ def classify_lti(F, horizon: int = 500, marginal_tol: float = 1e-9) -> Stability
         raise ShapeError(f"F must be square, got {F.shape}")
     if horizon < 1:
         raise ShapeError(f"need horizon >= 1, got {horizon}")
-    try:
-        rho = spectral_radius(F)
-    except np.linalg.LinAlgError:
-        return StabilityReport(
-            classification=Stability.INCONCLUSIVE,
-            spectral_radius=None,
-            phi_norm_tail=float("nan"),
-            bibs_sup=float("nan"),
-            d_sum=float("nan"),
-            d_bar=float("nan"),
-            h_bar=float("nan"),
-            exp_fit=None,
-            full_rank_ok=_full_rank(F),
-            horizon=horizon,
-            notes="eigenvalue solver failed",
-        )
+    rho = spectral_radius(F)
 
     if rho < 1.0 - marginal_tol:
         classification = Stability.ASYMPTOTICALLY_STABLE
@@ -371,7 +357,7 @@ def classify_ltv(
         raise ShapeError(f"trend classification needs T >= 50, got {T}")
     seq = as_closed_loop(F)
     norms, capped = transition_norms(seq, T)
-    full_rank_ok = all(_full_rank(seq(t)) for t in range(T))
+    full_rank_ok = _full_rank(seq.stack(T))
 
     bh = min(T, 150) if bibs_horizon is None else bibs_horizon
     bibs, sums = norm_sums(seq, bh)

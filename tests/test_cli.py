@@ -344,3 +344,35 @@ def test_nan_cost_weight_exits_numerical(tmp_path, capsys):
     assert len(lines) == 1
     diag = json.loads(lines[0])
     assert diag["error"] == "numerical" and "numerically singular" in diag["message"]
+
+
+@pytest.mark.parametrize("content", ["{not json", json.dumps({"A": [[1.0, 1.0], [0.0, 1.0]]}), None])
+def test_bad_system_file_exits_config(tmp_path, capsys, content):
+    # malformed JSON, a missing B, and a path that cannot be read (a directory)
+    sys_file = tmp_path / "sys.json"
+    if content is None:
+        sys_file.mkdir()
+    else:
+        sys_file.write_text(content, encoding="utf-8")
+    cfg = dict(FOUR_STATE, system={"path": str(sys_file)})
+    code = main(["stability", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    diag = json.loads(lines[0])
+    assert diag["error"] == "config" and diag["field"] == "system.path"
+
+
+@pytest.mark.parametrize("command", ["regret", "simulate", "stability"])
+def test_nan_dynamics_exit_numerical(tmp_path, capsys, command):
+    cfg = json.loads(json.dumps(FOUR_STATE))
+    cfg["system"]["A"] = [[float("nan"), 1.0], [0.0, 1.0]]
+    code = main([command, "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "numerical"

@@ -7,10 +7,12 @@ from regretlab import (
     QuadraticStageCost,
     SystemDynamics,
     batch_oracle,
+    hindsight_costs,
     simulate,
     simulate_inputs,
     solve_hindsight,
 )
+from regretlab.hindsight import _check_pd
 
 from helpers import random_instance
 
@@ -133,6 +135,24 @@ def test_indefinite_input_weight_is_not_pd_at_its_step():
     costs = QuadraticStageCost.constant([[2.0]], [[-1.0]])
     with pytest.raises(ConditioningError, match="t=3 not PD"):
         solve_hindsight(sys, costs, [1.0], DisturbanceSignal.zeros(1, 5), 5)
+
+
+def test_non_finite_hessian_is_singular_before_eigvalsh():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ConditioningError, match="G at t=4 is numerically singular"):
+            _check_pd(np.array([[bad, 0.0], [0.0, 1.0]]), "G", 4)
+    _check_pd(np.eye(2), "G", 4)
+
+
+def test_forward_pass_needs_a_pd_input_weight():
+    # R = -0.5 keeps every input Hessian R + B'P B PD (the backward pass
+    # solves), but the forward pass needs R^-1 of a PD R
+    sys = SystemDynamics.lti([[1.0]], [[1.0]])
+    costs = QuadraticStageCost.constant([[2.0]], [[-0.5]])
+    w = np.ones((5, 1))
+    assert np.isfinite(hindsight_costs(sys, costs, [1.0], w, [1.0], [5])[0])
+    with pytest.raises(ConditioningError, match="input weight R at t=0 not PD"):
+        hindsight_costs(sys, costs, [1.0], w, [1.0, 1.0], [3, 5])
 
 
 def test_batch_oracle_size_cap():

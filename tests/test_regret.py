@@ -361,7 +361,7 @@ def test_batched_curve_solves_once_at_the_longest_horizon(monkeypatch):
     assert calls == [80]
 
 
-def test_ltv_curve_solves_once_per_horizon(monkeypatch):
+def test_ltv_curve_solves_once_at_the_longest_horizon(monkeypatch):
     rng = np.random.default_rng(22)
     A = 0.9 * np.linalg.qr(rng.standard_normal((41, 2, 2)))[0]
     sys = SystemDynamics.ltv(A, [[1.0], [0.5]], n=2, m=1)
@@ -377,24 +377,69 @@ def test_ltv_curve_solves_once_per_horizon(monkeypatch):
     monkeypatch.setattr(adversary_module, "random_ball", counting_ball)
     horizons = [5, 10, 20, 40]
     curve = regret_curve(sys, costs, pol, np.ones(2), BallDisturbance(2, 1.0, 4), horizons)
-    assert calls == horizons
+    assert calls == [40]
     assert draws == [40]
     assert curve.flags == ["ok"] * 4
 
 
+def _assert_matches_per_horizon_solves(sys, costs, x0, w, scales, horizons):
+    got = hindsight_costs(sys, costs, x0, w, scales, horizons)
+    ref = np.array([
+        solve_hindsight(sys, costs, x0, c * w[:T], T).optimal_cost
+        for c, T in zip(scales, horizons)
+    ])
+    assert got[-1] == ref[-1]
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12 * max(1.0, np.max(np.abs(ref))))
+
+
 def test_hindsight_costs_on_an_ltv_loop():
-    # one horizon equals solve_hindsight bit for bit; a grid of several would
-    # need a Riccati table per horizon and is refused
+    # the forward pass gives every horizon of a grid on a time-varying loop,
+    # with time-varying weights too; the longest horizon is solve_hindsight's
     rng = np.random.default_rng(24)
     A = 0.9 * np.linalg.qr(rng.standard_normal((30, 2, 2)))[0] + np.diag([0.3, 0.0])
     sys = SystemDynamics.ltv(A, [[1.0], [0.5]], n=2, m=1)
     costs = QuadraticStageCost.constant(np.eye(2), [[1.0]])
     w = random_ball(2, 1.0, 30, 5).w
-    for T in (10, 30):
-        got = hindsight_costs(sys, costs, np.ones(2), w, [1.0], [T])
-        assert got[0] == solve_hindsight(sys, costs, np.ones(2), w, T).optimal_cost
-    with pytest.raises(ValueError, match="constant"):
-        hindsight_costs(sys, costs, np.ones(2), w, [1.0, 1.0], [10, 30])
+    _assert_matches_per_horizon_solves(sys, costs, np.ones(2), w, [1.0, 1.0], [10, 30])
+    _assert_matches_per_horizon_solves(sys, costs, np.ones(2), w, [1.0], [30])
+
+    T = 120
+    A = 1.05 * np.linalg.qr(rng.standard_normal((T, 3, 3)))[0]
+    B = rng.standard_normal((T, 3, 2))
+    sys = SystemDynamics.ltv(A, B)
+    costs = QuadraticStageCost.varying(
+        lambda t: (1.0 + 0.5 * np.sin(t)) * np.eye(3),
+        lambda t: np.diag([1.0 + 0.5 * np.cos(t), 2.0]),
+        3, 2,
+    )
+    w = random_ball(3, 1.0, T, 6).w
+    horizons = np.arange(1, T + 1)
+    scales = np.linspace(0.5, 2.0, T)
+    _assert_matches_per_horizon_solves(sys, costs, rng.standard_normal(3), w, scales, horizons)
+
+
+def test_forward_costs_match_backward_solves_on_random_loops():
+    # open loops from contracting to radius 3, a rank-one B on every fourth
+    # instance, every horizon 1..T against its own backward solve
+    rng = np.random.default_rng(31)
+    worst = 0.0
+    for i in range(100):
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        T = int(rng.integers(2, 60))
+        A = rng.standard_normal((n, n))
+        A *= rng.uniform(0.2, 3.0) / max(float(np.max(np.abs(np.linalg.eigvals(A)))), 1e-9)
+        B = rng.standard_normal((n, m))
+        if i % 4 == 0:
+            B = np.outer(rng.standard_normal(n), rng.standard_normal(m))
+        sys = SystemDynamics.lti(A, B)
+        costs = QuadraticStageCost.constant(random_pd(rng, n), random_pd(rng, m))
+        x0, w = rng.standard_normal(n), rng.standard_normal((T, n))
+        horizons = np.arange(1, T + 1)
+        got = hindsight_costs(sys, costs, x0, w, np.ones(T), horizons)
+        ref = np.array([solve_hindsight(sys, costs, x0, w, k).optimal_cost for k in horizons])
+        assert got[-1] == ref[-1]
+        worst = max(worst, float(np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref)))))
+    assert worst <= 1e-9
 
 
 def test_batched_curve_rejects_singular_input_hessian():

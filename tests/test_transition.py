@@ -229,6 +229,16 @@ def test_classify_ltv_flags_singular_step():
     assert not rep.full_rank_ok
 
 
+def test_classify_ltv_rank_check_covers_every_step():
+    # one stacked rank call: a rank-one (not zero) step among orthogonal ones
+    rng = np.random.default_rng(7)
+    F = 0.9 * np.linalg.qr(rng.standard_normal((80, 3, 3)))[0]
+    assert classify_ltv(F, 80).full_rank_ok
+    F[57] = np.outer(rng.standard_normal(3), rng.standard_normal(3))
+    assert not classify_ltv(F, 80).full_rank_ok
+    assert classify_ltv(F, 57).full_rank_ok  # the step lies past the horizon
+
+
 def test_classify_ltv_requires_long_horizon():
     with pytest.raises(ShapeError):
         classify_ltv(np.eye(2), 10)
