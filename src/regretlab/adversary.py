@@ -7,7 +7,8 @@ Three recipes, all emitting signals with ||w_t|| <= W:
 * aligned with the transition matrices, w_{k-1} = C Phi(k, 0) w0 with C chosen
   as the largest scale that respects the bound over the horizon -- under this
   signal the undisturbed-start state is exactly x_t = t C Phi(t, 0) w0;
-* i.i.d. uniform draws from the radius-W ball (seeded, prefix-stable).
+* i.i.d. uniform draws from the radius-W ball (seeded, prefix-stable: each
+  row draws n normals, then one uniform; the arithmetic runs on whole arrays).
 
 Each recipe also realizes a whole horizon grid at once: `realize_grid`
 returns base rows for the longest horizon and one scale per horizon, with
@@ -160,12 +161,18 @@ class TransitionAlignedDisturbance:
         return rows, scales[horizons]
 
 
+def _ball_rows(g: np.ndarray, u: list[float], radius: float) -> np.ndarray:
+    """radius * u_t^(1/n) * g_t / ||g_t|| per row (e_1 for g_t = 0): normals g, uniforms u."""
+    # the floats of one draw at a time: per-row dot products, u^(1/n) on Python floats
+    norms = np.sqrt(g[:, None, :] @ g[:, :, None])[:, 0]
+    e1 = np.eye(1, g.shape[1]).repeat(len(g), axis=0)
+    scales = radius * np.array([x ** (1.0 / g.shape[1]) for x in u], dtype=float)
+    return scales[:, None] * np.divide(g, norms, out=e1, where=norms > 0)
+
+
 def ball_point(rng, n: int, radius: float) -> np.ndarray:
     """One uniform draw from the radius ball in R^n: n normals, then one uniform."""
-    g = rng.standard_normal(n)
-    norm = np.linalg.norm(g)
-    direction = g / norm if norm > 0 else np.eye(n)[0]
-    return radius * rng.uniform() ** (1.0 / n) * direction
+    return _ball_rows(rng.standard_normal((1, n)), [rng.random()], radius)[0]
 
 
 def random_ball(n: int, W: float, T: int, seed: int) -> DisturbanceSignal:
@@ -175,10 +182,11 @@ def random_ball(n: int, W: float, T: int, seed: int) -> DisturbanceSignal:
     horizon with the same seed is a prefix of a longer one.
     """
     rng = np.random.default_rng(seed)
-    w = np.zeros((T, n))
+    g, u = np.empty((T, n)), [0.0] * T
     for t in range(T):
-        w[t] = ball_point(rng, n, W)
-    return DisturbanceSignal(w, float(W))
+        rng.standard_normal(out=g[t])
+        u[t] = rng.random()
+    return DisturbanceSignal(_ball_rows(g, u, W), float(W))
 
 
 @dataclass

@@ -55,7 +55,10 @@ _MATRIX = {
     "type": "array",
     "minItems": 1,
     "items": {"type": "array", "minItems": 1, "items": {"type": "number"}},
+    "rectangular": True,
 }
+# a policy name becomes part of an output file name; \Z, unlike $, rejects a trailing newline
+_POLICY_NAME = r"^[A-Za-z0-9_-][A-Za-z0-9_.-]*\Z"
 _VECTOR = {"type": "array", "items": {"type": "number"}}
 
 CONFIG_SCHEMA = {
@@ -77,7 +80,7 @@ CONFIG_SCHEMA = {
             "minItems": 1,
             "items": {
                 "type": "object",
-                "properties": {"name": {"type": "string"}, "K": _MATRIX},
+                "properties": {"name": {"type": "string", "pattern": _POLICY_NAME}, "K": _MATRIX},
                 "required": ["name", "K"],
                 "additionalProperties": False,
             },
@@ -121,14 +124,19 @@ CONFIG_SCHEMA = {
 }
 
 
-def _validator(schema):
-    # built once: jsonschema.validate would re-check the schema itself on every call
-    return jsonschema.validators.validator_for(schema)(schema)
+def _rectangular(validator, value, instance, schema):
+    """The schema keyword "rectangular": the rows of a matrix have one length."""
+    rows = instance if validator.is_type(instance, "array") else []
+    if len({len(row) for row in rows if isinstance(row, list)}) > 1:
+        yield jsonschema.ValidationError("rows of unequal length")
 
 
-_SCHEMA_VALIDATOR = _validator(CONFIG_SCHEMA)
+# built once: jsonschema.validate would re-check the schema itself on every call
+_Validator = jsonschema.validators.extend(jsonschema.validators.validator_for(CONFIG_SCHEMA),
+                                          {"rectangular": _rectangular})
+_SCHEMA_VALIDATOR = _Validator(CONFIG_SCHEMA)
 # a system.path file holds the two matrices of an inline system
-_SYSTEM_FILE_VALIDATOR = _validator(
+_SYSTEM_FILE_VALIDATOR = _Validator(
     {"properties": {"A": _MATRIX, "B": _MATRIX}, "required": ["A", "B"]}
 )
 
@@ -280,6 +288,8 @@ def load_config(path, overrides: argparse.Namespace, need_system: bool = True) -
                     field="cost",
                 )
             for entry in raw["policies"]:
+                if any(entry["name"] == name for name, _ in policies):
+                    raise ConfigError(f"duplicate policy name {entry['name']!r}", field="policies")
                 pol = LinearPolicy.constant(entry["K"])
                 if (pol.m, pol.n) != (m, n):
                     raise ConfigError(

@@ -35,10 +35,6 @@ class Stability(str, Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-def spectral_norm(M) -> float:
-    return float(np.linalg.norm(M, 2))
-
-
 def spectral_radius(M) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(M))))
 
@@ -99,21 +95,24 @@ def transition_norms(F, T: int) -> tuple[np.ndarray, bool]:
     """||Phi(t, 0)|| for t = 0..T.
 
     Returns (norms, capped); once a product norm exceeds NORM_CAP the rest of
-    the table is +inf and capped is True.
+    the table is +inf and capped is True.  One batched 2-norm covers the finite
+    products; the first non-finite one takes its own unless a norm capped first.
     """
     seq = as_closed_loop(F)
-    n = seq.shape[0]
-    norms = np.zeros(T + 1)
-    norms[0] = 1.0
-    M = np.eye(n)
-    for t in range(1, T + 1):
-        M = seq(t - 1) @ M
-        norm = spectral_norm(M)
-        if not np.isfinite(norm) or norm > NORM_CAP:
-            norms[t:] = np.inf
-            return norms, True
-        norms[t] = norm
-    return norms, False
+    stack = np.empty((T + 1, *seq.shape))
+    stack[0] = np.eye(seq.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, T + 1):
+            np.matmul(seq(t - 1), stack[t - 1], out=stack[t])
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    k = T + 1 if finite.all() else int(np.argmin(finite))
+    norms = np.full(T + 1, np.inf)
+    norms[:k] = np.linalg.norm(stack[:k], 2, axis=(1, 2))
+    if k <= T and np.all(norms[:k] <= NORM_CAP):
+        norms[k] = np.linalg.norm(stack[k], 2)
+    over = ~(norms <= NORM_CAP)
+    norms[np.logical_or.accumulate(over)] = np.inf
+    return norms, bool(over.any())
 
 
 @dataclass

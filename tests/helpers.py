@@ -1,8 +1,9 @@
-"""Shared construction helpers for randomized test instances."""
+"""Construction helpers for randomized test instances, and the loops batched code must match."""
 
 import numpy as np
 
 from regretlab import LinearPolicy, QuadraticStageCost, SystemDynamics
+from regretlab.transition import as_closed_loop
 
 
 def random_loop(rng, n, m, rho_target):
@@ -63,3 +64,36 @@ def random_instance(rng, n_max=4, m_max=2, T_max=50):
     x0 = rng.standard_normal(n)
     w = rng.standard_normal((T, n)) * 0.5
     return system, costs, x0, w, T
+
+
+def reference_random_ball(n, W, T, seed):
+    """The per-row sampler loop that random_ball batches: n normals, then one uniform, per row."""
+    rng = np.random.default_rng(seed)
+    w = np.zeros((T, n))
+    for t in range(T):
+        w[t] = reference_ball_point(rng, n, W)
+    return w
+
+
+def reference_ball_point(rng, n, radius):
+    """One draw from the radius ball in R^n, one row of reference_random_ball."""
+    g = rng.standard_normal(n)
+    norm = np.linalg.norm(g)
+    direction = g / norm if norm > 0 else np.eye(n)[0]
+    return radius * rng.uniform() ** (1.0 / n) * direction
+
+
+def reference_transition_norms(F, T, cap):
+    """The per-step column loop that transition_norms batches: one SVD per product."""
+    seq = as_closed_loop(F)
+    norms = np.zeros(T + 1)
+    norms[0] = 1.0
+    M = np.eye(seq.shape[0])
+    for t in range(1, T + 1):
+        M = seq(t - 1) @ M
+        norm = float(np.linalg.norm(M, 2))
+        if not np.isfinite(norm) or norm > cap:
+            norms[t:] = np.inf
+            return norms, True
+        norms[t] = norm
+    return norms, False

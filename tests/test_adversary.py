@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import regretlab.adversary as adversary
 from regretlab import (
     BallDisturbance,
     TransitionAlignedDisturbance,
@@ -9,6 +10,9 @@ from regretlab import (
     phi_aligned,
     random_ball,
 )
+from regretlab.adversary import ball_point
+
+from helpers import reference_ball_point, reference_random_ball
 
 F2 = np.array([[1.0, 0.0], [0.0, 0.5]])
 F3 = np.array([[1.02, 0.5], [0.01, 0.75]])
@@ -134,6 +138,31 @@ def test_random_ball_determinism():
     a = random_ball(3, 1.0, 30, seed=7)
     b = random_ball(3, 1.0, 30, seed=7)
     np.testing.assert_array_equal(a.w, b.w)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_random_ball_is_bit_identical_to_the_per_row_loop(n):
+    for W in (0.0, 0.7, 2.5):
+        for T in (0, 1, 2, 300):
+            for seed in (0, 11):
+                np.testing.assert_array_equal(random_ball(n, W, T, seed).w,
+                                              reference_random_ball(n, W, T, seed))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_ball_point_keeps_its_values_and_the_callers_stream(n):
+    rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+    for radius in (0.0, 0.7, 2.5):
+        np.testing.assert_array_equal(ball_point(rng, n, radius),
+                                      reference_ball_point(ref, n, radius))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_random_ball_batches_the_rows(monkeypatch):
+    calls = []
+    monkeypatch.setattr(adversary, "ball_point", lambda *args: calls.append(args))
+    assert random_ball(3, 1.0, 50, seed=0).w.shape == (50, 3)
+    assert calls == []
 
 
 def test_random_ball_mean_norm():

@@ -376,3 +376,52 @@ def test_nan_dynamics_exit_numerical(tmp_path, capsys, command):
     lines = err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "numerical"
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("system", "A"), [[1.0, 1.0], [0.0]], "$.system.A"),
+    (("system", "B"), [[1.0], [0.5, 1.0]], "$.system.B"),
+    (("cost", "Q"), [[1.5, 0.0], [0.0]], "$.cost.Q"),
+    (("cost", "R"), [[1.0], [1.0, 2.0]], "$.cost.R"),
+    (("policies", 1, "K"), [[0.0, 1.0], [1.0]], "$.policies[1].K"),
+    (("system", "A"), 5, "$.system.A"),
+    (("system", "A"), "A", "$.system.A"),
+    (("system", "A"), [1.0, [1.0]], "$.system.A[0]"),
+])
+def test_ragged_or_non_matrix_exits_config_naming_the_field(tmp_path, capsys, path, value, field):
+    cfg = json.loads(json.dumps(FOUR_STATE))
+    block = cfg
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = value
+    code = main(["stability", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    diag = json.loads(lines[0])
+    assert diag["error"] == "config" and diag["field"] == field
+
+
+@pytest.mark.parametrize("names", [["K1", "K1"], ["../esc"], [".hidden"], ["a/b"], ["K1\n"], [""]])
+def test_duplicate_or_unsafe_policy_names_exit_config(tmp_path, capsys, names):
+    cfg = dict(FOUR_STATE, policies=[{"name": name, "K": [[0.2, 0.4]]} for name in names])
+    code = main(["simulate", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert "policies" in json.loads(lines[0])["field"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_policy_names_in_use_stay_valid(tmp_path):
+    names = ["K", "K0", "K3", "P1", "S", "stable", "v1.2-b_c"]
+    cfg = dict(FOUR_STATE, policies=[{"name": name, "K": [[0.2, 0.4]]} for name in names])
+    code = main(["simulate", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(
+        f"simulate_{name}.csv" for name in names)

@@ -17,6 +17,8 @@ from regretlab import (
 
 import regretlab.transition as transition
 
+from helpers import random_loop, reference_transition_norms
+
 F1 = np.array([[0.8, 0.6], [-0.1, 0.8]])
 F2 = np.array([[1.0, 0.0], [0.0, 0.5]])
 F3 = np.array([[1.02, 0.5], [0.01, 0.75]])
@@ -338,3 +340,64 @@ def test_norm_sums_cap_rows_of_a_growing_ltv_loop():
     bibs, sums = norm_sums(F, T)
     assert bibs.capped and np.isinf(bibs.sup)
     assert np.isinf(sums.h_bar) and not sums.h_bar_converged
+
+
+def _assert_column_matches_the_per_step_loop(F, T):
+    norms, capped = transition_norms(F, T)
+    ref_norms, ref_capped = reference_transition_norms(F, T, transition.NORM_CAP)
+    np.testing.assert_array_equal(norms, ref_norms)
+    assert capped == ref_capped
+
+
+def test_transition_norms_is_bit_identical_to_the_per_step_loop():
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        n = int(rng.integers(1, 5))
+        rho = float(rng.uniform(0.2, 3.0))
+        _assert_column_matches_the_per_step_loop(random_loop(rng, n, 1, rho)[2], 300)
+        stack = rho * np.linalg.qr(rng.standard_normal((301, n, n)))[0]
+        stack += 0.1 * rng.standard_normal(stack.shape)
+        _assert_column_matches_the_per_step_loop(stack, 300)
+    _assert_column_matches_the_per_step_loop(np.eye(6), 3)
+
+
+@pytest.mark.parametrize("F, capped_at", [
+    ([[1e120]], 2),
+    (np.diag([1e100, 1.0]), 2),
+    ([[np.inf]], 1),
+    # crosses NORM_CAP at t = 3, then overflows to inf - inf = NaN: no RuntimeWarning
+    ([[1e60, 1e60], [-1e60, 1e60]], 3),
+    # caps at t = 1; the finite product at t = 2 has a 2-norm beyond the float range
+    (np.full((2, 2), 9e153), 1),
+])
+def test_transition_norms_edge_columns_match_the_per_step_loop(F, capped_at):
+    F = np.asarray(F, dtype=float)
+    _assert_column_matches_the_per_step_loop(F, 20)
+    norms, capped = transition_norms(F, 20)
+    assert capped and np.all(np.isinf(norms[capped_at:])) and np.all(np.isfinite(norms[:capped_at]))
+
+
+def test_transition_norms_nan_product_raises_like_the_per_step_loop():
+    with pytest.raises(np.linalg.LinAlgError):
+        reference_transition_norms(np.array([[np.nan]]), 3, transition.NORM_CAP)
+    with pytest.raises(np.linalg.LinAlgError):
+        transition_norms(np.array([[np.nan]]), 3)
+
+
+@pytest.mark.parametrize("F, norm_calls", [
+    (F1, 1),
+    (np.diag([0.9, 0.5]) + np.zeros((301, 2, 2)), 1),
+    ([[1e120]], 1),  # capped before its products overflow
+    ([[np.inf]], 2),  # the non-finite product takes its own norm
+])
+def test_transition_norms_takes_one_batched_norm_per_column(monkeypatch, F, norm_calls):
+    calls = []
+    norm = np.linalg.norm
+
+    def counting(*args, **kwargs):
+        calls.append(np.ndim(args[0]))
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    transition_norms(np.asarray(F, dtype=float), 300)
+    assert len(calls) == norm_calls and calls[0] == 3
