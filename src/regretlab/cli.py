@@ -29,6 +29,7 @@ from .errors import (
     ShapeError,
     SimulationOverflowError,
 )
+from .hindsight import _check_pd, _sym
 from .model import (
     LinearPolicy,
     QuadraticStageCost,
@@ -287,6 +288,8 @@ def load_config(path, overrides: argparse.Namespace, need_system: bool = True) -
                     f"cost weights sized ({costs.n},{costs.m}), system is ({n},{m})",
                     field="cost",
                 )
+            for name, weight in (("cost.Q", costs.Q(0)), ("cost.R", costs.R(0))):
+                _check_pd(_sym(weight), name, 0)  # before any output is written
             for entry in raw["policies"]:
                 if any(entry["name"] == name for name, _ in policies):
                     raise ConfigError(f"duplicate policy name {entry['name']!r}", field="policies")

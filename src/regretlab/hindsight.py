@@ -1,8 +1,8 @@
 """Noncausal benchmark: the cost minimizer computed with the disturbance known.
 
-* `solve_hindsight` runs an affine backward value-function pass (exact for
-  linear dynamics with quadratic costs and a known additive disturbance) in
-  O(T), followed by the optimal rollout;
+* `solve_hindsight` runs the affine backward value-function pass (exact for
+  linear dynamics with quadratic costs and a known additive disturbance) as a
+  data-free Riccati pass and a data pass linear in w, then the optimal rollout;
 * `hindsight_costs` gives the optimal cost at every horizon of a grid on any
   loop, the shorter horizons from one forward cost-to-arrive pass (the
   Kalman-filter dual of the backward pass);
@@ -32,6 +32,7 @@ from .model import (
 )
 
 RCOND_FLOOR = 1e-14
+FIXED_POINT_TOL = 4.0 * np.finfo(float).eps  # relative to the largest entry
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
@@ -54,6 +55,11 @@ def _check_pd(G: np.ndarray, what: str, t: int) -> None:
             f"{what} at t={t} is numerically singular (rcond below {RCOND_FLOOR:.0e})"
         )
     raise ConditioningError(f"{what} at t={t} not PD (min eigenvalue {eigs[0]:.3e})")
+
+
+def _settled(new: np.ndarray, old: np.ndarray) -> bool:
+    """True when no entry moved by more than FIXED_POINT_TOL of max|new|."""
+    return np.max(np.abs(new - old)) <= FIXED_POINT_TOL * np.max(np.abs(new))
 
 
 @dataclass
@@ -103,6 +109,11 @@ def solve_hindsight(
 ) -> HindsightSolution:
     """Backward affine value-function pass followed by the optimal rollout.
 
+    The Riccati pass checks each input Hessian G_t = R_t + B_t'P_{t+1}B_t; on a
+    loop with constant A, B, Q and R it stops once P_t is within FIXED_POINT_TOL
+    of P_{t+1}, and earlier steps repeat that one.  The data pass is one matvec
+    per step, p_t = F_t'(p_{t+1} + 2P_{t+1}w_t) with F_t = A_t - B_t gains_t.
+
     The rollout is simulate() under feedback_policy(), so it carries the
     overflow guard: an optimal trajectory whose state norm exceeds it raises
     SimulationOverflowError.
@@ -120,29 +131,35 @@ def solve_hindsight(
         raise ShapeError("cost weights do not match the system dimensions")
 
     P = np.zeros((T + 1, n, n))
-    p = np.zeros((T + 1, n))
-    s = np.zeros(T + 1)
     gains = np.zeros((T + 1, m, n))
-    offsets = np.zeros((T + 1, m))
+    L = np.zeros((T, m, n))  # G_t^-1 B_t'
     P[T] = _sym(costs.Q(T))
-
-    for t in reversed(range(T)):
-        A = system.A(t)
-        B = system.B(t)
-        Pn = P[t + 1]
-        pn = p[t + 1]
-        wt = w.w[t]
-        G = _sym(costs.R(t) + B.T @ Pn @ B)
+    constant = all(seq.constant for seq in (system.A, system.B, costs.Q, costs.R))
+    for t in reversed(range(T)):  # data-free Riccati pass
+        A, B, Pn = system.A(t), system.B(t), P[t + 1]
+        BP = B.T @ Pn
+        G = _sym(costs.R(t) + BP @ B)
         _check_pd(G, "input Hessian", t)
-        H = B.T @ Pn @ A
-        h = B.T @ (Pn @ wt + 0.5 * pn)
-        sol = np.linalg.solve(G, np.column_stack([H, h]))
-        KG, kg = sol[:, :n], sol[:, n]
-        P[t] = _sym(costs.Q(t) + A.T @ Pn @ A - H.T @ KG)
-        p[t] = 2.0 * A.T @ (Pn @ wt) + A.T @ pn - 2.0 * H.T @ kg
-        s[t] = wt @ Pn @ wt + pn @ wt + s[t + 1] - h @ kg
-        gains[t] = KG
-        offsets[t] = kg
+        H = BP @ A
+        sol = np.linalg.solve(G, np.column_stack([H, B.T]))
+        gains[t], L[t] = sol[:, :n], sol[:, n:]
+        P[t] = _sym(costs.Q(t) + A.T @ Pn @ A - H.T @ gains[t])
+        if constant and _settled(P[t], Pn):  # earlier steps repeat this one
+            P[:t], gains[:t], L[:t] = P[t], gains[t], L[t]
+            break
+
+    # data pass, linear in w: v_t = p_{t+1} + 2 P_{t+1} w_t and p_t = F_t' v_t
+    B, wt = system.B.stack(T), w.w[:T]
+    F = system.A.stack(T) - B @ gains[:T]
+    Pw2 = 2.0 * (P[1:] @ wt[:, :, None])[:, :, 0]
+    p = np.zeros((T + 1, n))
+    for t in reversed(range(T)):
+        p[t] = (p[t + 1] + Pw2[t]) @ F[t]
+    v = p[1:] + Pw2
+    kg = 0.5 * (L @ v[:, :, None])[:, :, 0]
+    terms = ((0.5 * Pw2 + p[1:]) * wt).sum(1) - 0.5 * np.einsum("ti,tij,tj->t", v, B, kg)
+    s = np.append(np.cumsum(terms[::-1])[::-1], 0.0)
+    offsets = np.vstack([kg, np.zeros((1, m))])
 
     optimal = float(x0 @ P[0] @ x0 + p[0] @ x0 + s[0])
     sol = HindsightSolution(None, optimal, P, p, s, gains, offsets, trajectory=None)
@@ -168,7 +185,8 @@ def hindsight_costs(
     cost at horizon T is J*_T = sum_{t <= T} mu_t' Q_t S_t mu_t along
     mu_0 = x0, mu_{t+1} = A_t S_t mu_t + w_t: one simulate_grid call on that
     filter loop, one row per shorter horizon.  The pass needs each R_t PD
-    (checked once when R is constant, else per step) and each Q_t PSD.
+    (checked once when R is constant, else per step) and each Q_t PSD; on a
+    constant loop it stops once Sigma_t is within FIXED_POINT_TOL of Sigma_{t-1}.
     """
     horizons = np.asarray(horizons, dtype=int)
     scales = np.asarray(scales, dtype=float)
@@ -188,12 +206,16 @@ def hindsight_costs(
     AS = np.empty((T, n, n))
     QS = np.empty((T + 1, n, n))
     Sigma, eye = np.zeros((n, n)), np.eye(n)
+    constant = all(seq.constant for seq in (system.A, system.B, costs.Q, costs.R))
     for t in range(T + 1):
         S = np.linalg.inv(eye + Sigma @ Q[t])
         QS[t] = Q[t] @ S
         if t < T:
             AS[t] = A[t] @ S
-            Sigma = _sym(AS[t] @ Sigma @ A[t].T + BRB[t])
+            Sigma, prev = _sym(AS[t] @ Sigma @ A[t].T + BRB[t]), Sigma
+            if constant and _settled(Sigma, prev):  # later steps repeat this one
+                AS[t + 1:], QS[t + 1:] = AS[t], QS[t]
+                break
     # the filter loop runs with zero input
     filt = SystemDynamics.ltv(AS, np.zeros((n, m)), n, m)
     weight = QuadraticStageCost.varying(QS, np.zeros((m, m)), n, m)

@@ -97,3 +97,34 @@ def reference_transition_norms(F, T, cap):
             return norms, True
         norms[t] = norm
     return norms, False
+
+
+def reference_hindsight_pass(system, costs, x0, w, T):
+    """The per-step backward pass that solve_hindsight splits: one joint solve per step.
+
+    Returns (optimal_cost, P, p, s, gains, offsets) with the shapes of HindsightSolution.
+    """
+    n, m = system.n, system.m
+    x0, w = np.asarray(x0, dtype=float), np.asarray(w, dtype=float)
+    P = np.zeros((T + 1, n, n))
+    p = np.zeros((T + 1, n))
+    s = np.zeros(T + 1)
+    gains = np.zeros((T + 1, m, n))
+    offsets = np.zeros((T + 1, m))
+    P[T] = 0.5 * (costs.Q(T) + costs.Q(T).T)
+    for t in reversed(range(T)):
+        A, B, Pn, pn, wt = system.A(t), system.B(t), P[t + 1], p[t + 1], w[t]
+        G = costs.R(t) + B.T @ Pn @ B
+        G = 0.5 * (G + G.T)
+        H = B.T @ Pn @ A
+        h = B.T @ (Pn @ wt + 0.5 * pn)
+        sol = np.linalg.solve(G, np.column_stack([H, h]))
+        KG, kg = sol[:, :n], sol[:, n]
+        Pt = costs.Q(t) + A.T @ Pn @ A - H.T @ KG
+        P[t] = 0.5 * (Pt + Pt.T)
+        p[t] = 2.0 * A.T @ (Pn @ wt) + A.T @ pn - 2.0 * H.T @ kg
+        s[t] = wt @ Pn @ wt + pn @ wt + s[t + 1] - h @ kg
+        gains[t] = KG
+        offsets[t] = kg
+    optimal = float(x0 @ P[0] @ x0 + p[0] @ x0 + s[0])
+    return optimal, P, p, s, gains, offsets

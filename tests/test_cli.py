@@ -425,3 +425,24 @@ def test_policy_names_in_use_stay_valid(tmp_path):
     assert code == EXIT_OK
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(
         f"simulate_{name}.csv" for name in names)
+
+
+@pytest.mark.parametrize("command", ["regret", "simulate", "stability"])
+@pytest.mark.parametrize("key, value", [
+    ("Q", [[float("nan"), 0.0], [0.0, 1.0]]),
+    ("Q", [[1.0, 0.0], [0.0, -1.0]]),
+    ("R", [[-0.1]]),
+])
+def test_bad_cost_weight_exits_numerical_before_any_output(tmp_path, capsys, command, key, value):
+    cfg = json.loads(json.dumps(FOUR_STATE))
+    cfg["cost"][key] = value
+    code = main([command, "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    diag = json.loads(lines[0])
+    assert diag["error"] == "numerical" and f"cost.{key}" in diag["message"]
+    assert not (tmp_path / "out").exists()

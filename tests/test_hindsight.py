@@ -13,8 +13,9 @@ from regretlab import (
     solve_hindsight,
 )
 from regretlab.hindsight import _check_pd
+import regretlab.hindsight as hindsight_module
 
-from helpers import random_instance
+from helpers import random_instance, random_pd, reference_hindsight_pass
 
 
 def scalar_instance():
@@ -153,6 +154,94 @@ def test_forward_pass_needs_a_pd_input_weight():
     assert np.isfinite(hindsight_costs(sys, costs, [1.0], w, [1.0], [5])[0])
     with pytest.raises(ConditioningError, match="input weight R at t=0 not PD"):
         hindsight_costs(sys, costs, [1.0], w, [1.0, 1.0], [3, 5])
+
+
+def _assert_matches_reference_pass(sys, costs, x0, w, T):
+    """The split pass against the frozen per-step pass, and the cost against the rollout's."""
+    sol = solve_hindsight(sys, costs, x0, w, T)
+    ref = reference_hindsight_pass(sys, costs, x0, w, T)
+    got = (sol.optimal_cost, sol.P, sol.p, sol.s, sol.gains, sol.offsets)
+    for name, a, b in zip(("optimal_cost", "P", "p", "s", "gains", "offsets"), got, ref):
+        assert np.shape(a) == np.shape(b), name
+        scale = max(1.0, float(np.max(np.abs(b), initial=0.0)))
+        assert np.max(np.abs(np.subtract(a, b)), initial=0.0) <= 1e-12 * scale, name
+    J = sol.optimal_cost
+    assert abs(sol.trajectory.total_cost - J) <= 1e-9 * max(1.0, abs(J))
+
+
+def test_split_pass_matches_the_per_step_pass_on_random_lti_loops():
+    # open loops from contracting to radius 2, horizons past the Riccati fixed point
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 3))
+        T = int(rng.integers(0, 401))
+        A = rng.standard_normal((n, n))
+        A *= rng.uniform(0.2, 2.0) / max(float(np.max(np.abs(np.linalg.eigvals(A)))), 1e-9)
+        sys = SystemDynamics.lti(A, rng.standard_normal((n, m)))
+        costs = QuadraticStageCost.constant(random_pd(rng, n), random_pd(rng, m))
+        _assert_matches_reference_pass(sys, costs, rng.standard_normal(n),
+                                       0.5 * rng.standard_normal((T, n)), T)
+
+
+def test_split_pass_matches_the_per_step_pass_on_an_ltv_loop_and_short_horizons():
+    rng = np.random.default_rng(42)
+    T = 60
+    A = 1.05 * np.linalg.qr(rng.standard_normal((T, 3, 3)))[0]
+    sys = SystemDynamics.ltv(A, rng.standard_normal((T, 3, 2)))
+    costs = QuadraticStageCost.varying(
+        lambda t: (1.0 + 0.5 * np.sin(t)) * np.eye(3),
+        lambda t: np.diag([1.0 + 0.5 * np.cos(t), 2.0]),
+        3, 2,
+    )
+    w = rng.standard_normal((T, 3))
+    for horizon in (0, 1, 2, T):
+        _assert_matches_reference_pass(sys, costs, np.ones(3), w, horizon)
+    lti, lti_costs = scalar_instance()
+    for horizon in (0, 1, 2):
+        _assert_matches_reference_pass(lti, lti_costs, [1.0], np.ones((2, 1)), horizon)
+
+
+def _count_hessian_checks(monkeypatch):
+    steps = []
+
+    def counting(G, what, t):
+        if what == "input Hessian":
+            steps.append(t)
+        return _check_pd(G, what, t)
+
+    monkeypatch.setattr(hindsight_module, "_check_pd", counting)
+    return steps
+
+
+def test_riccati_pass_stops_at_its_fixed_point_only_on_constant_loops(monkeypatch):
+    steps = _count_hessian_checks(monkeypatch)
+    builtin = SystemDynamics.lti([[1.0, 1.0], [0.0, 1.0]], [[1.0], [0.5]])
+    w = np.ones((1000, 2))
+    solve_hindsight(builtin, QuadraticStageCost.constant(1.5 * np.eye(2), [[1.0]]),
+                    np.zeros(2), w, 1000)
+    assert 0 < len(steps) < 100
+
+    # a Q given as a stack, and a time-varying A: every step is checked
+    for sys, costs in (
+        (builtin, QuadraticStageCost.varying(np.broadcast_to(1.5 * np.eye(2), (201, 2, 2)),
+                                             [[1.0]], 2, 1)),
+        (SystemDynamics.ltv(lambda t: [[1.0, 1.0], [0.0, 1.0 + 0.1 * np.sin(t)]],
+                            [[1.0], [0.5]], 2, 1),
+         QuadraticStageCost.constant(1.5 * np.eye(2), [[1.0]])),
+    ):
+        steps.clear()
+        solve_hindsight(sys, costs, np.zeros(2), w, 200)
+        assert sorted(steps) == list(range(200))
+
+
+def test_riccati_pass_without_a_fixed_point_runs_every_step(monkeypatch):
+    # the first state is uncontrollable and marginal, so P_t grows by 1 per step
+    steps = _count_hessian_checks(monkeypatch)
+    sys = SystemDynamics.lti(np.diag([1.0, 0.5]), [[0.0], [1.0]])
+    costs = QuadraticStageCost.constant(np.eye(2), [[1.0]])
+    rng = np.random.default_rng(43)
+    _assert_matches_reference_pass(sys, costs, np.ones(2), rng.standard_normal((300, 2)), 300)
+    assert sorted(steps) == list(range(300))
 
 
 def test_batch_oracle_size_cap():

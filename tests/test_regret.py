@@ -418,6 +418,14 @@ def test_hindsight_costs_on_an_ltv_loop():
     _assert_matches_per_horizon_solves(sys, costs, rng.standard_normal(3), w, scales, horizons)
 
 
+def test_hindsight_costs_past_the_filter_fixed_point():
+    # a constant loop whose filter recursion settles long before the last horizon
+    sys, costs = four_system()
+    w = random_ball(2, 1.0, 300, 7).w
+    horizons = np.arange(1, 301)
+    _assert_matches_per_horizon_solves(sys, costs, np.ones(2), w, np.linspace(0.5, 2.0, 300), horizons)
+
+
 def test_forward_costs_match_backward_solves_on_random_loops():
     # open loops from contracting to radius 3, a rank-one B on every fourth
     # instance, every horizon 1..T against its own backward solve
