@@ -29,9 +29,9 @@ from .errors import (
     ShapeError,
     SimulationOverflowError,
 )
-from .hindsight import _check_pd, _sym
 from .model import (
     LinearPolicy,
+    MatrixSequence,
     QuadraticStageCost,
     SystemDynamics,
     closed_loop,
@@ -61,6 +61,12 @@ _MATRIX = {
 # a policy name becomes part of an output file name; \Z, unlike $, rejects a trailing newline
 _POLICY_NAME = r"^[A-Za-z0-9_-][A-Za-z0-9_.-]*\Z"
 _VECTOR = {"type": "array", "items": {"type": "number"}}
+
+DEFAULT_THRESHOLDS = {
+    "marginal_tol": 1e-9,
+    "slope_bounded": 0.1,
+    "slope_superlinear": 1.5,
+}
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -93,7 +99,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "properties": {
                 "recipe": {"enum": ["eigvec", "phi", "random"]},
-                "seed": {"type": "integer"},
+                "seed": {"type": "integer", "minimum": 0},
                 "w0": _VECTOR,
             },
             "additionalProperties": False,
@@ -104,7 +110,11 @@ CONFIG_SCHEMA = {
                 {"type": "array", "minItems": 1, "items": {"type": "integer", "minimum": 1}},
             ]
         },
-        "thresholds": {"type": "object", "additionalProperties": {"type": "number"}},
+        "thresholds": {
+            "type": "object",
+            "properties": {key: {"type": "number"} for key in DEFAULT_THRESHOLDS},
+            "additionalProperties": False,
+        },
         "counterexample": {
             "type": "object",
             "properties": {
@@ -112,10 +122,17 @@ CONFIG_SCHEMA = {
                 "B": _MATRIX,
                 "Q": _MATRIX,
                 "R": _MATRIX,
-                "alpha_grid": {"type": "array", "items": {"type": "number"}},
+                "alpha_grid": {
+                    "type": "array",
+                    "items": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+                },
                 "W": {"type": "number", "minimum": 0},
                 "X": {"type": "number", "minimum": 0},
-                "T_grid": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+                "T_grid": {
+                    "type": "array",
+                    "minItems": 1,
+                    "items": {"type": "integer", "minimum": 1},
+                },
             },
             "required": ["A", "B", "Q", "R"],
             "additionalProperties": False,
@@ -140,12 +157,6 @@ _SCHEMA_VALIDATOR = _Validator(CONFIG_SCHEMA)
 _SYSTEM_FILE_VALIDATOR = _Validator(
     {"properties": {"A": _MATRIX, "B": _MATRIX}, "required": ["A", "B"]}
 )
-
-DEFAULT_THRESHOLDS = {
-    "marginal_tol": 1e-9,
-    "slope_bounded": 0.1,
-    "slope_superlinear": 1.5,
-}
 
 # Built-in two-state demo loop with one stable, one marginal, one unstable gain.
 BUILTIN_EXPERIMENT = {
@@ -262,8 +273,24 @@ def _read_json(path, what: str, validator, field=None) -> dict:
     return raw
 
 
+def _system_and_costs(sysraw: dict, costraw: dict, sections=("system", "cost")):
+    """The LTI system and cost of a config, checked before any output: finite A and B,
+    Q n x n and R m x m, then costs.bounds(0); errors name the matrix by its section."""
+    system = SystemDynamics.lti(sysraw["A"], sysraw["B"])
+    for key, seq in (("A", system.A), ("B", system.B)):
+        if not np.isfinite(seq(0)).all():
+            raise ConditioningError(f"{sections[0]}.{key} has a non-finite entry")
+    n, m = system.n, system.m
+    costs = QuadraticStageCost(MatrixSequence(costraw["Q"], (n, n), f"{sections[1]}.Q"),
+                               MatrixSequence(costraw["R"], (m, m), f"{sections[1]}.R"))
+    costs.bounds(0)
+    return system, costs
+
+
 def load_config(path, overrides: argparse.Namespace, need_system: bool = True) -> ExperimentConfig:
+    """The validated config at path; overrides holds the flags its subcommand accepts."""
     raw = _read_json(path, "config", _SCHEMA_VALIDATOR)
+    flags = vars(overrides)
 
     system = None
     costs = None
@@ -280,16 +307,8 @@ def load_config(path, overrides: argparse.Namespace, need_system: bool = True) -
         if "A" not in sysraw or "B" not in sysraw:
             raise ConfigError("system needs A and B (inline or via path)", field="system")
         try:
-            system = SystemDynamics.lti(sysraw["A"], sysraw["B"])
-            costs = QuadraticStageCost.constant(raw["cost"]["Q"], raw["cost"]["R"])
+            system, costs = _system_and_costs(sysraw, raw["cost"])
             n, m = system.n, system.m
-            if costs.n != n or costs.m != m:
-                raise ConfigError(
-                    f"cost weights sized ({costs.n},{costs.m}), system is ({n},{m})",
-                    field="cost",
-                )
-            for name, weight in (("cost.Q", costs.Q(0)), ("cost.R", costs.R(0))):
-                _check_pd(_sym(weight), name, 0)  # before any output is written
             for entry in raw["policies"]:
                 if any(entry["name"] == name for name, _ in policies):
                     raise ConfigError(f"duplicate policy name {entry['name']!r}", field="policies")
@@ -304,25 +323,28 @@ def load_config(path, overrides: argparse.Namespace, need_system: bool = True) -
             raise ConfigError(str(exc)) from exc
 
     dist = raw.get("disturbance", {})
-    recipe = overrides.recipe or dist.get("recipe", "eigvec")
-    seed = overrides.seed if overrides.seed is not None else dist.get("seed", 0)
+    recipe = flags.get("recipe") or dist.get("recipe", "eigvec")
+    seed = dist.get("seed", 0) if flags.get("seed") is None else flags["seed"]
     w0 = np.asarray(dist["w0"], dtype=float) if "w0" in dist else None
 
     x0 = np.asarray(raw.get("x0", np.zeros(n) if n else []), dtype=float)
     if n is not None and x0.shape != (n,):
         raise ConfigError(f"x0 has length {x0.shape}, expected ({n},)", field="x0")
 
-    horizons = parse_horizons(overrides.horizons or raw.get("horizons", "1:100"))
+    horizons = parse_horizons(flags.get("horizons") or raw.get("horizons", "1:100"))
     thresholds = dict(DEFAULT_THRESHOLDS)
     thresholds.update(raw.get("thresholds", {}))
-    for item in overrides.threshold or []:
-        if "=" not in item:
-            raise ConfigError(f"--threshold expects key=value, got {item!r}")
-        key, _, val = item.partition("=")
+    for item in flags.get("threshold") or []:
+        key, eq, val = item.partition("=")
+        key = key.strip()
+        if not eq or key not in DEFAULT_THRESHOLDS:
+            raise ConfigError(f"--threshold expects KEY=VALUE with KEY one of "
+                              f"{sorted(DEFAULT_THRESHOLDS)}, got {item!r}", field="thresholds")
         try:
-            thresholds[key.strip()] = float(val)
+            thresholds[key] = float(val)
         except ValueError as exc:
-            raise ConfigError(f"bad threshold value {item!r}: {exc}") from exc
+            raise ConfigError(f"bad threshold value {item!r}: {exc}",
+                              field="thresholds") from exc
 
     return ExperimentConfig(
         system=system,
@@ -355,11 +377,13 @@ def _out_dir(args) -> Path:
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config, args)
-    out = _out_dir(args)
     T = cfg.horizons[-1]
-    for name, pol in cfg.policies:
-        w = cfg.disturbance_for(pol).realize(T)
-        traj = simulate(cfg.system, pol, cfg.x0, w, cfg.costs, T)
+    trajectories = {
+        name: simulate(cfg.system, pol, cfg.x0, cfg.disturbance_for(pol).realize(T), cfg.costs, T)
+        for name, pol in cfg.policies
+    }
+    out = _out_dir(args)
+    for name, traj in trajectories.items():
         cum = traj.cumulative_costs()
         with open(out / f"simulate_{name}.csv", "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
@@ -381,13 +405,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_stability(args) -> int:
     cfg = load_config(args.config, args)
-    out = _out_dir(args)
     reports = {}
     for name, pol in cfg.policies:
         F = closed_loop_matrix(cfg.system, pol, 0)
         rep = classify_lti(F, marginal_tol=cfg.thresholds["marginal_tol"])
         reports[name] = rep.to_dict()
-    _write_json(out / "stability.json", reports)
+    _write_json(_out_dir(args) / "stability.json", reports)
     return EXIT_OK
 
 
@@ -398,8 +421,7 @@ def cmd_regret(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"regret cannot classify growth on this grid: {exc}",
                           field="horizons") from None
-    out = _out_dir(args)
-    report = {}
+    curves, report = {}, {}
     for name, pol in cfg.policies:
         recipe = cfg.disturbance_for(pol)
         curve = regret_curve(
@@ -411,7 +433,7 @@ def cmd_regret(args) -> int:
             cfg.horizons,
             metadata={"policy": name, "seed": cfg.seed, "X": cfg.X},
         )
-        curve.to_csv(out / f"regret_{name}.csv")
+        curves[name] = curve
         entry = {
             "growth": growth_classify(
                 curve,
@@ -432,6 +454,9 @@ def cmd_regret(args) -> int:
             )
             entry["certificate"] = cert.to_dict()
         report[name] = entry
+    out = _out_dir(args)
+    for name, curve in curves.items():
+        curve.to_csv(out / f"regret_{name}.csv")
     _write_json(out / "regret_report.json", report)
     return EXIT_OK
 
@@ -479,13 +504,24 @@ def cmd_figure1(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    ce = dict(DEFAULT_COUNTEREXAMPLE)
     if args.config:
-        cfg = load_config(args.config, args, need_system=False)
-        ce = {**DEFAULT_COUNTEREXAMPLE, **cfg.counterexample}
-    else:
-        ce = dict(DEFAULT_COUNTEREXAMPLE)
-    out = _out_dir(args)
+        ce.update(load_config(args.config, args, need_system=False).counterexample)
+    _system_and_costs(ce, ce, ("counterexample", "counterexample"))
     rows = gamma_scan(ce["A"], ce["B"], ce["Q"], ce["R"], ce["alpha_grid"])
+    in_gamma = [r.alpha for r in rows if r.in_gamma]
+    report: dict = {
+        "gamma_alphas": in_gamma,
+        "found_gamma": bool(in_gamma),
+    }
+    if in_gamma:
+        model = build_model(ce["A"], ce["B"], ce["Q"], ce["R"], in_gamma[0])
+        rep = linear_regret_despite_instability(
+            model, W=ce["W"], X=ce["X"], T_grid=ce["T_grid"], seed=args.seed or 0
+        )
+        report["bound_report"] = rep.to_dict()
+        report["dare_residual"] = model.residual
+    out = _out_dir(args)
     with open(out / "gamma_scan.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["alpha", "converged", "in_gamma", "spectral_radius", "alpha_norm_F"])
@@ -499,73 +535,63 @@ def cmd_counterexample(args) -> int:
                     f"{r.discounted_norm:.17g}",
                 ]
             )
-    in_gamma = [r.alpha for r in rows if r.in_gamma]
-    report: dict = {
-        "gamma_alphas": in_gamma,
-        "found_gamma": bool(in_gamma),
-    }
-    if in_gamma:
-        model = build_model(ce["A"], ce["B"], ce["Q"], ce["R"], in_gamma[0])
-        rep = linear_regret_despite_instability(
-            model, W=ce["W"], X=ce["X"], T_grid=ce["T_grid"], seed=args.seed or 0
-        )
-        report["bound_report"] = rep.to_dict()
-        report["dare_residual"] = model.residual
     _write_json(out / "counterexample_report.json", report)
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit 2 with the JSON diagnostic."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}", field="argv")
+
+
+def non_negative_int(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {seed}")
+    return seed
+
+
+# the flags a subcommand may take besides --out; each takes only those it reads
+_FLAGS = {
+    "--config": {"required": True, "help": "JSON experiment config"},
+    "--seed": {"type": non_negative_int, "default": None, "help": "override disturbance seed"},
+    "--horizons": {"default": None, "help": "horizon grid a:b[:step], overrides config"},
+    "--recipe": {"choices": ["eigvec", "phi", "random"], "default": None,
+                 "help": "disturbance recipe, overrides config"},
+    "--threshold": {"action": "append", "default": [], "metavar": "KEY=VALUE",
+                    "help": "classification threshold override (repeatable)"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="regretlab",
         description="Regret and stability experiments for linear feedback loops",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="JSON experiment config")
+    def command(name, func, help, *flags):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override disturbance seed")
-        p.add_argument(
-            "--horizons", default=None, help="horizon grid a:b[:step], overrides config"
-        )
-        p.add_argument(
-            "--recipe",
-            choices=["eigvec", "phi", "random"],
-            default=None,
-            help="disturbance recipe, overrides config",
-        )
-        p.add_argument(
-            "--threshold",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="classification threshold override (repeatable)",
-        )
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("simulate", help="roll out each policy, emit trajectory CSVs")
-    common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("stability", help="classify each closed loop, emit JSON report")
-    common(p)
-    p.set_defaults(func=cmd_stability)
-
-    p = sub.add_parser("regret", help="regret curves per policy, emit CSV + JSON")
-    common(p)
+    command("simulate", cmd_simulate, "roll out each policy, emit trajectory CSVs",
+            "--config", "--seed", "--horizons", "--recipe")
+    command("stability", cmd_stability, "classify each closed loop, emit JSON report",
+            "--config", "--threshold")
+    p = command("regret", cmd_regret, "regret curves per policy, emit CSV + JSON",
+                "--config", "--seed", "--horizons", "--recipe", "--threshold")
     p.add_argument("--certificate", action="store_true", help="add linear-regret certificates")
-    p.set_defaults(func=cmd_regret)
-
-    p = sub.add_parser(
-        "figure1", help="built-in three-controller experiment: CSVs + semilog SVG"
-    )
-    common(p, config_required=False)
-    p.set_defaults(func=cmd_figure1)
-
-    p = sub.add_parser("counterexample", help="discounted-LQR Gamma scan + bound report")
-    common(p, config_required=False)
-    p.set_defaults(func=cmd_counterexample)
-
+    command("figure1", cmd_figure1,
+            "built-in three-controller experiment: CSVs + semilog SVG")
+    p = command("counterexample", cmd_counterexample,
+                "discounted-LQR Gamma scan + bound report", "--seed")
+    p.add_argument("--config", help="JSON config with a counterexample section")
     return parser
 
 
@@ -579,9 +605,8 @@ def _diag(exc: Exception, code: int, kind: str) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, ShapeError, AssumptionViolationError) as exc:
         return _diag(exc, EXIT_CONFIG, "config")

@@ -47,7 +47,8 @@ def dare_residual(A, B, Q, R, alpha, P) -> float:
 def dare_modified(A, B, Q, R, alpha, tol=1e-12, max_iter=100_000) -> np.ndarray:
     """Fixed-point iteration of the discounted Riccati map from P^0 = Q.
 
-    The iterates are monotone nondecreasing from Q (asserted each step); the
+    Q and R must pass QuadraticStageCost.bounds (PD and symmetric).  The
+    iterates are monotone nondecreasing from Q (asserted each step); the
     loop stops when the Frobenius change drops below tol and the returned P is
     residual-checked.  Divergence (e.g. the modified pair is not stabilizable)
     raises ConvergenceError carrying the last residual.
@@ -58,9 +59,7 @@ def dare_modified(A, B, Q, R, alpha, tol=1e-12, max_iter=100_000) -> np.ndarray:
     R = np.asarray(R, dtype=float)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    for name, M in (("Q", Q), ("R", R)):
-        if np.linalg.eigvalsh(0.5 * (M + M.T))[0] <= 0.0:
-            raise AssumptionViolationError(f"{name} must be positive definite")
+    QuadraticStageCost.constant(Q, R).bounds(0)
     P = Q.copy()
     for _ in range(max_iter):
         nxt = _riccati_step(P, A, B, Q, R, alpha)
@@ -179,6 +178,7 @@ class GammaScanRow:
 
 def gamma_scan(A, B, Q, R, alphas) -> list[GammaScanRow]:
     """Per-alpha Gamma membership; non-convergent discount factors are flagged."""
+    QuadraticStageCost.constant(Q, R).bounds(0)  # a bad weight is not a per-alpha failure
     rows = []
     for alpha in alphas:
         try:

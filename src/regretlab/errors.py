@@ -31,7 +31,8 @@ class ConvergenceError(RuntimeError):
 
 
 class ConditioningError(RuntimeError):
-    """A linear solve was refused because the matrix is numerically singular."""
+    """A matrix is non-finite, numerically singular or not positive definite: a cost
+    weight or input Hessian failing model._check_pd, or a refused linear solve."""
 
 
 class ConfigError(ValueError):

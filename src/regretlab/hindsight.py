@@ -26,35 +26,14 @@ from .model import (
     QuadraticStageCost,
     SystemDynamics,
     Trajectory,
+    _check_pd,
+    _sym,
     as_disturbance,
     simulate,
     simulate_grid,
 )
 
-RCOND_FLOOR = 1e-14
 FIXED_POINT_TOL = 4.0 * np.finfo(float).eps  # relative to the largest entry
-
-
-def _sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
-
-
-def _check_pd(G: np.ndarray, what: str, t: int) -> None:
-    """Raise ConditioningError unless the symmetric G is PD with rcond >= RCOND_FLOOR.
-
-    Its ascending eigenvalues give both the exact 2-norm rcond and the PD
-    test; a non-finite G is singular without asking eigvalsh, whose NaN
-    output depends on LAPACK.  The diagnosis runs only on failure.
-    """
-    eigs = np.linalg.eigvalsh(G) if np.isfinite(G).all() else np.zeros(1)
-    if eigs[0] > 0.0 and eigs[0] >= RCOND_FLOOR * eigs[-1]:
-        return
-    mags = np.abs(eigs)
-    if not (mags.max() > 0.0 and mags.min() / mags.max() >= RCOND_FLOOR):
-        raise ConditioningError(
-            f"{what} at t={t} is numerically singular (rcond below {RCOND_FLOOR:.0e})"
-        )
-    raise ConditioningError(f"{what} at t={t} not PD (min eigenvalue {eigs[0]:.3e})")
 
 
 def _settled(new: np.ndarray, old: np.ndarray) -> bool:

@@ -15,13 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssumptionViolationError, ShapeError, SimulationOverflowError
+from .errors import AssumptionViolationError, ConditioningError, ShapeError, SimulationOverflowError
 
 # Rollouts abort with a structured error instead of propagating non-finite values.
 OVERFLOW_LIMIT = 1e150
 
 # Slack allowed on declared norm bounds (disturbances, affine offsets).
 BOUND_SLACK = 1e-12
+
+RCOND_FLOOR = 1e-14  # smallest 2-norm rcond of a PD weight or input Hessian
 
 
 def jsonable(obj):
@@ -220,6 +222,29 @@ class LinearPolicy:
         return d
 
 
+def _sym(M: np.ndarray) -> np.ndarray:
+    return 0.5 * (M + M.T)
+
+
+def _check_pd(G: np.ndarray, what: str, t: int) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric G, else ConditioningError naming what and t.
+
+    The one PD test of cost weights and input Hessians: G must be PD with
+    rcond >= RCOND_FLOOR.  The eigenvalues give both the exact 2-norm rcond and
+    the PD test; a non-finite G is singular without asking eigvalsh, whose NaN
+    output depends on LAPACK.  The diagnosis runs only on failure.
+    """
+    eigs = np.linalg.eigvalsh(G) if np.isfinite(G).all() else np.zeros(1)
+    if eigs[0] > 0.0 and eigs[0] >= RCOND_FLOOR * eigs[-1]:
+        return eigs
+    mags = np.abs(eigs)
+    if not (mags.max() > 0.0 and mags.min() / mags.max() >= RCOND_FLOOR):
+        raise ConditioningError(
+            f"{what} at t={t} is numerically singular (rcond below {RCOND_FLOOR:.0e})"
+        )
+    raise ConditioningError(f"{what} at t={t} not PD (min eigenvalue {eigs[0]:.3e})")
+
+
 @dataclass
 class QuadraticStageCost:
     """Stage cost c_t(x, u) = x'Q_t x + u'R_t u with PD weights.
@@ -263,20 +288,20 @@ class QuadraticStageCost:
         return float(x @ Qt @ x + u @ Rt @ u)
 
     def bounds(self, T: int) -> tuple[float, float]:
-        """(M_lower, M_upper) over 0..T; raises if any weight is not symmetric PD."""
+        """(M_lower, M_upper) over 0..T from _check_pd on each weight's symmetric part.
+
+        A weight not symmetric within 1e-10 (1 + max|M|) then raises
+        AssumptionViolationError; tested second, a NaN weight reads singular.
+        """
         ts = [0] if (self.Q.constant and self.R.constant) else range(T + 1)
-        m_lower = np.inf
-        m_upper = 0.0
+        m_lower, m_upper = np.inf, 0.0
         for t in ts:
-            for name, M in (("Q", self.Q(t)), ("R", self.R(t))):
+            for seq in (self.Q, self.R):
+                M = seq(t)
+                eigs = _check_pd(_sym(M), seq.what, t)
                 if not np.allclose(M, M.T, atol=1e-10 * (1.0 + np.abs(M).max())):
-                    raise AssumptionViolationError(f"{name}_{t} is not symmetric")
-                eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
-                if eigs[0] <= 0.0:
-                    raise AssumptionViolationError(
-                        f"{name}_{t} is not positive definite (min eig {eigs[0]:.3e})"
-                    )
-                if name == "Q":
+                    raise AssumptionViolationError(f"{seq.what} at t={t} is not symmetric")
+                if seq is self.Q:
                     m_lower = min(m_lower, eigs[0])
                 m_upper = max(m_upper, eigs[-1])
         return float(m_lower), float(m_upper)

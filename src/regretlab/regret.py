@@ -33,7 +33,7 @@ from .model import (
     simulate_grid,
 )
 from .hindsight import hindsight_costs
-from .transition import norm_sums, partial_sums_converged
+from .transition import converged_sums, norm_sums
 
 
 class GrowthClass(str, Enum):
@@ -244,16 +244,16 @@ def linear_regret_certificate(
     draws `trials` initial states from the radius-X ball and disturbances from
     the radius-W ball and verifies J_T <= C_0 + C_w T for every prefix T.
     """
-    bibs, sums = norm_sums(closed_loop(system, policy), T_max)
-    bibs_ok = (not bibs.capped) and partial_sums_converged(bibs.sums)
-    if not (bibs_ok and sums.d_sum_converged and sums.d_bar_converged and sums.h_bar_converged):
+    gated = converged_sums(*norm_sums(closed_loop(system, policy), T_max))
+    d_bar, h_bar = gated["d_bar"], gated["h_bar"]
+    if not np.all(np.isfinite(list(gated.values()))):
         return LinearRegretCertificate(
             applicable=False,
             holds=False,
             reason="transition-norm sums show no convergence at the test horizon",
             M=float("nan"),
-            d_bar=sums.d_bar if sums.d_bar_converged else float("inf"),
-            h_bar=sums.h_bar if sums.h_bar_converged else float("inf"),
+            d_bar=d_bar,
+            h_bar=h_bar,
             c0=float("inf"),
             cw=float("inf"),
             max_relative_violation=float("nan"),
@@ -269,8 +269,8 @@ def linear_regret_certificate(
     else:
         k_max = max(float(np.linalg.norm(policy.K(t), 2)) for t in range(T_max + 1))
     M = m_upper * (1.0 + k_max**2)
-    c0 = 2.0 * M * sums.d_bar * X**2
-    cw = 2.0 * M * sums.h_bar * W**2
+    c0 = 2.0 * M * d_bar * X**2
+    cw = 2.0 * M * h_bar * W**2
 
     rng = np.random.default_rng(seed)
     n = system.n
@@ -290,8 +290,8 @@ def linear_regret_certificate(
         holds=worst <= rel_slack,
         reason="",
         M=M,
-        d_bar=sums.d_bar,
-        h_bar=sums.h_bar,
+        d_bar=d_bar,
+        h_bar=h_bar,
         c0=c0,
         cw=cw,
         max_relative_violation=worst,

@@ -275,8 +275,12 @@ class StabilityReport:
         return jsonable({**self.__dict__, "classification": self.classification.value})
 
 
-def _converged_sums(bibs: BibsSums, sums: SummabilityConstants) -> dict:
-    """The report's four sum fields: the finite-horizon value when it looks convergent, else +inf."""
+def converged_sums(bibs: BibsSums, sums: SummabilityConstants) -> dict:
+    """The convergence gate: bibs_sup, d_sum, d_bar and h_bar, each +inf unless it looks convergent.
+
+    A sum passes when it never hit NORM_CAP and its tail growth is below
+    TAIL_GROWTH_TOL, so a field is finite exactly when its sum passed.
+    """
     inf = float("inf")
     bibs_ok = (not bibs.capped) and partial_sums_converged(bibs.sums)
     return {
@@ -328,7 +332,7 @@ def classify_lti(F, horizon: int = 500, marginal_tol: float = 1e-9) -> Stability
         classification=classification,
         spectral_radius=rho,
         phi_norm_tail=float(norms[-1]),
-        **_converged_sums(bibs, sums),
+        **converged_sums(bibs, sums),
         exp_fit=exp_pair,
         full_rank_ok=_full_rank(F),
         horizon=horizon,
@@ -341,7 +345,6 @@ def classify_ltv(
     T: int,
     slope_tol: float = 1e-3,
     oscillation_band: float = 2.0,
-    bibs_horizon: int | None = None,
 ) -> StabilityReport:
     """Empirical classification of a time-varying closed loop from its norm trend.
 
@@ -350,7 +353,8 @@ def classify_ltv(
     unstable.  A flat trend with tail log-range within oscillation_band is
     marginal; wilder oscillation is reported Inconclusive, since no finite
     norm table can decide between bounded oscillation and chaotic behaviour.
-    Requires T >= 50 so the trend is meaningful.
+    Requires T >= 50 so the trend is meaningful.  The sum fields come from
+    the first min(T, 150) steps of the same norm column.
     """
     if T < 50:
         raise ShapeError(f"trend classification needs T >= 50, got {T}")
@@ -358,8 +362,8 @@ def classify_ltv(
     norms, capped = transition_norms(seq, T)
     full_rank_ok = _full_rank(seq.stack(T))
 
-    bh = min(T, 150) if bibs_horizon is None else bibs_horizon
-    bibs, sums = norm_sums(seq, bh)
+    bh = min(T, 150)
+    bibs, sums = _sums_from_column(seq, norms[: bh + 1], not np.isfinite(norms[bh]))
 
     notes = ""
     exp_pair = None
@@ -394,7 +398,7 @@ def classify_ltv(
         classification=classification,
         spectral_radius=None,
         phi_norm_tail=float(norms[-1]),
-        **_converged_sums(bibs, sums),
+        **converged_sums(bibs, sums),
         exp_fit=exp_pair,
         full_rank_ok=full_rank_ok,
         horizon=T,

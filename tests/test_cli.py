@@ -446,3 +446,198 @@ def test_bad_cost_weight_exits_numerical_before_any_output(tmp_path, capsys, com
     diag = json.loads(lines[0])
     assert diag["error"] == "numerical" and f"cost.{key}" in diag["message"]
     assert not (tmp_path / "out").exists()
+
+
+def assert_rejected(capsys, code, expected, out):
+    """Exit code `expected`, one JSON diagnostic line on stderr, no traceback, no output."""
+    assert code == expected
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    diag = json.loads(lines[0])
+    assert diag["exit"] == expected
+    assert not out.exists() or not any(out.iterdir())
+    return diag
+
+
+@pytest.mark.parametrize("argv", [
+    ["regret"], ["regret", "--certificate"], ["simulate"], ["stability"],
+])
+def test_non_symmetric_cost_weight_exits_config_before_any_output(tmp_path, capsys, argv):
+    # the symmetric part [[1.5, 0.15], [0.15, 1.5]] is PD; Q itself is not symmetric
+    cfg = json.loads(json.dumps(FOUR_STATE))
+    cfg["cost"]["Q"] = [[1.5, 0.3], [0.0, 1.5]]
+    out = tmp_path / "out"
+    code = main([*argv, "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    diag = assert_rejected(capsys, code, EXIT_CONFIG, out)
+    assert diag["message"] == "cost.Q at t=0 is not symmetric"
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("Q", [[-1.0]], "counterexample.Q at t=0 not PD"),
+    ("R", [[0.0]], "counterexample.R at t=0 is numerically singular"),
+])
+def test_counterexample_bad_weight_exits_numerical(tmp_path, capsys, key, value, message):
+    cfg = {"counterexample": {"A": [[2.0]], "B": [[1.0]], "Q": [[1.0]], "R": [[1.0]], key: value}}
+    out = tmp_path / "out"
+    code = main(["counterexample", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    diag = assert_rejected(capsys, code, EXIT_NUMERICAL, out)
+    assert diag["message"].startswith(message)
+
+
+@pytest.mark.parametrize("section, flags", [
+    ({"A": [[1.0, 0.0], [0.0, 1.0]], "B": [[1.0]]}, []),
+    ({"A": [[2.0]], "B": [[1.0]], "Q": [[1.0, 0.0], [0.0, 1.0]]}, []),
+    ({"alpha_grid": [0.1, 1.5]}, []),
+    ({"alpha_grid": [0.0]}, []),
+    ({"T_grid": []}, []),
+    ({}, ["--seed", "-3"]),
+])
+def test_counterexample_bad_input_exits_config_before_any_output(tmp_path, capsys, section, flags):
+    cfg = {"counterexample": {"A": [[2.0]], "B": [[1.0]], "Q": [[1.0]], "R": [[1.0]], **section}}
+    out = tmp_path / "out"
+    code = main(["counterexample", "--config", write_config(tmp_path, cfg), "--out", str(out),
+                 *flags])
+    assert_rejected(capsys, code, EXIT_CONFIG, out)
+
+
+@pytest.mark.parametrize("command", ["regret", "simulate"])
+def test_negative_seed_exits_config(tmp_path, capsys, command):
+    cfg = dict(FOUR_STATE, disturbance={"recipe": "random", "seed": -1})
+    out = tmp_path / "out"
+    code = main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    assert assert_rejected(capsys, code, EXIT_CONFIG, out)["field"] == "$.disturbance.seed"
+    cfg = dict(FOUR_STATE, disturbance={"recipe": "random", "seed": 1})
+    code = main([command, "--config", write_config(tmp_path, cfg), "--out", str(out),
+                 "--seed", "-1"])
+    assert assert_rejected(capsys, code, EXIT_CONFIG, out)["field"] == "argv"
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure1", "--horizons", "1:5"],
+    ["figure1", "--config", "missing.json", "--recipe", "random"],
+    ["counterexample", "--horizons", "1:5"],
+    ["counterexample", "--threshold", "slope_bounded=1"],
+    ["stability", "--config", "missing.json", "--seed", "1"],
+    ["stability", "--config", "missing.json", "--horizons", "1:5"],
+    ["simulate", "--config", "missing.json", "--threshold", "slope_bounded=1"],
+    ["simulate", "--config", "missing.json", "--certificate"],
+])
+def test_each_subcommand_takes_only_the_flags_it_reads(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    diag = assert_rejected(capsys, main([*argv, "--out", str(out)]), EXIT_CONFIG, out)
+    assert diag["field"] == "argv" and "unrecognized arguments" in diag["message"]
+
+
+def test_thresholds_are_closed_to_the_known_keys(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, FOUR_STATE)
+    code = main(["stability", "--config", path, "--out", str(out), "--threshold", "typo=3"])
+    assert assert_rejected(capsys, code, EXIT_CONFIG, out)["field"] == "thresholds"
+    path = write_config(tmp_path, dict(FOUR_STATE, thresholds={"typo": 3}))
+    code = main(["stability", "--config", path, "--out", str(out)])
+    assert assert_rejected(capsys, code, EXIT_CONFIG, out)["field"] == "$.thresholds"
+    path = write_config(tmp_path, dict(FOUR_STATE, thresholds={"marginal_tol": 1e-6}))
+    assert main(["stability", "--config", path, "--out", str(out),
+                 "--threshold", "marginal_tol=1e-3"]) == EXIT_OK
+
+
+# a valid config for every command: the counterexample section is read by
+# `counterexample`, the rest by `simulate`, `stability` and `regret`
+FUZZ_BASE = {
+    **FOUR_STATE,
+    "counterexample": {
+        "A": [[2.0]], "B": [[1.0]], "Q": [[1.0]], "R": [[1.0]],
+        "alpha_grid": [0.1, 0.5, 0.9], "W": 1.0, "X": 1.0, "T_grid": [1, 10, 50],
+    },
+}
+FUZZ_MATRICES = [("system", "A"), ("system", "B"), ("cost", "Q"), ("cost", "R"),
+                 ("policies", 0, "K"), ("counterexample", "A"), ("counterexample", "B"),
+                 ("counterexample", "Q"), ("counterexample", "R")]
+FUZZ_COMMANDS = [["simulate"], ["stability"], ["regret"], ["regret", "--certificate"],
+                 ["counterexample"], ["figure1"]]
+
+
+def _key_paths(node, prefix=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield (*prefix, key)
+            yield from _key_paths(value, (*prefix, key))
+    elif isinstance(node, list) and node and isinstance(node[0], dict):
+        for i, value in enumerate(node):
+            yield from _key_paths(value, (*prefix, i))
+
+
+def _mutate(rng, cfg, kind):
+    """Mutation `kind` (0..7) of cfg in place, its details drawn from rng; returns extra flags."""
+    def at(path):
+        node = cfg
+        for key in path:
+            node = node[key]
+        return node
+
+    if kind == 0:  # drop a key
+        paths = list(_key_paths(cfg))
+        path = paths[rng.integers(len(paths))]
+        del at(path[:-1])[path[-1]]
+    elif kind == 1:  # NaN, inf or a sign flip in one matrix entry
+        row = at(FUZZ_MATRICES[rng.integers(len(FUZZ_MATRICES))])[0]
+        j = rng.integers(len(row))
+        row[j] = [float("nan"), float("inf"), -float("inf"), -row[j] - 1.0][rng.integers(4)]
+    elif kind == 2:  # ragged or mismatched shapes
+        path = FUZZ_MATRICES[rng.integers(len(FUZZ_MATRICES))]
+        matrix = at(path)
+        how = rng.integers(3)
+        if how == 0:
+            matrix[0].append(0.5)
+        elif how == 1:
+            at(path[:-1])[path[-1]] = [row + [0.5] for row in matrix]
+        else:
+            matrix.append(list(matrix[0]))
+    elif kind == 3:  # shrunken grids
+        which = rng.integers(3)
+        if which == 0:
+            cfg["horizons"] = [[], [10], [10, 20], "1:3", "90:100"][rng.integers(5)]
+        else:
+            key = ("T_grid", "alpha_grid")[which - 1]
+            grid = cfg["counterexample"][key]
+            cfg["counterexample"][key] = grid[: rng.integers(len(grid))]
+    elif kind == 4:  # duplicate names
+        cfg["policies"][1]["name"] = cfg["policies"][0]["name"]
+    elif kind == 5:  # negative seeds
+        seed = -int(rng.integers(1, 5))
+        if rng.integers(2):
+            return ["--seed", str(seed)]
+        cfg["disturbance"] = {"recipe": "random", "seed": seed}
+    elif kind == 6:  # alpha outside (0, 1)
+        grid = cfg["counterexample"]["alpha_grid"]
+        grid[rng.integers(len(grid))] = [0.0, 1.0, 1.5, -0.2][rng.integers(4)]
+    else:  # an unknown key, or a flag the command may not read
+        if rng.integers(2):
+            cfg[["threshold", "extra"][rng.integers(2)]] = 1
+        else:
+            return [["--horizons", "10:100:10"], ["--recipe", "phi"],
+                    ["--threshold", "slope_bounded=0.2"]][rng.integers(3)]
+    return []
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_mutated_configs_keep_the_exit_code_contract(tmp_path, capsys, seed):
+    cfg = json.loads(json.dumps(FUZZ_BASE))
+    extra = _mutate(np.random.default_rng(seed), cfg, seed % 8)
+    path = write_config(tmp_path, cfg)
+    for i, command in enumerate(FUZZ_COMMANDS):
+        if command == ["figure1"]:
+            if not extra:
+                continue  # figure1 reads no config: only a flag mutation reaches it
+            argv = [*command, *extra]
+        else:
+            argv = [*command, "--config", path, *extra]
+        out = tmp_path / f"out{i}"
+        code = main([*argv, "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), command
+        if code == EXIT_OK:
+            capsys.readouterr()
+        else:
+            assert_rejected(capsys, code, code, out)

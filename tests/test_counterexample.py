@@ -4,6 +4,7 @@ from scipy.linalg import solve_discrete_are
 
 from regretlab import (
     AssumptionViolationError,
+    ConditioningError,
     ConvergenceError,
     build_model,
     dare_modified,
@@ -75,8 +76,15 @@ def test_dare_divergence_raises():
 
 
 def test_dare_rejects_indefinite_weights():
-    with pytest.raises(AssumptionViolationError):
+    with pytest.raises(ConditioningError, match="Q at t=0 not PD"):
         dare_modified([[1.0]], [[1.0]], [[-1.0]], [[1.0]], 0.5)
+
+
+def test_gamma_scan_raises_on_bad_weights_instead_of_flagging_every_alpha():
+    with pytest.raises(ConditioningError, match="R at t=0 is numerically singular"):
+        gamma_scan(**dict(SCALAR, R=[[0.0]]), alphas=[0.1, 0.5])
+    with pytest.raises(AssumptionViolationError, match="Q at t=0 is not symmetric"):
+        gamma_scan(np.eye(2), np.eye(2), [[1.0, 0.2], [0.0, 1.0]], np.eye(2), [0.1, 0.5])
 
 
 def test_discounted_gain_values():

@@ -3,6 +3,7 @@ import pytest
 
 from regretlab import (
     AssumptionViolationError,
+    ConditioningError,
     DisturbanceSignal,
     LinearPolicy,
     MatrixSequence,
@@ -193,7 +194,7 @@ def test_cost_bounds_examples():
 
 
 def test_cost_bounds_rejects_non_pd():
-    with pytest.raises(AssumptionViolationError):
+    with pytest.raises(ConditioningError, match="Q at t=0 is numerically singular"):
         QuadraticStageCost.constant(np.diag([1.0, 0.0]), np.eye(1)).bounds(3)
     with pytest.raises(AssumptionViolationError):
         QuadraticStageCost.constant([[1.0, 0.5], [0.2, 1.0]], np.eye(1)).bounds(3)

@@ -217,6 +217,19 @@ def test_classify_ltv_periodic_contraction():
     assert rep.spectral_radius is None
 
 
+def test_classify_ltv_sums_are_the_norm_sums_of_its_first_150_steps():
+    # the report takes its sum fields from the first min(T, 150) steps of the
+    # norm column it classifies with; c = 3 and c = 40 cap that column
+    rng = np.random.default_rng(17)
+    for c in (0.5, 0.97, 1.0, 1.02, 1.3, 3.0, 40.0):
+        for n in (1, 2, 3):
+            for T in (60, 150, 500):
+                F = c * np.linalg.qr(rng.standard_normal((T, n, n)))[0]
+                rep = classify_ltv(F, T)
+                expected = transition.converged_sums(*norm_sums(F, min(T, 150)))
+                assert {key: getattr(rep, key) for key in expected} == expected, (c, n, T)
+
+
 def test_classify_ltv_identity_marginal():
     rep = classify_ltv(np.eye(2), 200)
     assert rep.classification is Stability.MARGINALLY_STABLE
