@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SimulationOverflowError
-from .model import DisturbanceSignal
-from .transition import as_closed_loop
+from .model import DisturbanceSignal, matrix_sequence
 
 
 def _sign_normalize(v: np.ndarray) -> np.ndarray:
@@ -105,7 +104,7 @@ def _phi_rows(F, W: float, T: int, w0=None) -> tuple[np.ndarray, np.ndarray]:
     so phi_aligned(F, W, t, w0).w equals C_t * rows[:t] for every t <= T.
     Raises SimulationOverflowError at the first k whose row is not finite.
     """
-    seq = as_closed_loop(F)
+    seq = matrix_sequence(F, what="F")
     n = seq.shape[0]
     if w0 is None:
         w0 = np.zeros(n)

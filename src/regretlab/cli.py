@@ -245,7 +245,6 @@ class ExperimentConfig:
     horizons: list[int]
     thresholds: dict
     counterexample: dict
-    raw: dict
 
     def disturbance_for(self, policy: LinearPolicy):
         if self.recipe == "eigvec":
@@ -328,8 +327,20 @@ def load_config(path, overrides: argparse.Namespace, need_system: bool = True) -
     w0 = np.asarray(dist["w0"], dtype=float) if "w0" in dist else None
 
     x0 = np.asarray(raw.get("x0", np.zeros(n) if n else []), dtype=float)
+    X, W = float(raw.get("X", 1.0)), float(raw.get("W", 1.0))
+    ce = raw.get("counterexample", {})
+    for key, value in (("x0", x0), ("X", X), ("W", W), ("disturbance.w0", w0),
+                       ("counterexample.X", ce.get("X")), ("counterexample.W", ce.get("W"))):
+        with np.errstate(over="ignore"):
+            if value is not None and not np.isfinite(np.sum(np.square(value))):
+                if not np.isfinite(value).all():
+                    raise ConditioningError(f"{key} has a non-finite entry")
+                raise ConfigError(f"{key} is too large: its square overflows", field=key)
     if n is not None and x0.shape != (n,):
         raise ConfigError(f"x0 has length {x0.shape}, expected ({n},)", field="x0")
+    if n is not None and w0 is not None and (w0.shape != (n,) or not w0.any()):
+        raise ConfigError(f"disturbance.w0 must be a nonzero vector of length {n}",
+                          field="disturbance.w0")
 
     horizons = parse_horizons(flags.get("horizons") or raw.get("horizons", "1:100"))
     thresholds = dict(DEFAULT_THRESHOLDS)
@@ -351,15 +362,14 @@ def load_config(path, overrides: argparse.Namespace, need_system: bool = True) -
         costs=costs,
         policies=policies,
         x0=x0,
-        X=float(raw.get("X", 1.0)),
-        W=float(raw.get("W", 1.0)),
+        X=X,
+        W=W,
         recipe=recipe,
         seed=int(seed),
         w0=w0,
         horizons=horizons,
         thresholds=thresholds,
-        counterexample=raw.get("counterexample", {}),
-        raw=raw,
+        counterexample=ce,
     )
 
 
@@ -504,9 +514,10 @@ def cmd_figure1(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    ce = dict(DEFAULT_COUNTEREXAMPLE)
+    ce, seed = dict(DEFAULT_COUNTEREXAMPLE), args.seed or 0
     if args.config:
-        ce.update(load_config(args.config, args, need_system=False).counterexample)
+        cfg = load_config(args.config, args, need_system=False)
+        ce, seed = {**ce, **cfg.counterexample}, cfg.seed
     _system_and_costs(ce, ce, ("counterexample", "counterexample"))
     rows = gamma_scan(ce["A"], ce["B"], ce["Q"], ce["R"], ce["alpha_grid"])
     in_gamma = [r.alpha for r in rows if r.in_gamma]
@@ -517,7 +528,7 @@ def cmd_counterexample(args) -> int:
     if in_gamma:
         model = build_model(ce["A"], ce["B"], ce["Q"], ce["R"], in_gamma[0])
         rep = linear_regret_despite_instability(
-            model, W=ce["W"], X=ce["X"], T_grid=ce["T_grid"], seed=args.seed or 0
+            model, W=ce["W"], X=ce["X"], T_grid=ce["T_grid"], seed=seed
         )
         report["bound_report"] = rep.to_dict()
         report["dare_residual"] = model.residual

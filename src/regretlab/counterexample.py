@@ -25,7 +25,7 @@ from .model import (
     QuadraticStageCost,
     SystemDynamics,
     _rollout,
-    as_disturbance,
+    disturbance_prefix,
     jsonable,
     simulate,
 )
@@ -208,14 +208,12 @@ def vq_recursion(model: DiscountedLqrModel, w, T: int | None = None) -> ValuePar
     cost below matches the simulated discounted cost; that equality is the
     module's ground truth and is enforced in the test suite.
     """
-    w = as_disturbance(w, model.n)
-    if T is None:
-        T = w.horizon
+    w, T = disturbance_prefix(w, model.n, T)
     v = np.zeros((T + 1, model.n))
     q = np.zeros(T + 1)
     P, F, alpha = model.P, model.F, model.alpha
     for t in reversed(range(T)):
-        wt = w.w[t]
+        wt = w[t]
         v[t] = 2.0 * alpha * F.T @ (P @ wt + 0.5 * v[t + 1])
         q[t] = alpha * (wt @ P @ wt + wt @ v[t + 1] + q[t + 1])
     return ValueParams(v=v, q=q)
@@ -234,9 +232,7 @@ def discounted_cost_simulated(model: DiscountedLqrModel, x0, w, T: int | None = 
     The terminal term is alpha^T x_T' P x_T, the scaling under which the value
     recursion closes; simulation and closed form then agree to rounding.
     """
-    w = as_disturbance(w, model.n)
-    if T is None:
-        T = w.horizon
+    w, T = disturbance_prefix(w, model.n, T)
     costs = QuadraticStageCost.constant(model.Q, model.R)
     traj = simulate(model.system(), model.policy(), x0, w, costs, T)
     disc = model.alpha ** np.arange(T + 1)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, ShapeError
+from .errors import ConditioningError
 from .model import (
     LinearPolicy,
     MatrixSequence,
@@ -28,7 +28,8 @@ from .model import (
     Trajectory,
     _check_pd,
     _sym,
-    as_disturbance,
+    check_dims,
+    disturbance_prefix,
     simulate,
     simulate_grid,
 )
@@ -98,16 +99,9 @@ def solve_hindsight(
     SimulationOverflowError.
     """
     x0 = np.asarray(x0, dtype=float)
-    w = as_disturbance(w, system.n)
-    if T is None:
-        T = w.horizon
-    if w.horizon < T:
-        raise ShapeError(f"disturbance covers {w.horizon} steps, need {T}")
+    wt, T = disturbance_prefix(w, system.n, T)
+    check_dims(system, costs, x0[None])
     n, m = system.n, system.m
-    if x0.shape != (n,):
-        raise ShapeError(f"x0 has shape {x0.shape}, expected ({n},)")
-    if costs.n != n or costs.m != m:
-        raise ShapeError("cost weights do not match the system dimensions")
 
     P = np.zeros((T + 1, n, n))
     gains = np.zeros((T + 1, m, n))
@@ -128,7 +122,7 @@ def solve_hindsight(
             break
 
     # data pass, linear in w: v_t = p_{t+1} + 2 P_{t+1} w_t and p_t = F_t' v_t
-    B, wt = system.B.stack(T), w.w[:T]
+    B = system.B.stack(T)
     F = system.A.stack(T) - B @ gains[:T]
     Pw2 = 2.0 * (P[1:] @ wt[:, :, None])[:, :, 0]
     p = np.zeros((T + 1, n))
@@ -142,7 +136,7 @@ def solve_hindsight(
 
     optimal = float(x0 @ P[0] @ x0 + p[0] @ x0 + s[0])
     sol = HindsightSolution(None, optimal, P, p, s, gains, offsets, trajectory=None)
-    sol.trajectory = simulate(system, sol.feedback_policy(), x0, w, costs, T)
+    sol.trajectory = simulate(system, sol.feedback_policy(), x0, wt, costs, T)
     sol.inputs = sol.trajectory.inputs[:T].copy()
     return sol
 
@@ -216,11 +210,8 @@ def batch_oracle(
     loops (1.7e21 against 6.6e3 from both O(T) routes at rho(A) = 2.9, T = 55).
     """
     x0 = np.asarray(x0, dtype=float)
-    w = as_disturbance(w, system.n)
-    if T is None:
-        T = w.horizon
-    if w.horizon < T:
-        raise ShapeError(f"disturbance covers {w.horizon} steps, need {T}")
+    w, T = disturbance_prefix(w, system.n, T)
+    check_dims(system, costs, x0[None])
     n, m = system.n, system.m
     if T * m > size_cap:
         raise ValueError(f"batch oracle limited to T*m <= {size_cap}, got {T * m}")
@@ -234,7 +225,7 @@ def batch_oracle(
         rows = slice(t * n, (t + 1) * n)
         nxt = slice((t + 1) * n, (t + 2) * n)
         A = system.A(t)
-        base[nxt] = A @ base[rows] + w.w[t]
+        base[nxt] = A @ base[rows] + w[t]
         Su[nxt, :] = A @ Su[rows, :]
         Su[nxt, t * m : (t + 1) * m] += system.B(t)
 

@@ -11,7 +11,7 @@ sequences are memoized so repeated queries return identical matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -113,14 +113,25 @@ class MatrixSequence:
         return np.array([self(t) for t in range(count)]).reshape(count, *self.shape)
 
 
-def matrix_sequence(source, shape, what="matrix") -> MatrixSequence:
-    """Coerce an array / stack / callable / MatrixSequence to a MatrixSequence."""
+def matrix_sequence(source, shape=None, what="matrix") -> MatrixSequence:
+    """Coerce an array / stack / callable / MatrixSequence to a MatrixSequence.
+
+    Without shape, the per-step shape is inferred: a 2-d array is constant, a
+    3-d array is a stack of its steps, and a callable is probed at t = 0.
+    """
     if isinstance(source, MatrixSequence):
-        if source.shape != tuple(shape):
+        if shape is not None and source.shape != tuple(shape):
             raise ShapeError(
                 f"{what} sequence has shape {source.shape}, expected {tuple(shape)}"
             )
         return source
+    if shape is None:
+        if not callable(source):
+            source = np.asarray(source, dtype=float)
+            if source.ndim not in (2, 3):
+                raise ShapeError(f"{what} must be a matrix or a stack of matrices, "
+                                 f"got shape {source.shape}")
+        shape = np.shape(source(0) if callable(source) else source)[-2:]
     return MatrixSequence(source, shape, what)
 
 
@@ -136,40 +147,22 @@ class SystemDynamics:
 
     @classmethod
     def lti(cls, A, B) -> "SystemDynamics":
-        A = np.asarray(A, dtype=float)
-        B = np.asarray(B, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ShapeError(f"A must be square, got {A.shape}")
-        n = A.shape[0]
-        if B.ndim != 2 or B.shape[0] != n:
-            raise ShapeError(f"B must be {n}xm, got {B.shape}")
-        m = B.shape[1]
-        return cls(
-            A=MatrixSequence(A, (n, n), "A"),
-            B=MatrixSequence(B, (n, m), "B"),
-            n=n,
-            m=m,
-            kind="LTI",
-        )
+        A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+        if A.ndim != 2 or B.ndim != 2:
+            raise ShapeError(f"A and B must be matrices, got shapes {A.shape} and {B.shape}")
+        return replace(cls.ltv(A, B), kind="LTI")
 
     @classmethod
     def ltv(cls, A, B, n=None, m=None) -> "SystemDynamics":
-        if n is None or m is None:
-            if callable(A) or callable(B):
-                probe_A = np.asarray(A(0) if callable(A) else np.asarray(A)[0], float)
-                probe_B = np.asarray(B(0) if callable(B) else np.asarray(B)[0], float)
-            else:
-                probe_A = np.asarray(A, dtype=float)[0]
-                probe_B = np.asarray(B, dtype=float)[0]
-            n = probe_A.shape[0]
-            m = probe_B.shape[1]
-        return cls(
-            A=matrix_sequence(A, (n, n), "A"),
-            B=matrix_sequence(B, (n, m), "B"),
-            n=n,
-            m=m,
-            kind="LTV",
-        )
+        """(A_t, B_t) from matrices, stacks or callables of t; n and m default to inferred ones."""
+        A = matrix_sequence(A, None if n is None else (n, n), "A")
+        n = A.shape[0]
+        if A.shape != (n, n):
+            raise ShapeError(f"A must be square, got {A.shape}")
+        B = matrix_sequence(B, None if m is None else (n, m), "B")
+        if B.shape[0] != n:
+            raise ShapeError(f"B must be {n}xm, got {B.shape}")
+        return cls(A=A, B=B, n=n, m=B.shape[1], kind="LTV")
 
 
 @dataclass
@@ -185,19 +178,14 @@ class LinearPolicy:
         K = np.asarray(K, dtype=float)
         if K.ndim != 2:
             raise ShapeError(f"gain must be 2-d, got shape {K.shape}")
-        m, n = K.shape
-        seq = MatrixSequence(K, (m, n), "K")
-        if d is None:
-            return cls(K=seq)
-        d = np.asarray(d, dtype=float)
-        bound = float(np.linalg.norm(d)) if d_max is None else float(d_max)
-        return cls(K=seq, d=MatrixSequence(d, (m,), "d"), d_max=bound)
+        if d is not None and d_max is None:
+            d_max = np.linalg.norm(d)
+        return cls.varying(K, *K.shape, d, d_max or 0.0)
 
     @classmethod
     def varying(cls, K, m, n, d=None, d_max=0.0) -> "LinearPolicy":
-        seq = matrix_sequence(K, (m, n), "K")
         off = None if d is None else matrix_sequence(d, (m,), "d")
-        return cls(K=seq, d=off, d_max=float(d_max))
+        return cls(K=matrix_sequence(K, (m, n), "K"), d=off, d_max=float(d_max))
 
     @property
     def m(self) -> int:
@@ -260,19 +248,14 @@ class QuadraticStageCost:
 
     @classmethod
     def constant(cls, Q, R) -> "QuadraticStageCost":
-        Q = np.asarray(Q, dtype=float)
-        R = np.asarray(R, dtype=float)
-        return cls(
-            Q=MatrixSequence(Q, Q.shape, "Q"),
-            R=MatrixSequence(R, R.shape, "R"),
-        )
+        Q, R = np.asarray(Q, dtype=float), np.asarray(R, dtype=float)
+        if Q.ndim != 2 or R.ndim != 2:
+            raise ShapeError(f"Q and R must be matrices, got shapes {Q.shape} and {R.shape}")
+        return cls.varying(Q, R, len(Q), len(R))
 
     @classmethod
     def varying(cls, Q, R, n, m) -> "QuadraticStageCost":
-        return cls(
-            Q=matrix_sequence(Q, (n, n), "Q"),
-            R=matrix_sequence(R, (m, m), "R"),
-        )
+        return cls(Q=matrix_sequence(Q, (n, n), "Q"), R=matrix_sequence(R, (m, m), "R"))
 
     @property
     def n(self) -> int:
@@ -339,16 +322,21 @@ class DisturbanceSignal:
         return self.w.shape[1]
 
 
-def as_disturbance(w, n=None) -> DisturbanceSignal:
-    if not isinstance(w, DisturbanceSignal):
-        arr = np.asarray(w, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        bound = float(np.max(np.linalg.norm(arr, axis=1))) if len(arr) else 0.0
-        w = DisturbanceSignal(arr, bound)
-    if n is not None and w.n != n:
-        raise ShapeError(f"disturbance has n={w.n}, expected {n}")
-    return w
+def disturbance_prefix(w, n: int, T: int | None = None) -> tuple[np.ndarray, int]:
+    """The rows w_0..w_{T-1} of w and T, which defaults to the length of w.
+
+    w is a DisturbanceSignal or a (steps, n) array (a 1-d array when n = 1);
+    a width other than n, or fewer than T steps, raises ShapeError.
+    """
+    rows = w.w if isinstance(w, DisturbanceSignal) else np.asarray(w, dtype=float)
+    if rows.ndim == 1:
+        rows = rows[:, None]
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise ShapeError(f"disturbance has shape {rows.shape}, expected (steps, {n})")
+    T = len(rows) if T is None else int(T)
+    if len(rows) < T:
+        raise ShapeError(f"disturbance covers {len(rows)} steps, need {T}")
+    return rows[:T], T
 
 
 @dataclass
@@ -425,6 +413,20 @@ def _stage_costs(costs: QuadraticStageCost, X: np.ndarray, U: np.ndarray) -> np.
     return total
 
 
+def check_dims(system: SystemDynamics, costs: QuadraticStageCost, x0, policy=None) -> None:
+    """Raise ShapeError unless the initial states x0 (rows, n), the cost weights and
+    the policy's gain fit the system's (n, m)."""
+    n, m = system.n, system.m
+    if np.shape(x0)[1:] != (n,):
+        raise ShapeError(f"x0 has shape {np.shape(x0)[1:]}, expected ({n},)")
+    if costs.n != n or costs.m != m:
+        raise ShapeError(
+            f"cost weights sized for (n={costs.n}, m={costs.m}), system has (n={n}, m={m})"
+        )
+    if policy is not None and (policy.m, policy.n) != (m, n):
+        raise ShapeError(f"gain is {policy.K.shape}, expected ({m}, {n}) for this system")
+
+
 def _rollout(system, costs, x0, w, T, policy=None, inputs=None, scales=None) -> _Rollout:
     """The rollout kernel: rows of (x0, w) stepped together for T steps.
 
@@ -436,15 +438,8 @@ def _rollout(system, costs, x0, w, T, policy=None, inputs=None, scales=None) -> 
     held at zero afterwards; the loop stops once every row has overflowed.
     Stage costs are computed after the loop.
     """
+    check_dims(system, costs, x0, policy)
     n, m = system.n, system.m
-    if x0.shape[1:] != (n,):
-        raise ShapeError(f"x0 has shape {x0.shape[1:]}, expected ({n},)")
-    if costs.n != n or costs.m != m:
-        raise ShapeError(
-            f"cost weights sized for (n={costs.n}, m={costs.m}), system has (n={n}, m={m})"
-        )
-    if policy is not None and (policy.m, policy.n) != (m, n):
-        raise ShapeError(f"gain is {policy.K.shape}, expected ({m}, {n}) for this system")
     AT = system.A.stack(T).transpose(0, 2, 1)
     BT = system.B.stack(T).transpose(0, 2, 1)
     KT = None if policy is None else policy.K.stack(T + 1).transpose(0, 2, 1)
@@ -494,16 +489,12 @@ def simulate(
 ) -> Trajectory:
     """Roll out the closed loop for T steps and accumulate stage costs.
 
-    The disturbance covers steps 0..T-1.  The terminal input u_T = -K_T x_T is
+    The disturbance gives steps 0..T-1.  The terminal input u_T = -K_T x_T is
     applied (it enters c_T but has no successor state).  Aborts with
     SimulationOverflowError at the first state whose norm exceeds the guard.
     """
-    w = as_disturbance(w, system.n)
-    if T is None:
-        T = w.horizon
-    if w.horizon < T:
-        raise ShapeError(f"disturbance covers {w.horizon} steps, need {T}")
-    roll = _rollout(system, costs, np.asarray(x0, dtype=float)[None], w.w[:T], T, policy)
+    w, T = disturbance_prefix(w, system.n, T)
+    roll = _rollout(system, costs, np.asarray(x0, dtype=float)[None], w, T, policy)
     roll.raise_overflow()
     return roll.trajectory()
 
@@ -528,13 +519,9 @@ def simulate_grid(
     """
     x0 = np.asarray(x0, dtype=float)
     horizons = np.asarray(horizons, dtype=int)
-    T_max = int(horizons[-1])
-    if len(base) < T_max:
-        raise ShapeError(f"disturbance covers {len(base)} steps, need {T_max}")
+    base, T_max = disturbance_prefix(base, system.n, horizons[-1])
     x0s = np.tile(x0, (len(horizons), 1))
-    roll = _rollout(
-        system, costs, x0s, base[:T_max], T_max, policy, scales=np.asarray(scales, dtype=float)
-    )
+    roll = _rollout(system, costs, x0s, base, T_max, policy, scales=np.asarray(scales, dtype=float))
     # sequential prefix sums: each total adds its stage costs in time order
     totals = np.cumsum(roll.stage, axis=0)[horizons, np.arange(len(horizons))]
     overflow = np.where(roll.overflow <= horizons, roll.overflow, 0)
@@ -553,15 +540,12 @@ def simulate_inputs(
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim == 1:
         inputs = inputs[:, None]
-    T = inputs.shape[0]
-    w = as_disturbance(w, system.n)
-    if w.horizon < T:
-        raise ShapeError(f"disturbance covers {w.horizon} steps, need {T}")
+    w, T = disturbance_prefix(w, system.n, len(inputs))
     if inputs.shape[1] != system.m:
         raise ShapeError(f"inputs have m={inputs.shape[1]}, expected {system.m}")
     u = np.zeros((T + 1, system.m))
     u[:T] = inputs
-    roll = _rollout(system, costs, np.asarray(x0, dtype=float)[None], w.w[:T], T, inputs=u)
+    roll = _rollout(system, costs, np.asarray(x0, dtype=float)[None], w, T, inputs=u)
     roll.raise_overflow()
     return roll.trajectory()
 
@@ -580,8 +564,7 @@ def tracking_transform(system: SystemDynamics, r, w) -> DisturbanceSignal:
     under nu reproduces x_t - r_t of the original loop when the controller
     feeds back on the error.
     """
-    w = as_disturbance(w, system.n)
-    T = w.horizon
+    w, T = disturbance_prefix(w, system.n)
     r = np.asarray(r, dtype=float)
     if r.ndim == 1:
         r = r[:, None]
@@ -591,6 +574,6 @@ def tracking_transform(system: SystemDynamics, r, w) -> DisturbanceSignal:
         raise ShapeError(f"reference has n={r.shape[1]}, expected {system.n}")
     nu = np.zeros((T, system.n))
     for t in range(T):
-        nu[t] = w.w[t] - r[t + 1] + system.A(t) @ r[t]
+        nu[t] = w[t] - r[t + 1] + system.A(t) @ r[t]
     bound = float(np.max(np.linalg.norm(nu, axis=1))) if T else 0.0
     return DisturbanceSignal(nu, bound)

@@ -22,13 +22,12 @@ import numpy as np
 from .adversary import ball_point, random_ball
 from .errors import ShapeError
 from .model import (
-    DisturbanceSignal,
     LinearPolicy,
     QuadraticStageCost,
     SystemDynamics,
     _rollout,
-    as_disturbance,
     closed_loop,
+    disturbance_prefix,
     jsonable,
     simulate_grid,
 )
@@ -51,10 +50,8 @@ def regret(
     T: int | None = None,
 ) -> float:
     """Policy cost minus benchmark cost; +inf when the policy rollout overflows."""
-    w = w if isinstance(w, DisturbanceSignal) else DisturbanceSignal(np.asarray(w, float), np.inf)
-    if T is None:
-        T = w.horizon
-    reg, _, _ = _regret_group(system, costs, policy, x0, w.w, [1.0], [T])
+    w, T = disturbance_prefix(w, system.n, T)
+    reg, _, _ = _regret_group(system, costs, policy, x0, w, [1.0], [T])
     return float(reg[0])
 
 
@@ -113,27 +110,23 @@ def regret_curve(
     horizons,
     metadata: dict | None = None,
 ) -> RegretCurve:
-    """One regret evaluation per horizon.
+    """One regret evaluation per horizon, all horizons evaluated as one group.
 
     `disturbances` is a recipe with .realize_grid, realized once for the whole
-    grid and evaluated as one group: one benchmark-cost call (hindsight_costs,
-    on any loop) and one rollout of all horizons.  A recipe with only
-    .realize(T), or a callable T -> signal, is realized and evaluated per
-    horizon.  Overflowing policy rollouts are recorded as +inf with an
-    overflow flag; the benchmark is still evaluated.
+    grid, or one fixed signal (a DisturbanceSignal or a (steps, n) array) of
+    which each horizon sees its prefix.  The group costs one benchmark-cost
+    call (hindsight_costs, on any loop) and one rollout of all horizons.
+    Overflowing policy rollouts are recorded as +inf with an overflow flag; the
+    benchmark is still evaluated.
     """
     horizons = np.asarray(list(horizons), dtype=int)
     if len(horizons) == 0 or np.any(np.diff(horizons) <= 0):
         raise ShapeError("horizons must be strictly increasing and nonempty")
     if hasattr(disturbances, "realize_grid"):
-        groups = [(*disturbances.realize_grid(horizons), horizons)]
+        base, scales = disturbances.realize_grid(horizons)
     else:
-        realize = getattr(disturbances, "realize", disturbances)
-        groups = [
-            (as_disturbance(realize(int(T)), system.n).w, [1.0], [T]) for T in horizons
-        ]
-    parts = [_regret_group(system, costs, policy, x0, *group) for group in groups]
-    reg, bench_costs, overflow = (np.concatenate(col) for col in zip(*parts))
+        base, scales = disturbance_prefix(disturbances, system.n)[0], np.ones(len(horizons))
+    reg, bench_costs, overflow = _regret_group(system, costs, policy, x0, base, scales, horizons)
     flags = [f"overflow@{t}" if t else "ok" for t in overflow]
     meta = dict(metadata or {})
     if hasattr(disturbances, "bound"):
@@ -324,32 +317,28 @@ def quadratic_floor_check(
 ) -> LowerBoundCheck:
     """Check J_T >= M_lower W^2 (T^2 + T)/2 under the constant eigenvector signal.
 
-    Applies when the dominant eigenvalue is real, at least one, and has a real
-    eigenvector; the rollout starts at the origin with zero input, so the
-    state accumulates at least t aligned disturbance steps.  A rollout that
-    overflows reports cost = inf, which satisfies the floor.
+    Applies when F has a real eigenvalue lambda >= 1 with a real eigenvector
+    (the largest such lambda is used; a negative eigenvalue alternates the
+    sign of the state, so it does not accumulate); the rollout starts at the
+    origin with zero input, so the state accumulates at least t aligned
+    disturbance steps.  A rollout that overflows reports cost = inf, which
+    satisfies the floor.
     """
     F = np.asarray(F, dtype=float)
     n = F.shape[0]
     vals, vecs = np.linalg.eig(F)
     rho = float(np.max(np.abs(vals)))
-    if rho < 1.0:
-        return LowerBoundCheck(False, "spectral radius below one", 0.0, 0.0, False, rho, None)
-    idx = None
-    for i in range(len(vals)):
-        if abs(abs(vals[i]) - rho) <= 1e-9 * max(1.0, rho) and abs(np.imag(vals[i])) <= 1e-9 * max(1.0, rho):
-            v = vecs[:, i]
-            j = int(np.argmax(np.abs(v)))
-            v = v * (np.conj(v[j]) / abs(v[j]))
-            if np.linalg.norm(np.imag(v)) <= 1e-9:
-                idx = i
-                v = np.real(v)
-                break
-    if idx is None:
-        return LowerBoundCheck(
-            False, "no real dominant eigenvector", 0.0, 0.0, False, rho, None
-        )
-    lam = float(np.real(vals[idx]))
+    lam, v = 0.0, None
+    real_above_one = (np.abs(vals.imag) <= 1e-9 * max(1.0, rho)) & (vals.real >= 1.0)
+    for i in np.flatnonzero(real_above_one):
+        u = vecs[:, i]
+        j = int(np.argmax(np.abs(u)))
+        u = u * (np.conj(u[j]) / abs(u[j]))
+        if np.linalg.norm(np.imag(u)) <= 1e-9 and vals[i].real > lam:
+            lam, v = float(vals[i].real), np.real(u)
+    if v is None:
+        reason = "no real eigenvalue >= 1 with a real eigenvector"
+        return LowerBoundCheck(False, reason, 0.0, 0.0, False, rho, None)
     v = v / np.linalg.norm(v)
 
     m_lower, _ = costs.bounds(T)

@@ -39,26 +39,11 @@ def spectral_radius(M) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
-def as_closed_loop(F, n=None) -> MatrixSequence:
-    """Coerce a constant matrix / stack / callable to a closed-loop sequence."""
-    if isinstance(F, MatrixSequence):
-        return F
-    if callable(F):
-        probe = np.asarray(F(0), dtype=float)
-        return matrix_sequence(F, probe.shape, "F")
-    arr = np.asarray(F, dtype=float)
-    if arr.ndim == 2:
-        return matrix_sequence(arr, arr.shape, "F")
-    if arr.ndim == 3:
-        return matrix_sequence(arr, arr.shape[1:], "F")
-    raise ShapeError(f"cannot interpret shape {arr.shape} as a matrix sequence")
-
-
 def transition_matrix(F, t: int, k: int) -> np.ndarray:
     """Ordered product F_{t-1} ... F_k; the identity when k == t."""
     if k > t:
         raise ShapeError(f"transition_matrix needs k <= t, got k={k}, t={t}")
-    seq = as_closed_loop(F)
+    seq = matrix_sequence(F, what="F")
     n = seq.shape[0]
     M = np.eye(n)
     for j in range(k, t):
@@ -84,7 +69,7 @@ def _row_stacks(seq: MatrixSequence, T: int):
 
 def transition_row(F, t: int) -> list[np.ndarray]:
     """All blocks Phi(t, k) for k = 0..t, built by the row recurrence."""
-    seq = as_closed_loop(F)
+    seq = matrix_sequence(F, what="F")
     row = np.eye(seq.shape[0])[None]
     for row in _row_stacks(seq, t):
         pass
@@ -98,7 +83,7 @@ def transition_norms(F, T: int) -> tuple[np.ndarray, bool]:
     the table is +inf and capped is True.  One batched 2-norm covers the finite
     products; the first non-finite one takes its own unless a norm capped first.
     """
-    seq = as_closed_loop(F)
+    seq = matrix_sequence(F, what="F")
     stack = np.empty((T + 1, *seq.shape))
     stack[0] = np.eye(seq.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -183,7 +168,7 @@ def norm_sums(F, T: int) -> tuple[BibsSums, SummabilityConstants]:
     """
     if T < 1:
         raise ShapeError(f"need T >= 1, got {T}")
-    seq = as_closed_loop(F)
+    seq = matrix_sequence(F, what="F")
     return _sums_from_column(seq, *transition_norms(seq, T))
 
 
@@ -317,7 +302,7 @@ def classify_lti(F, horizon: int = 500, marginal_tol: float = 1e-9) -> Stability
     else:
         classification = Stability.UNSTABLE
 
-    seq = as_closed_loop(F)
+    seq = matrix_sequence(F, what="F")
     norms, capped = transition_norms(seq, horizon)
     bibs, sums = _sums_from_column(seq, norms, capped)
 
@@ -358,7 +343,7 @@ def classify_ltv(
     """
     if T < 50:
         raise ShapeError(f"trend classification needs T >= 50, got {T}")
-    seq = as_closed_loop(F)
+    seq = matrix_sequence(F, what="F")
     norms, capped = transition_norms(seq, T)
     full_rank_ok = _full_rank(seq.stack(T))
 

@@ -3,7 +3,7 @@
 import numpy as np
 
 from regretlab import LinearPolicy, QuadraticStageCost, SystemDynamics
-from regretlab.transition import as_closed_loop
+from regretlab.model import matrix_sequence
 
 
 def random_loop(rng, n, m, rho_target):
@@ -85,7 +85,7 @@ def reference_ball_point(rng, n, radius):
 
 def reference_transition_norms(F, T, cap):
     """The per-step column loop that transition_norms batches: one SVD per product."""
-    seq = as_closed_loop(F)
+    seq = matrix_sequence(F, what="F")
     norms = np.zeros(T + 1)
     norms[0] = 1.0
     M = np.eye(seq.shape[0])

@@ -14,6 +14,7 @@ from regretlab import (
     SystemDynamics,
     simulate,
 )
+from regretlab import cli
 from regretlab.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main, parse_horizons
 from regretlab.errors import ConfigError
 
@@ -474,9 +475,57 @@ def test_non_symmetric_cost_weight_exits_config_before_any_output(tmp_path, caps
     assert diag["message"] == "cost.Q at t=0 is not symmetric"
 
 
+@pytest.mark.parametrize("key, value, expected", [
+    ("x0", [float("inf"), 0.0], EXIT_NUMERICAL),
+    ("x0", [float("nan"), 0.0], EXIT_NUMERICAL),
+    ("x0", [1e200, 0.0], EXIT_CONFIG),
+    ("X", float("inf"), EXIT_NUMERICAL),
+    ("X", 1e200, EXIT_CONFIG),
+    ("W", float("inf"), EXIT_NUMERICAL),
+    ("W", float("nan"), EXIT_NUMERICAL),
+    ("W", 1e308, EXIT_CONFIG),
+    ("disturbance.w0", [float("nan"), 1.0], EXIT_NUMERICAL),
+    ("disturbance.w0", [1e300, 1.0], EXIT_CONFIG),
+    ("disturbance.w0", [1.0, 0.0, 0.0], EXIT_CONFIG),
+    ("disturbance.w0", [0.0, 0.0], EXIT_CONFIG),
+])
+@pytest.mark.parametrize("argv", [
+    ["regret", "--certificate", "--horizons", "1:300"], ["simulate"], ["stability"],
+])
+def test_config_vectors_and_scalars_are_checked_before_any_output(tmp_path, capsys, key, value,
+                                                                   expected, argv):
+    cfg = json.loads(json.dumps(FOUR_STATE))
+    if key == "disturbance.w0":
+        cfg["disturbance"] = {"recipe": "phi", "w0": value}
+    else:
+        cfg[key] = value
+    out = tmp_path / "out"
+    code = main([*argv, "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    diag = assert_rejected(capsys, code, expected, out)
+    assert diag["message"].startswith(key)
+
+
+def test_counterexample_takes_its_seed_from_the_config(tmp_path, monkeypatch):
+    seeds = []
+    report = cli.linear_regret_despite_instability
+
+    def spy(*args, seed, **kwargs):
+        seeds.append(seed)
+        return report(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(cli, "linear_regret_despite_instability", spy)
+    ce = {"A": [[2.0]], "B": [[1.0]], "Q": [[1.0]], "R": [[1.0]], "T_grid": [1, 10]}
+    path = write_config(tmp_path, {"disturbance": {"seed": 7}, "counterexample": ce})
+    assert main(["counterexample", "--config", path, "--out", str(tmp_path / "a")]) == EXIT_OK
+    flagged = ["counterexample", "--config", path, "--seed", "3", "--out", str(tmp_path / "b")]
+    assert main(flagged) == EXIT_OK
+    assert seeds == [7, 3]
+
 @pytest.mark.parametrize("key, value, message", [
     ("Q", [[-1.0]], "counterexample.Q at t=0 not PD"),
     ("R", [[0.0]], "counterexample.R at t=0 is numerically singular"),
+    ("W", float("inf"), "counterexample.W has a non-finite entry"),
+    ("X", float("nan"), "counterexample.X has a non-finite entry"),
 ])
 def test_counterexample_bad_weight_exits_numerical(tmp_path, capsys, key, value, message):
     cfg = {"counterexample": {"A": [[2.0]], "B": [[1.0]], "Q": [[1.0]], "R": [[1.0]], key: value}}
@@ -493,6 +542,8 @@ def test_counterexample_bad_weight_exits_numerical(tmp_path, capsys, key, value,
     ({"alpha_grid": [0.0]}, []),
     ({"T_grid": []}, []),
     ({}, ["--seed", "-3"]),
+    ({"W": 1e200}, []),
+    ({"X": 1e300}, []),
 ])
 def test_counterexample_bad_input_exits_config_before_any_output(tmp_path, capsys, section, flags):
     cfg = {"counterexample": {"A": [[2.0]], "B": [[1.0]], "Q": [[1.0]], "R": [[1.0]], **section}}
@@ -570,7 +621,7 @@ def _key_paths(node, prefix=()):
 
 
 def _mutate(rng, cfg, kind):
-    """Mutation `kind` (0..7) of cfg in place, its details drawn from rng; returns extra flags."""
+    """Mutation `kind` (0..8) of cfg in place, its details drawn from rng; returns extra flags."""
     def at(path):
         node = cfg
         for key in path:
@@ -613,6 +664,13 @@ def _mutate(rng, cfg, kind):
     elif kind == 6:  # alpha outside (0, 1)
         grid = cfg["counterexample"]["alpha_grid"]
         grid[rng.integers(len(grid))] = [0.0, 1.0, 1.5, -0.2][rng.integers(4)]
+    elif kind == 8:  # a non-finite or overflowing x0, X, W or w0
+        value = [float("nan"), float("inf"), -float("inf"), 1e200, -1e308][rng.integers(5)]
+        key = ["x0", "X", "W", "w0"][rng.integers(4)]
+        if key == "w0":
+            cfg["disturbance"]["w0"] = [1.0, value]
+        else:
+            cfg[key] = [value, 0.0] if key == "x0" else value
     else:  # an unknown key, or a flag the command may not read
         if rng.integers(2):
             cfg[["threshold", "extra"][rng.integers(2)]] = 1
@@ -622,10 +680,10 @@ def _mutate(rng, cfg, kind):
     return []
 
 
-@pytest.mark.parametrize("seed", range(48))
+@pytest.mark.parametrize("seed", range(54))
 def test_mutated_configs_keep_the_exit_code_contract(tmp_path, capsys, seed):
     cfg = json.loads(json.dumps(FUZZ_BASE))
-    extra = _mutate(np.random.default_rng(seed), cfg, seed % 8)
+    extra = _mutate(np.random.default_rng(seed), cfg, seed % 9)
     path = write_config(tmp_path, cfg)
     for i, command in enumerate(FUZZ_COMMANDS):
         if command == ["figure1"]:

@@ -18,6 +18,17 @@ from regretlab import (
     tracking_transform,
 )
 
+from regretlab import (
+    batch_oracle,
+    build_model,
+    discounted_cost_closed_form,
+    discounted_cost_simulated,
+    regret,
+    regret_curve,
+    simulate_inputs,
+    solve_hindsight,
+    vq_recursion,
+)
 from regretlab.model import _rollout, jsonable
 
 from helpers import random_instance, random_pd
@@ -163,6 +174,48 @@ def test_dimension_mismatches_raise_shape_errors():
     with pytest.raises(ShapeError):
         simulate(sys, pol, np.zeros(2), DisturbanceSignal.zeros(2, 3), costs, 4)
 
+
+def _disturbance_entry_points(T):
+    """name -> (state dimension, call taking the disturbance w and the initial state x0)."""
+    sys, costs = two_state()
+    pol = LinearPolicy.constant([[0.2, 0.4]])
+    model = build_model([[2.0]], [[1.0]], [[1.0]], [[1.0]], 0.3)
+    return {
+        "simulate": (2, lambda w, x0: simulate(sys, pol, x0, w, costs, T)),
+        "simulate_inputs": (2, lambda w, x0: simulate_inputs(sys, x0, w, np.zeros((T, 1)), costs)),
+        "solve_hindsight": (2, lambda w, x0: solve_hindsight(sys, costs, x0, w, T)),
+        "batch_oracle": (2, lambda w, x0: batch_oracle(sys, costs, x0, w, T)),
+        "tracking_transform": (2, lambda w, x0: tracking_transform(sys, np.zeros((T + 1, 2)), w)),
+        "regret": (2, lambda w, x0: regret(sys, costs, pol, x0, w, T)),
+        "regret_curve": (2, lambda w, x0: regret_curve(sys, costs, pol, x0, w, [1, T])),
+        "vq_recursion": (1, lambda w, x0: vq_recursion(model, w, T)),
+        "discounted_cost_closed_form":
+            (1, lambda w, x0: discounted_cost_closed_form(model, x0, w, T)),
+        "discounted_cost_simulated": (1, lambda w, x0: discounted_cost_simulated(model, x0, w, T)),
+    }
+
+
+# tracking_transform reads its horizon from the disturbance, so it cannot be short
+_INPUT_DEFECTS = [
+    *((name, defect) for name in _disturbance_entry_points(5) for defect in ("short", "wide")
+      if (name, defect) != ("tracking_transform", "short")),
+    ("solve_hindsight", "x0"),
+    ("batch_oracle", "x0"),
+]
+
+
+@pytest.mark.parametrize("name, defect", _INPUT_DEFECTS)
+def test_every_disturbance_entry_point_raises_shape_error_on_bad_inputs(name, defect):
+    T = 5
+    n, call = _disturbance_entry_points(T)[name]
+    call(np.zeros((T, n)), np.zeros(n))  # the well-formed inputs pass
+    w, x0 = {
+        "short": (np.zeros((T - 1, n)), np.zeros(n)),  # one row short of the horizon
+        "wide": (np.zeros((T, n + 1)), np.zeros(n)),
+        "x0": (np.zeros((T, n)), np.zeros(n + 1)),
+    }[defect]
+    with pytest.raises(ShapeError):
+        call(w, x0)
 
 def test_tracking_transform_examples():
     sys, _ = two_state()

@@ -92,7 +92,7 @@ def test_regret_equals_the_single_horizon_curve():
         sys, costs, x0, w, T = random_instance(rng, T_max=30)
         pol = LinearPolicy.constant(0.4 * rng.standard_normal((sys.m, sys.n)))
         r = regret(sys, costs, pol, x0, w, T)
-        curve = regret_curve(sys, costs, pol, x0, lambda T: w[:T], [T])
+        curve = regret_curve(sys, costs, pol, x0, w, [T])
         scale = max(1.0, abs(curve.benchmark_costs[0]) + abs(r))
         assert abs(r - curve.regret[0]) <= 1e-12 * scale
 
@@ -101,8 +101,8 @@ def test_regret_curve_flags_overflow_with_step():
     sys = SystemDynamics.lti([[3.0]], [[1.0]])
     costs = QuadraticStageCost.constant([[1.0]], [[1.0]])
     pol = LinearPolicy.constant([[0.0]])
-    # a plain callable takes the per-horizon path, a recipe the batched one
-    for zeros in (lambda T: DisturbanceSignal.zeros(1, T), constant_eigvec([[3.0]], 0.0)):
+    # a fixed signal and a recipe both run as one group
+    for zeros in (DisturbanceSignal.zeros(1, 350), constant_eigvec([[3.0]], 0.0)):
         curve = regret_curve(sys, costs, pol, [1.0], zeros, [100, 200, 300, 350])
         assert curve.flags[:3] == ["ok", "ok", "ok"]
         assert curve.flags[3] == "overflow@315"
@@ -235,6 +235,18 @@ def test_lower_bound_not_applicable_cases():
     spinning = quadratic_floor_check(rot, costs2, 1.0, 10)
     assert not spinning.applicable
 
+
+def test_lower_bound_needs_a_real_eigenvalue_of_at_least_one():
+    # a negative eigenvalue flips the state's sign each step, so the aligned
+    # disturbance does not accumulate and the floor makes no claim
+    costs = QuadraticStageCost.constant([[1.0]], [[1.0]])
+    for lam, T in ((-1.0, 50), (-1.5, 2)):
+        chk = quadratic_floor_check(np.array([[lam]]), costs, 1.0, T)
+        assert not chk.applicable and chk.direction is None
+    costs2 = QuadraticStageCost.constant(np.eye(2), [[1.0]])
+    chk = quadratic_floor_check(np.diag([-1.3, 1.2]), costs2, 1.0, 50)
+    assert chk.applicable and chk.eigenvalue == 1.2 and chk.satisfied
+    np.testing.assert_array_equal(chk.direction, [0.0, 1.0])
 
 def test_marginal_loop_average_regret_slope_is_quadratic():
     # Brute-force oracle for the marginal gain K2 = [0, 1] under its aligned

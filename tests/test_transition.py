@@ -16,6 +16,7 @@ from regretlab import (
 )
 
 import regretlab.transition as transition
+from regretlab.model import matrix_sequence
 
 from helpers import random_loop, reference_transition_norms
 
@@ -343,7 +344,7 @@ def test_norm_sums_cap_rows_of_a_growing_ltv_loop():
         return np.diag([1e20, 0.5]) if t % 2 == 0 else np.diag([1e19, 0.4])
 
     T = 12
-    seq = transition.as_closed_loop(F)
+    seq = matrix_sequence(F, what="F")
     row_sums, row_squares = transition._row_norm_sums(seq, T)
     for got, power in ((row_sums, 1), (row_squares, 2)):
         want = brute_row_sums(F, T, power, cap=transition.NORM_CAP)
