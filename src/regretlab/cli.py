@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ from .model import (
     MatrixSequence,
     QuadraticStageCost,
     SystemDynamics,
+    Trajectory,
     closed_loop,
     closed_loop_matrix,
     jsonable,
@@ -385,6 +387,22 @@ def _out_dir(args) -> Path:
     return out
 
 
+def write_trajectory_csv(path, traj: Trajectory) -> None:
+    """t, the states, the inputs, the stage and cumulative cost per row, each float as %.17g.
+
+    One format string per row gives the bytes of csv.writer on the same
+    fields: no field needs quoting, and rows end in \r\n.
+    """
+    n, m = traj.states.shape[1], traj.inputs.shape[1]
+    header = ["t", *(f"x{i}" for i in range(n)), *(f"u{i}" for i in range(m)),
+              "stage_cost", "cum_cost"]
+    table = np.column_stack([traj.states, traj.inputs, traj.stage_costs, traj.cumulative_costs()])
+    row = "%d" + ",%.17g" * table.shape[1] + "\r\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(row % (t, *table[t].tolist()) for t in range(len(table)))
+
+
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config, args)
     T = cfg.horizons[-1]
@@ -394,22 +412,7 @@ def cmd_simulate(args) -> int:
     }
     out = _out_dir(args)
     for name, traj in trajectories.items():
-        cum = traj.cumulative_costs()
-        with open(out / f"simulate_{name}.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["t"]
-                + [f"x{i}" for i in range(cfg.system.n)]
-                + [f"u{i}" for i in range(cfg.system.m)]
-                + ["stage_cost", "cum_cost"]
-            )
-            for t in range(T + 1):
-                writer.writerow(
-                    [t]
-                    + [f"{v:.17g}" for v in traj.states[t]]
-                    + [f"{v:.17g}" for v in traj.inputs[t]]
-                    + [f"{traj.stage_costs[t]:.17g}", f"{cum[t]:.17g}"]
-                )
+        write_trajectory_csv(out / f"simulate_{name}.csv", traj)
     return EXIT_OK
 
 
@@ -576,7 +579,9 @@ _FLAGS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on main's first call and reused by every later one."""
     parser = _Parser(
         prog="regretlab",
         description="Regret and stability experiments for linear feedback loops",

@@ -2,7 +2,8 @@
 
 * `solve_hindsight` runs the affine backward value-function pass (exact for
   linear dynamics with quadratic costs and a known additive disturbance) as a
-  data-free Riccati pass and a data pass linear in w, then the optimal rollout;
+  data-free Riccati pass and a data pass linear in w; the optimal rollout runs
+  on first access to the solution's trajectory or inputs;
 * `hindsight_costs` gives the optimal cost at every horizon of a grid on any
   loop, the shorter horizons from one forward cost-to-arrive pass (the
   Kalman-filter dual of the backward pass);
@@ -15,12 +16,14 @@ since R_T is PD and u_T affects no state).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConditioningError
 from .model import (
+    OVERFLOW_LIMIT,
     LinearPolicy,
     MatrixSequence,
     QuadraticStageCost,
@@ -44,25 +47,39 @@ def _settled(new: np.ndarray, old: np.ndarray) -> bool:
 
 @dataclass
 class HindsightSolution:
-    """Optimal inputs, cost, and the affine value-function parameters.
+    """Optimal cost, the affine value-function parameters, and the optimal rollout on demand.
 
     The value of being in state x at time t is x'P_t x + p_t'x + s_t; the
     optimal input is u_t = -gains[t] x_t - offsets[t].  The optimal cost
     equals the value at (0, x_0).
     """
 
-    inputs: np.ndarray  # (T, m)
     optimal_cost: float
     P: np.ndarray  # (T+1, n, n)
     p: np.ndarray  # (T+1, n)
     s: np.ndarray  # (T+1,)
     gains: np.ndarray  # (T+1, m, n), zero at the terminal step
     offsets: np.ndarray  # (T+1, m), zero at the terminal step
-    trajectory: Trajectory
+    problem: tuple = field(repr=False)  # (system, costs, x0, w) that the rollout replays
 
     @property
     def horizon(self) -> int:
         return len(self.P) - 1
+
+    @cached_property
+    def trajectory(self) -> Trajectory:
+        """The optimal rollout: simulate() under feedback_policy(), run on first access.
+
+        It carries simulate's overflow guard: an optimal trajectory whose
+        state norm exceeds it raises SimulationOverflowError here.
+        """
+        system, costs, x0, w = self.problem
+        return simulate(system, self.feedback_policy(), x0, w, costs, self.horizon)
+
+    @cached_property
+    def inputs(self) -> np.ndarray:
+        """The optimal inputs u_0..u_{T-1}, (T, m), read off the trajectory."""
+        return self.trajectory.inputs[: self.horizon].copy()
 
     def value(self, t: int, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -87,16 +104,17 @@ def solve_hindsight(
     w,
     T: int | None = None,
 ) -> HindsightSolution:
-    """Backward affine value-function pass followed by the optimal rollout.
+    """Backward affine value-function pass; the optimal rollout waits for its first reader.
 
     The Riccati pass checks each input Hessian G_t = R_t + B_t'P_{t+1}B_t; on a
     loop with constant A, B, Q and R it stops once P_t is within FIXED_POINT_TOL
     of P_{t+1}, and earlier steps repeat that one.  The data pass is one matvec
     per step, p_t = F_t'(p_{t+1} + 2P_{t+1}w_t) with F_t = A_t - B_t gains_t.
 
-    The rollout is simulate() under feedback_policy(), so it carries the
-    overflow guard: an optimal trajectory whose state norm exceeds it raises
-    SimulationOverflowError.
+    The rollout is simulate() under feedback_policy(), run on first access to
+    the solution's trajectory or inputs, so it carries the overflow guard: an
+    optimal trajectory whose state norm exceeds it raises
+    SimulationOverflowError at that access, not here.
     """
     x0 = np.asarray(x0, dtype=float)
     wt, T = disturbance_prefix(w, system.n, T)
@@ -135,10 +153,22 @@ def solve_hindsight(
     offsets = np.vstack([kg, np.zeros((1, m))])
 
     optimal = float(x0 @ P[0] @ x0 + p[0] @ x0 + s[0])
-    sol = HindsightSolution(None, optimal, P, p, s, gains, offsets, trajectory=None)
-    sol.trajectory = simulate(system, sol.feedback_policy(), x0, wt, costs, T)
-    sol.inputs = sol.trajectory.inputs[:T].copy()
-    return sol
+    return HindsightSolution(optimal, P, p, s, gains, offsets, (system, costs, x0, wt))
+
+
+def _may_overflow(cost: float, costs: QuadraticStageCost, T: int) -> bool:
+    """False when an optimal cost rules out an overflow of its rollout over 0..T.
+
+    A state past OVERFLOW_LIMIT costs at least q_min OVERFLOW_LIMIT^2, with
+    q_min the smallest eigenvalue of Q_0..Q_T; the factor 1/2 leaves room for
+    rounding between optimal_cost and the rollout's total.  q_min <= 0 and a
+    non-finite cost rule out nothing.
+    """
+    if not np.isfinite(cost):
+        return True
+    Q = costs.Q(0)[None] if costs.Q.constant else costs.Q.stack(T + 1)
+    q_min = np.linalg.eigvalsh(0.5 * (Q + Q.transpose(0, 2, 1))).min()
+    return not cost < 0.5 * q_min * OVERFLOW_LIMIT**2
 
 
 def hindsight_costs(
@@ -152,7 +182,9 @@ def hindsight_costs(
     """Optimal costs on a horizon grid of any loop; horizon horizons[i] sees scales[i] * base.
 
     The longest horizon's cost is the optimal_cost of solve_hindsight at
-    T_max, which also checks every input Hessian.  The shorter ones come from
+    T_max, which also checks every input Hessian.  Its optimal rollout runs
+    only when that cost cannot rule out an overflow (_may_overflow); an
+    overflowing one raises SimulationOverflowError.  The shorter ones come from
     the forward cost-to-arrive pass: with Sigma_0 = 0, S_t = (I + Sigma_t Q_t)^-1
     and Sigma_{t+1} = A_t S_t Sigma_t A_t' + B_t R_t^-1 B_t' (data-free), the
     cost at horizon T is J*_T = sum_{t <= T} mu_t' Q_t S_t mu_t along
@@ -166,6 +198,8 @@ def hindsight_costs(
     x0 = np.asarray(x0, dtype=float)
     T_max = int(horizons[-1])
     ref = solve_hindsight(system, costs, x0, scales[-1] * base[:T_max], T_max)
+    if _may_overflow(ref.optimal_cost, costs, T_max):
+        ref.trajectory  # raises SimulationOverflowError if the optimal rollout overflows
     out = np.empty(len(horizons))
     out[-1] = ref.optimal_cost
     if len(horizons) == 1:

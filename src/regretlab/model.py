@@ -375,6 +375,9 @@ def closed_loop(system: SystemDynamics, policy: LinearPolicy) -> MatrixSequence:
 # squares stays below this, every row is within OVERFLOW_LIMIT.
 _BATCH_GUARD = 0.99 * OVERFLOW_LIMIT**2
 
+# The batch guard is tested once per chunk of this many steps.
+_GUARD_CHUNK = 32
+
 
 @dataclass
 class _Rollout:
@@ -437,13 +440,24 @@ def _rollout(system, costs, x0, w, T, policy=None, inputs=None, scales=None) -> 
     OVERFLOW_LIMIT (or is not finite) at step t records overflow = t and is
     held at zero afterwards; the loop stops once every row has overflowed.
     Stage costs are computed after the loop.
+
+    The floats are those of a per-step loop with the guard after every step.
+    The disturbance, scaled per row, is written into the states up front, and
+    each step adds x_t A_t' + u_t B_t' to it (IEEE addition commutes).  The
+    guard is tested once per _GUARD_CHUNK steps, on the chunk's sum of
+    squares.  A chunk that trips it is replayed from its first state, step by
+    step with the per-step guard; rows never depend on each other, so the
+    replay gives the states, inputs, overflow steps and peaks of a per-step
+    guard.  The caller decides whether an overflow raises (raise_overflow).
     """
     check_dims(system, costs, x0, policy)
     n, m = system.n, system.m
     AT = system.A.stack(T).transpose(0, 2, 1)
     BT = system.B.stack(T).transpose(0, 2, 1)
-    KT = None if policy is None else policy.K.stack(T + 1).transpose(0, 2, 1)
+    # x (-K)' equals -(x K') exactly, so the gain stack is negated once
+    negKT = None if policy is None else (-policy.K.stack(T + 1)).transpose(0, 2, 1)
     d = inputs if policy is None else policy.offsets(T)
+    driven = negKT is not None or d is not None
     if w.ndim == 3:
         w = w.transpose(1, 0, 2)
 
@@ -453,28 +467,61 @@ def _rollout(system, costs, x0, w, T, policy=None, inputs=None, scales=None) -> 
     X[0] = x0
     overflow = np.zeros(rows, dtype=int)
     peak = np.zeros(rows)
-    dead = None
+    drift = np.empty((rows, n))
+
+    def disturb(lo, hi):
+        """Write w_lo..w_{hi-1} (times scales[row]) into X[lo+1 : hi+1]."""
+        wr = w[lo:hi] if w.ndim == 3 else w[lo:hi, None]
+        if scales is None:
+            X[lo + 1 : hi + 1] = wr
+        else:
+            np.multiply(scales[:, None], wr, out=X[lo + 1 : hi + 1])
+
+    def step(t):
+        """Write u_t and, for t < T, add x_t A_t' + u_t B_t' to the w_t in X[t+1]."""
+        x, u = X[t], U[t]
+        if negKT is not None:
+            np.matmul(x, negKT[t], out=u)
+        if d is not None:
+            u += d[t]
+        if t < T:
+            np.matmul(x, AT[t], out=drift)
+            if driven:
+                np.add(drift, u @ BT[t], out=drift)
+            X[t + 1] += drift
+
+    def run():
+        dead = None
+        for t0 in range(0, T, _GUARD_CHUNK):
+            t1 = min(t0 + _GUARD_CHUNK, T)
+            for t in range(t0, t1):
+                step(t)
+                if dead is not None:
+                    X[t + 1, dead] = 0.0
+            chunk = X[t0 + 1 : t1 + 1]
+            if np.vdot(chunk, chunk) <= _BATCH_GUARD:
+                continue
+            disturb(t0, t1)
+            U[t0:t1] = 0.0
+            for t in range(t0, t1):
+                step(t)
+                nxt = X[t + 1]
+                if not np.vdot(nxt, nxt) <= _BATCH_GUARD:
+                    norms = np.linalg.norm(nxt, axis=1)
+                    burst = ~(norms <= OVERFLOW_LIMIT) & (overflow == 0)
+                    overflow[burst] = t + 1
+                    peak[burst] = norms[burst]
+                    dead = overflow > 0
+                if dead is not None:
+                    nxt[dead] = 0.0
+                    if dead.all():
+                        X[t + 2 :] = 0.0
+                        return
+        step(T)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(T + 1):
-            x, u = X[t], U[t]
-            if KT is not None:
-                np.matmul(-x, KT[t], out=u)
-            if d is not None:
-                u += d[t]
-            if t == T:
-                break
-            nxt = x @ AT[t] + u @ BT[t] + (w[t] if scales is None else scales[:, None] * w[t])
-            if not np.vdot(nxt, nxt) <= _BATCH_GUARD:
-                norms = np.linalg.norm(nxt, axis=1)
-                burst = ~(norms <= OVERFLOW_LIMIT) & (overflow == 0)
-                overflow[burst] = t + 1
-                peak[burst] = norms[burst]
-                dead = overflow > 0
-                if dead.all():
-                    break
-            if dead is not None:
-                nxt[dead] = 0.0
-            X[t + 1] = nxt
+        disturb(0, T)
+        run()
         stage = _stage_costs(costs, X, U)
     return _Rollout(X, U, stage, overflow, peak)
 

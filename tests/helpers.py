@@ -3,7 +3,7 @@
 import numpy as np
 
 from regretlab import LinearPolicy, QuadraticStageCost, SystemDynamics
-from regretlab.model import matrix_sequence
+from regretlab.model import OVERFLOW_LIMIT, _stage_costs, matrix_sequence
 
 
 def random_loop(rng, n, m, rho_target):
@@ -97,6 +97,50 @@ def reference_transition_norms(F, T, cap):
             return norms, True
         norms[t] = norm
     return norms, False
+
+
+def reference_rollout(system, costs, x0, w, T, policy=None, inputs=None, scales=None):
+    """The per-step loop that model._rollout chunks: the overflow guard tested after every step.
+
+    Returns (states, inputs, stage, overflow, peak) with the shapes of _Rollout.
+    """
+    n, m = system.n, system.m
+    AT = system.A.stack(T).transpose(0, 2, 1)
+    BT = system.B.stack(T).transpose(0, 2, 1)
+    KT = None if policy is None else policy.K.stack(T + 1).transpose(0, 2, 1)
+    d = inputs if policy is None else policy.offsets(T)
+    if w.ndim == 3:
+        w = w.transpose(1, 0, 2)
+    rows = len(x0)
+    X = np.zeros((T + 1, rows, n))
+    U = np.zeros((T + 1, rows, m))
+    X[0] = x0
+    overflow = np.zeros(rows, dtype=int)
+    peak = np.zeros(rows)
+    dead = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(T + 1):
+            x, u = X[t], U[t]
+            if KT is not None:
+                np.matmul(-x, KT[t], out=u)
+            if d is not None:
+                u += d[t]
+            if t == T:
+                break
+            nxt = x @ AT[t] + u @ BT[t] + (w[t] if scales is None else scales[:, None] * w[t])
+            if not np.vdot(nxt, nxt) <= 0.99 * OVERFLOW_LIMIT**2:
+                norms = np.linalg.norm(nxt, axis=1)
+                burst = ~(norms <= OVERFLOW_LIMIT) & (overflow == 0)
+                overflow[burst] = t + 1
+                peak[burst] = norms[burst]
+                dead = overflow > 0
+                if dead.all():
+                    break
+            if dead is not None:
+                nxt[dead] = 0.0
+            X[t + 1] = nxt
+        stage = _stage_costs(costs, X, U)
+    return X, U, stage, overflow, peak
 
 
 def reference_hindsight_pass(system, costs, x0, w, T):

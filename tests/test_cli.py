@@ -12,6 +12,7 @@ from regretlab import (
     QuadraticStageCost,
     RegretCurve,
     SystemDynamics,
+    Trajectory,
     simulate,
 )
 from regretlab import cli
@@ -165,6 +166,23 @@ def test_overflow_exits_numerical(tmp_path, capsys):
     diag = json.loads(capsys.readouterr().err.strip())
     assert diag["error"] == "numerical"
     assert diag["t"] == 315
+
+
+def test_regret_exits_numerical_when_the_benchmark_overflows(tmp_path, capsys):
+    # B = 0: the optimal trajectory grows as 3^t and breaks the guard at t = 315
+    cfg = {
+        "system": {"A": [[3.0]], "B": [[0.0]]},
+        "cost": {"Q": [[1.0]], "R": [[1.0]]},
+        "policies": [{"name": "K0", "K": [[0.0]]}],
+        "x0": [1.0],
+        "W": 0.0,
+        "horizons": "32:320:32",
+    }
+    code = main(["regret", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_NUMERICAL
+    diag = json.loads(capsys.readouterr().err.strip())
+    assert (diag["error"], diag["t"]) == ("numerical", 315)
 
 
 def test_figure1_outputs(tmp_path):
@@ -592,6 +610,59 @@ def test_thresholds_are_closed_to_the_known_keys(tmp_path, capsys):
     path = write_config(tmp_path, dict(FOUR_STATE, thresholds={"marginal_tol": 1e-6}))
     assert main(["stability", "--config", path, "--out", str(out),
                  "--threshold", "marginal_tol=1e-3"]) == EXIT_OK
+
+
+def test_parser_is_built_once_and_carries_nothing_between_calls(tmp_path, capsys, monkeypatch):
+    seen = []
+    load_config = cli.load_config
+
+    def spy(path, overrides, need_system=True):
+        seen.append(list(overrides.threshold))
+        return load_config(path, overrides, need_system)
+
+    monkeypatch.setattr(cli, "load_config", spy)
+    path = write_config(tmp_path, FOUR_STATE)
+    out = str(tmp_path / "out")
+    for flags in (["--threshold", "marginal_tol=1e-3"], ["--threshold", "marginal_tol=1e-6"], []):
+        assert main(["stability", "--config", path, "--out", out, *flags]) == EXIT_OK
+    assert seen == [["marginal_tol=1e-3"], ["marginal_tol=1e-6"], []]
+    assert cli.build_parser() is cli.build_parser()
+    # a usage error after successful calls still exits 2 with its one JSON line
+    rejected = tmp_path / "rejected"
+    diag = assert_rejected(capsys, main(["stability", "--config", path, "--bogus",
+                                         "--out", str(rejected)]), EXIT_CONFIG, rejected)
+    assert diag["field"] == "argv" and "unrecognized arguments: --bogus" in diag["message"]
+
+
+def test_trajectory_csv_has_the_bytes_of_csv_writer(tmp_path):
+    import csv
+
+    def rendered(traj):
+        path = tmp_path / "expected.csv"
+        cum = traj.cumulative_costs()
+        n, m = traj.states.shape[1], traj.inputs.shape[1]
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t"] + [f"x{i}" for i in range(n)] + [f"u{i}" for i in range(m)]
+                            + ["stage_cost", "cum_cost"])
+            for t in range(len(traj.states)):
+                writer.writerow([t] + [f"{v:.17g}" for v in traj.states[t]]
+                                + [f"{v:.17g}" for v in traj.inputs[t]]
+                                + [f"{traj.stage_costs[t]:.17g}", f"{cum[t]:.17g}"])
+        return path.read_bytes()
+
+    rng = np.random.default_rng(8)
+    sys_ = SystemDynamics.lti(cli.BUILTIN_EXPERIMENT["A"], cli.BUILTIN_EXPERIMENT["B"])
+    costs = QuadraticStageCost.constant(cli.BUILTIN_EXPERIMENT["Q"], cli.BUILTIN_EXPERIMENT["R"])
+    simulated = simulate(sys_, LinearPolicy.constant([[0.2, 0.4]]), [1.0, -2.0],
+                         rng.standard_normal((300, 2)), costs, 300)
+    special = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7976931348623157e308, -1e-300, 0.1]
+    edge = Trajectory(np.array([special[:3], special[3:6], special[6:]]),
+                      np.array([[1e16], [-0.0], [123456789.0]]),
+                      np.array([-0.0, 1e22, 2.5]), 0.0)
+    for traj in (simulated, edge):
+        cli.write_trajectory_csv(tmp_path / "got.csv", traj)
+        assert (tmp_path / "got.csv").read_bytes() == rendered(traj)
 
 
 # a valid config for every command: the counterexample section is read by

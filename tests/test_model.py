@@ -29,9 +29,9 @@ from regretlab import (
     solve_hindsight,
     vq_recursion,
 )
-from regretlab.model import _rollout, jsonable
+from regretlab.model import _GUARD_CHUNK, _rollout, jsonable
 
-from helpers import random_instance, random_pd
+from helpers import random_instance, random_pd, reference_rollout
 
 A4 = np.array([[1.0, 1.0], [0.0, 1.0]])
 B4 = np.array([[1.0], [0.5]])
@@ -391,6 +391,92 @@ def test_rollout_kernel_rows_overflow_at_their_own_steps():
     assert expected == [315, 273, 357, 0]
     np.testing.assert_array_equal(roll.overflow, expected)
     assert np.all(np.isfinite(roll.stage))
+
+
+def _ltv_case(rng, T, n=3, m=2, gain=0.2):
+    A = 0.6 * rng.standard_normal((max(T, 1), n, n))
+    B = rng.standard_normal((max(T, 1), n, m))
+    ltv = SystemDynamics.ltv(lambda t: A[t], B, n=n, m=m)
+    Qs = np.array([random_pd(rng, n) for _ in range(T + 1)])
+    costs = QuadraticStageCost.varying(Qs, lambda t: (1.0 + t % 3) * np.eye(m), n, m)
+    K = gain * rng.standard_normal((T + 1, m, n))
+    return ltv, costs, K
+
+
+def _kernel_cases():
+    """(name, args, kwargs) of _rollout calls covering each branch of its step and guard."""
+    rng = np.random.default_rng(31)
+    cases = []
+    for T in (0, 1, _GUARD_CHUNK, 3 * _GUARD_CHUNK + 5):
+        rows = 4
+        sys, costs, _, _, _ = random_instance(rng, T_max=1)
+        n, m = sys.n, sys.m
+        K = 0.3 * rng.standard_normal((m, n))
+        x0 = rng.standard_normal((rows, n))
+        w = rng.standard_normal((T, n))
+        d = rng.standard_normal((T + 1, m))
+        cases += [
+            (f"lti T={T}", (sys, costs, x0, w, T, LinearPolicy.constant(K)), {}),
+            (f"lti offsets T={T}",
+             (sys, costs, x0, w, T, LinearPolicy.varying(K, m, n, d=d, d_max=10.0)), {}),
+            (f"lti 3-d w T={T}",
+             (sys, costs, x0, rng.standard_normal((rows, T, n)), T, LinearPolicy.constant(K)), {}),
+            (f"lti no input T={T}", (sys, costs, x0, w, T), {"scales": rng.uniform(0.5, 2, rows)}),
+            (f"lti open loop T={T}", (sys, costs, x0, w, T), {"inputs": d}),
+        ]
+        ltv, ltv_costs, Ks = _ltv_case(rng, T)
+        n, m = ltv.n, ltv.m
+        x0 = rng.standard_normal((rows, n))
+        w = rng.standard_normal((T, n))
+        d = rng.standard_normal((T + 1, m))
+        affine = LinearPolicy.varying(Ks, m, n, d=d, d_max=10.0)
+        cases += [
+            (f"ltv T={T}", (ltv, ltv_costs, x0, w, T, LinearPolicy.varying(Ks, m, n)), {}),
+            (f"ltv offsets scales T={T}", (ltv, ltv_costs, x0, w, T, affine),
+             {"scales": rng.uniform(0.5, 2.0, rows)}),
+            (f"ltv 3-d w T={T}",
+             (ltv, ltv_costs, x0, rng.standard_normal((rows, T, n)), T, affine), {}),
+            (f"ltv 3-d w scales T={T}",
+             (ltv, ltv_costs, x0, rng.standard_normal((rows, T, n)), T, affine),
+             {"scales": rng.uniform(0.5, 2.0, rows)}),
+        ]
+
+    # rows that overflow mid-chunk (at 315, 273, 357, at step 1, and never), with
+    # offsets so that a dead row's next state is not zero before it is cleared
+    scalar = SystemDynamics.lti([[3.0]], [[1.0]])
+    unit = QuadraticStageCost.constant([[1.0]], [[1.0]])
+    T = 400
+    offsets = LinearPolicy.varying([[0.0]], 1, 1, d=np.full((T + 1, 1), 0.5), d_max=1.0)
+    x0 = np.array([[1.0], [1e20], [1e-20], [1e300], [0.0]])
+    zeros = np.zeros((T, 1))
+    cases += [
+        ("overflow mid-chunk", (scalar, unit, x0, zeros, T, LinearPolicy.constant([[0.0]])), {}),
+        ("overflow with offsets", (scalar, unit, x0[:4], zeros, T, offsets), {}),
+        ("overflow, one row stable",
+         (scalar, unit, x0, np.ones((T, 1)), T, LinearPolicy.constant([[2.5]])),
+         {"scales": np.linspace(0.0, 1.0, 5)}),
+    ]
+    # a 2-state loop whose rows all die before T: the loop stops at the last death
+    sys = SystemDynamics.lti([[3.0, 1.0], [0.0, 2.5]], [[1.0], [0.5]])
+    costs = QuadraticStageCost.constant(np.eye(2), [[1.0]])
+    policy = LinearPolicy.varying([[0.1, 0.2]], 1, 2, d=np.ones((T + 1, 1)), d_max=1.0)
+    x0 = np.array([[1.0, 1.0], [1e30, 0.0], [0.0, 1e-30]])
+    cases.append(("all rows dead", (sys, costs, x0, rng.standard_normal((T, 2)), T, policy), {}))
+    return cases
+
+
+@pytest.mark.parametrize("name,args,kwargs", [pytest.param(*c, id=c[0])
+                                              for c in _kernel_cases()])
+def test_rollout_kernel_is_bit_identical_to_the_per_step_guard(name, args, kwargs):
+    roll = _rollout(*args, **kwargs)
+    ref = reference_rollout(*args, **kwargs)
+    for got, want in zip((roll.states, roll.inputs, roll.stage, roll.overflow, roll.peak), ref):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True), name
+    if name == "all rows dead":
+        stop = int(roll.overflow.max())
+        assert roll.overflow.all() and stop < args[4]
+        assert np.all(roll.inputs[stop:] == 0.0) and np.all(roll.states[stop:] == 0.0)
 
 
 def test_jsonable_names_each_non_finite_float():

@@ -373,6 +373,62 @@ def test_batched_curve_solves_once_at_the_longest_horizon(monkeypatch):
     assert calls == [80]
 
 
+def _count_optimal_rollouts(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[5] if len(args) > 5 else kwargs.get("T"))
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(hindsight_module, "simulate", counting)
+    return calls
+
+
+def test_optimal_rollout_runs_on_first_read_only(monkeypatch):
+    sys, costs = four_system()
+    pol = LinearPolicy.constant([[0.2, 0.4]])
+    x0, w = np.ones(2), random_ball(2, 1.0, 80, seed=5).w
+    calls = _count_optimal_rollouts(monkeypatch)
+    regret_curve(sys, costs, pol, x0, BallDisturbance(2, 1.0, 3), range(5, 81, 5))
+    regret(sys, costs, pol, x0, w, 80)
+    sol = solve_hindsight(sys, costs, x0, w, 80)
+    assert calls == []
+    traj = sol.trajectory
+    assert calls == [80]
+    assert sol.trajectory is traj and sol.inputs.shape == (80, 1)
+    assert calls == [80]
+    replay = simulate(sys, sol.feedback_policy(), x0, w, costs, 80)
+    assert np.array_equal(traj.states, replay.states)
+    assert np.array_equal(sol.inputs, replay.inputs[:80])
+
+
+def test_curve_raises_when_the_optimal_trajectory_overflows():
+    # B = 0: the benchmark cannot act, so its trajectory grows as 3^t and
+    # breaks the overflow guard at t = 315, inside the longest horizon only
+    sys = SystemDynamics.lti([[3.0]], [[0.0]])
+    costs = QuadraticStageCost.constant([[1.0]], [[1.0]])
+    pol = LinearPolicy.constant([[0.0]])
+    zeros = DisturbanceSignal.zeros(1, 320)
+    for call in (
+        lambda: regret_curve(sys, costs, pol, [1.0], zeros, [100, 200, 320]),
+        lambda: regret(sys, costs, pol, [1.0], np.zeros((320, 1)), 320),
+    ):
+        with pytest.raises(SimulationOverflowError) as err:
+            call()
+        assert err.value.t == 315
+
+
+def test_optimal_cost_rules_out_an_overflow_only_below_half_the_guard():
+    unit = QuadraticStageCost.constant(np.eye(2), [[1.0]])
+    assert not hindsight_module._may_overflow(1e299, unit, 10)
+    for cost in (0.5e300, np.inf, np.nan):
+        assert hindsight_module._may_overflow(cost, unit, 10)
+    # a singular Q_t anywhere in 0..T rules out nothing
+    singular = QuadraticStageCost.varying(lambda t: np.diag([1.0, float(t != 7)]), [[1.0]], 2, 1)
+    assert not hindsight_module._may_overflow(1.0, singular, 6)
+    assert hindsight_module._may_overflow(1.0, singular, 7)
+
+
 def test_ltv_curve_solves_once_at_the_longest_horizon(monkeypatch):
     rng = np.random.default_rng(22)
     A = 0.9 * np.linalg.qr(rng.standard_normal((41, 2, 2)))[0]
