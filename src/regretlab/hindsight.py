@@ -32,6 +32,7 @@ from .model import (
     _check_pd,
     _sym,
     check_dims,
+    check_grid,
     disturbance_prefix,
     simulate,
     simulate_grid,
@@ -42,7 +43,7 @@ FIXED_POINT_TOL = 4.0 * np.finfo(float).eps  # relative to the largest entry
 
 def _settled(new: np.ndarray, old: np.ndarray) -> bool:
     """True when no entry moved by more than FIXED_POINT_TOL of max|new|."""
-    return np.max(np.abs(new - old)) <= FIXED_POINT_TOL * np.max(np.abs(new))
+    return abs(new - old).max() <= FIXED_POINT_TOL * abs(new).max()
 
 
 @dataclass
@@ -189,11 +190,12 @@ def hindsight_costs(
     and Sigma_{t+1} = A_t S_t Sigma_t A_t' + B_t R_t^-1 B_t' (data-free), the
     cost at horizon T is J*_T = sum_{t <= T} mu_t' Q_t S_t mu_t along
     mu_0 = x0, mu_{t+1} = A_t S_t mu_t + w_t: one simulate_grid call on that
-    filter loop, one row per shorter horizon.  The pass needs each R_t PD
+    filter loop over the shorter horizons.  The shortest horizon may be 0,
+    where J*_0 = x0'Q_0 x0.  The pass needs each R_t PD
     (checked once when R is constant, else per step) and each Q_t PSD; on a
     constant loop it stops once Sigma_t is within FIXED_POINT_TOL of Sigma_{t-1}.
     """
-    horizons = np.asarray(horizons, dtype=int)
+    horizons = check_grid(horizons, scales)
     scales = np.asarray(scales, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     T_max = int(horizons[-1])
@@ -208,7 +210,7 @@ def hindsight_costs(
     T, n, m = int(horizons[-2]), system.n, system.m
     A, B, Q, R = system.A.stack(T), system.B.stack(T), costs.Q.stack(T + 1), costs.R.stack(T)
     for t in range(1 if costs.R.constant else T):  # the pass needs each R_t^-1
-        _check_pd(_sym(R[t]), "input weight R", t)
+        _check_pd(_sym(costs.R(t)), "input weight R", t)
     BRB = B @ np.linalg.solve(R, B.transpose(0, 2, 1))  # B_t R_t^-1 B_t'
     AS = np.empty((T, n, n))
     QS = np.empty((T + 1, n, n))

@@ -326,7 +326,7 @@ def disturbance_prefix(w, n: int, T: int | None = None) -> tuple[np.ndarray, int
     """The rows w_0..w_{T-1} of w and T, which defaults to the length of w.
 
     w is a DisturbanceSignal or a (steps, n) array (a 1-d array when n = 1);
-    a width other than n, or fewer than T steps, raises ShapeError.
+    a width other than n, a negative T, or fewer than T steps raises ShapeError.
     """
     rows = w.w if isinstance(w, DisturbanceSignal) else np.asarray(w, dtype=float)
     if rows.ndim == 1:
@@ -334,9 +334,23 @@ def disturbance_prefix(w, n: int, T: int | None = None) -> tuple[np.ndarray, int
     if rows.ndim != 2 or rows.shape[1] != n:
         raise ShapeError(f"disturbance has shape {rows.shape}, expected (steps, {n})")
     T = len(rows) if T is None else int(T)
+    if T < 0:
+        raise ShapeError(f"horizon T={T} is negative")
     if len(rows) < T:
         raise ShapeError(f"disturbance covers {len(rows)} steps, need {T}")
     return rows[:T], T
+
+
+def check_grid(horizons, scales=None) -> np.ndarray:
+    """horizons as an int array; ShapeError unless they are nonempty, strictly
+    increasing and >= 0, and scales, when given, holds one scale per horizon."""
+    horizons = np.asarray(horizons, dtype=int)
+    if (horizons.ndim != 1 or not len(horizons) or horizons[0] < 0
+            or (horizons[1:] <= horizons[:-1]).any()):
+        raise ShapeError(f"horizons must be nonempty, strictly increasing and >= 0, got {horizons}")
+    if scales is not None and np.shape(scales) != horizons.shape:
+        raise ShapeError(f"{np.shape(scales)} scales for {len(horizons)} horizons")
+    return horizons
 
 
 @dataclass
@@ -555,23 +569,34 @@ def simulate_grid(
     horizons,
     costs: QuadraticStageCost,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Total costs of the closed loop on a horizon grid, all horizons rolled out together.
+    """Total costs of the closed loop on a horizon grid, one rollout of each distinct scale.
 
-    Row i is simulate(system, policy, x0, scales[i] * base[:T], costs, T) with
-    T = horizons[i]; the rows run as one batch up to the longest horizon.
-    policy None applies zero input.
-    Returns (totals, overflow): a row whose state norm exceeds the guard at
+    Entry i is the total of simulate(system, policy, x0, scales[i] * base[:T],
+    costs, T) with T = horizons[i], equal in value; policy None applies zero
+    input.  Horizons with equal scales share one row of a batch run up to the
+    longest horizon, and each total is read at its own horizon.  A batch of one
+    row takes numpy's matrix-vector path, which rounds differently, so a grid
+    of two or more horizons rolls out at least two rows: its floats do not
+    depend on how many horizons share a scale.
+    Returns (totals, overflow): a horizon whose rollout breaks the guard at
     step t <= T gets overflow[i] = t and totals[i] = inf, the step that
     simulate reports in its SimulationOverflowError; overflow[i] = 0 otherwise.
     """
     x0 = np.asarray(x0, dtype=float)
-    horizons = np.asarray(horizons, dtype=int)
+    horizons = check_grid(horizons, scales)
     base, T_max = disturbance_prefix(base, system.n, horizons[-1])
-    x0s = np.tile(x0, (len(horizons), 1))
-    roll = _rollout(system, costs, x0s, base, T_max, policy, scales=np.asarray(scales, dtype=float))
+    scales = np.asarray(scales, dtype=float)
+    if len(horizons) == 1:
+        distinct, row = scales, np.zeros(1, dtype=int)
+    else:
+        distinct, row = np.unique(scales, return_inverse=True)
+        if len(distinct) == 1:
+            distinct = np.repeat(distinct, 2)
+    x0s = np.tile(x0, (len(distinct), 1))
+    roll = _rollout(system, costs, x0s, base, T_max, policy, scales=distinct)
     # sequential prefix sums: each total adds its stage costs in time order
-    totals = np.cumsum(roll.stage, axis=0)[horizons, np.arange(len(horizons))]
-    overflow = np.where(roll.overflow <= horizons, roll.overflow, 0)
+    totals = np.cumsum(roll.stage, axis=0)[horizons, row]
+    overflow = np.where(roll.overflow[row] <= horizons, roll.overflow[row], 0)
     totals[overflow > 0] = np.inf
     return totals, overflow
 

@@ -26,6 +26,7 @@ from .model import (
     QuadraticStageCost,
     SystemDynamics,
     _rollout,
+    check_grid,
     closed_loop,
     disturbance_prefix,
     jsonable,
@@ -114,14 +115,15 @@ def regret_curve(
 
     `disturbances` is a recipe with .realize_grid, realized once for the whole
     grid, or one fixed signal (a DisturbanceSignal or a (steps, n) array) of
-    which each horizon sees its prefix.  The group costs one benchmark-cost
-    call (hindsight_costs, on any loop) and one rollout of all horizons.
-    Overflowing policy rollouts are recorded as +inf with an overflow flag; the
-    benchmark is still evaluated.
+    which each horizon sees its prefix.  Horizons must be >= 1, strictly
+    increasing and nonempty (ShapeError otherwise).  The group costs one
+    benchmark-cost call (hindsight_costs, on any loop) and one policy rollout
+    with a row per distinct scale (simulate_grid).  Overflowing policy rollouts
+    are recorded as +inf with an overflow flag; the benchmark is still evaluated.
     """
-    horizons = np.asarray(list(horizons), dtype=int)
-    if len(horizons) == 0 or np.any(np.diff(horizons) <= 0):
-        raise ShapeError("horizons must be strictly increasing and nonempty")
+    horizons = check_grid(list(horizons))
+    if horizons[0] < 1:
+        raise ShapeError(f"regret_curve divides by T, so horizons must be >= 1, got {horizons[0]}")
     if hasattr(disturbances, "realize_grid"):
         base, scales = disturbances.realize_grid(horizons)
     else:
@@ -147,7 +149,7 @@ def _regret_group(system, costs, policy, x0, base, scales, horizons):
     """(regret, benchmark costs, overflow steps) of horizons sharing one realization.
 
     Horizon horizons[i] sees scales[i] * base[:horizons[i]]; one benchmark-cost
-    call and one rollout of all rows serve the group.  An overflowing policy
+    call and one simulate_grid rollout serve the group.  An overflowing policy
     rollout gives regret +inf and its overflow step; the benchmark is still
     evaluated.
     """

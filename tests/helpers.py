@@ -143,6 +143,22 @@ def reference_rollout(system, costs, x0, w, T, policy=None, inputs=None, scales=
     return X, U, stage, overflow, peak
 
 
+def reference_simulate_grid(system, policy, x0, base, scales, horizons, costs):
+    """The grid that simulate_grid deduplicates: one row per horizon, through reference_rollout.
+
+    Returns (totals, overflow) as simulate_grid does.
+    """
+    horizons = np.asarray(horizons, dtype=int)
+    T = int(horizons[-1])
+    x0s = np.tile(np.asarray(x0, dtype=float), (len(horizons), 1))
+    scales = np.asarray(scales, dtype=float)
+    _, _, stage, overflow, _ = reference_rollout(system, costs, x0s, base[:T], T, policy, scales=scales)
+    totals = np.cumsum(stage, axis=0)[horizons, np.arange(len(horizons))]
+    overflow = np.where(overflow <= horizons, overflow, 0)
+    totals[overflow > 0] = np.inf
+    return totals, overflow
+
+
 def reference_hindsight_pass(system, costs, x0, w, T):
     """The per-step backward pass that solve_hindsight splits: one joint solve per step.
 

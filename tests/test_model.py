@@ -12,9 +12,11 @@ from regretlab import (
     SimulationOverflowError,
     SystemDynamics,
     Trajectory,
+    TransitionAlignedDisturbance,
     closed_loop_matrix,
     evaluate_cost,
     simulate,
+    simulate_grid,
     tracking_transform,
 )
 
@@ -29,9 +31,9 @@ from regretlab import (
     solve_hindsight,
     vq_recursion,
 )
-from regretlab.model import _GUARD_CHUNK, _rollout, jsonable
+from regretlab.model import _BATCH_GUARD, _GUARD_CHUNK, _rollout, jsonable
 
-from helpers import random_instance, random_pd, reference_rollout
+from helpers import random_instance, random_pd, reference_rollout, reference_simulate_grid
 
 A4 = np.array([[1.0, 1.0], [0.0, 1.0]])
 B4 = np.array([[1.0], [0.5]])
@@ -216,6 +218,15 @@ def test_every_disturbance_entry_point_raises_shape_error_on_bad_inputs(name, de
     }[defect]
     with pytest.raises(ShapeError):
         call(w, x0)
+
+@pytest.mark.parametrize("name", ["simulate", "solve_hindsight", "batch_oracle", "regret",
+                                  "vq_recursion", "discounted_cost_closed_form",
+                                  "discounted_cost_simulated"])
+def test_negative_horizon_raises_shape_error(name):
+    n, call = _disturbance_entry_points(-1)[name]
+    with pytest.raises(ShapeError, match="negative"):
+        call(np.zeros((5, n)), np.zeros(n))
+
 
 def test_tracking_transform_examples():
     sys, _ = two_state()
@@ -477,6 +488,69 @@ def test_rollout_kernel_is_bit_identical_to_the_per_step_guard(name, args, kwarg
         stop = int(roll.overflow.max())
         assert roll.overflow.all() and stop < args[4]
         assert np.all(roll.inputs[stop:] == 0.0) and np.all(roll.states[stop:] == 0.0)
+
+
+def _grid_cases():
+    """(name, simulate_grid args) covering shared, distinct and signed-zero scales,
+    overflow and the batch guard."""
+    rng = np.random.default_rng(47)
+    sys, costs, x0, _, _ = random_instance(rng, T_max=1)
+    pol = LinearPolicy.constant(0.3 * rng.standard_normal((sys.m, sys.n)))
+    base = rng.standard_normal((100, sys.n))
+    full = np.arange(1, 101)
+    cases = [
+        ("equal scales H=2", (sys, pol, x0, base, np.ones(2), [7, 40], costs)),
+        ("equal scales H=100", (sys, pol, x0, base, np.ones(100), full, costs)),
+        ("distinct scales", (sys, pol, x0, base, rng.uniform(0.5, 2.0, 20), full[::5], costs)),
+        ("H=1", (sys, pol, x0, base, [1.3], [25], costs)),
+        ("signed zero scales", (sys, pol, x0, base, [0.0, -0.0, 1.0], [3, 10, 50], costs)),
+    ]
+
+    # the stable phi grid of the built-in loop: a few scales, each shared by many horizons
+    loop, unit = two_state()
+    stable = LinearPolicy.constant([[0.2, 0.4]])
+    F = closed_loop_matrix(loop, stable, 0)
+    phi_base, phi_scales = TransitionAlignedDisturbance(F, 1.0, np.array([0.3, -1.0])).realize_grid(full)
+    assert 1 < len(np.unique(phi_scales)) < len(full)
+    cases.append(("stable phi", (loop, stable, np.ones(2), phi_base, phi_scales, full, unit)))
+
+    # LTV loops, with a policy and offsets, and with zero input (the filter loop)
+    ltv, ltv_costs, Ks = _ltv_case(rng, 60)
+    n, m = ltv.n, ltv.m
+    affine = LinearPolicy.varying(Ks, m, n, d=rng.standard_normal((61, m)), d_max=10.0)
+    scales = np.repeat(rng.uniform(0.5, 2.0, 4), 3)
+    horizons = np.arange(5, 61, 5)
+    w = rng.standard_normal((60, n))
+    cases += [
+        ("ltv", (ltv, affine, rng.standard_normal(n), w, scales, horizons, ltv_costs)),
+        ("no input", (ltv, None, rng.standard_normal(n), w, scales, horizons, ltv_costs)),
+    ]
+
+    # x_t = s (3^t - 1) / 2 under scale s: 1e60 overflows at 190, 1e20 at 274,
+    # 1e40 at 232 and 1 at 316, so horizons 100 and 250 end before their rows overflow
+    grow = SystemDynamics.lti([[3.0]], [[0.0]])
+    scalar = QuadraticStageCost.constant([[1.0]], [[1.0]])
+    cases.append(("overflow", (grow, None, [0.0], np.ones((400, 1)),
+                               [1e60, 1e60, 1e20, 1e40, 1.0], [100, 200, 250, 300, 400], scalar)))
+
+    # a held state of 3e148: a chunk of 100 rows breaks the batch guard, one of 2 rows does not
+    assert _GUARD_CHUNK * 100 * 9e296 > _BATCH_GUARD >= _GUARD_CHUNK * 2 * 9e296
+    hold = SystemDynamics.lti([[1.0]], [[0.0]])
+    cases.append(("batch guard", (hold, None, [3e148], np.zeros((100, 1)), np.ones(100), full, scalar)))
+    return cases
+
+
+@pytest.mark.parametrize("name,args", [pytest.param(*c, id=c[0]) for c in _grid_cases()])
+def test_simulate_grid_is_bit_identical_to_one_row_per_horizon(name, args):
+    totals, overflow = simulate_grid(*args)
+    ref_totals, ref_overflow = reference_simulate_grid(*args)
+    assert np.array_equal(totals, ref_totals), name
+    assert np.array_equal(overflow, ref_overflow), name
+    if name == "overflow":
+        assert overflow.tolist() == [0, 190, 0, 232, 316]
+        assert np.isfinite(totals[[0, 2]]).all() and np.isinf(totals[[1, 3, 4]]).all()
+    if name == "batch guard":
+        assert not overflow.any() and np.isfinite(totals).all()
 
 
 def test_jsonable_names_each_non_finite_float():

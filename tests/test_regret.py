@@ -12,6 +12,7 @@ from regretlab import (
     LinearPolicy,
     QuadraticStageCost,
     RegretCurve,
+    ShapeError,
     SimulationOverflowError,
     SystemDynamics,
     TransitionAlignedDisturbance,
@@ -24,6 +25,7 @@ from regretlab import (
     hindsight_costs,
     random_ball,
     simulate,
+    simulate_grid,
     solve_hindsight,
     linear_regret_certificate,
     quadratic_floor_check,
@@ -31,7 +33,10 @@ from regretlab import (
 
 from helpers import overdriven_loop, random_instance, random_loop, random_pd
 
+from regretlab.cli import BUILTIN_EXPERIMENT, builtin_experiment_curves
+
 hindsight_module = importlib.import_module("regretlab.hindsight")
+model_module = importlib.import_module("regretlab.model")
 adversary_module = importlib.import_module("regretlab.adversary")
 
 
@@ -492,6 +497,80 @@ def test_hindsight_costs_past_the_filter_fixed_point():
     w = random_ball(2, 1.0, 300, 7).w
     horizons = np.arange(1, 301)
     _assert_matches_per_horizon_solves(sys, costs, np.ones(2), w, np.linspace(0.5, 2.0, 300), horizons)
+
+
+def test_hindsight_costs_from_a_zero_horizon():
+    # J*_0 = x0'Q_0 x0: no input acts before the horizon ends
+    sys, costs = four_system()
+    x0, w = np.array([0.7, -1.2]), random_ball(2, 1.0, 8, 3).w
+    _assert_matches_per_horizon_solves(sys, costs, x0, w, [1.0, 1.0, 1.0], [0, 3, 8])
+    _assert_matches_per_horizon_solves(sys, costs, x0, w, [1.0, 1.0], [0, 8])
+    got = hindsight_costs(sys, costs, x0, w, [1.0, 1.0], [0, 8])
+    assert got[0] == pytest.approx(x0 @ costs.Q(0) @ x0, rel=1e-15)
+
+    varying = QuadraticStageCost.varying(
+        lambda t: (1.0 + 0.5 * np.sin(t)) * np.eye(2), lambda t: [[1.0 + 0.5 * np.cos(t)]], 2, 1
+    )
+    _assert_matches_per_horizon_solves(sys, varying, x0, w, [2.0, 1.0], [0, 8])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("horizons", [[], [0], [0, 5], [-1, 5], [5, 5], [5, 3]], ids=str)
+def test_regret_curve_rejects_bad_grids(horizons):
+    sys, costs = four_system()
+    pol = LinearPolicy.constant([[0.2, 0.4]])
+    with pytest.raises(ShapeError, match="horizons"):
+        regret_curve(sys, costs, pol, np.zeros(2), np.zeros((10, 2)), horizons)
+
+
+@pytest.mark.parametrize("horizons, scales", [
+    ([], []), ([-1, 5], [1.0, 1.0]), ([5, 5], [1.0, 1.0]), ([3, 5], [1.0]), ([3, 5], [1.0, 1.0, 1.0]),
+    ([3, 5], [[1.0, 1.0]]),
+], ids=["empty", "negative", "repeated", "short scales", "long scales", "2-d scales"])
+def test_grid_functions_reject_bad_grids(horizons, scales):
+    sys, costs = four_system()
+    pol = LinearPolicy.constant([[0.2, 0.4]])
+    w = np.zeros((10, 2))
+    with pytest.raises(ShapeError):
+        hindsight_costs(sys, costs, np.zeros(2), w, scales, horizons)
+    with pytest.raises(ShapeError):
+        simulate_grid(sys, pol, np.zeros(2), w, scales, horizons, costs)
+
+
+def test_regret_at_a_zero_horizon_is_the_first_input_cost():
+    sys, costs = four_system()
+    K, x0 = np.array([[0.2, 0.4]]), np.array([0.7, -1.2])
+    u0 = K @ x0
+    got = regret(sys, costs, LinearPolicy.constant(K), x0, np.zeros((0, 2)), 0)
+    assert got == pytest.approx(float(u0 @ costs.R(0) @ u0), rel=1e-12)
+
+
+def test_grid_rolls_out_one_row_per_distinct_scale(monkeypatch):
+    rows = []
+    rollout = model_module._rollout
+
+    def recording(system, costs, x0, *args, **kwargs):
+        rows.append(len(x0))
+        return rollout(system, costs, x0, *args, **kwargs)
+
+    monkeypatch.setattr(model_module, "_rollout", recording)
+    # figure1: one scale per curve, so its filter and policy rollouts hold two rows each
+    builtin_experiment_curves()
+    assert rows == [2, 2] * 3
+
+    rows.clear()
+    sys, costs = four_system()
+    regret(sys, costs, LinearPolicy.constant([[0.2, 0.4]]), np.ones(2), np.ones((30, 2)), 30)
+    assert rows == [1]
+
+    # the unstable gain's phi scales differ at every horizon: H - 1 filter rows, H policy rows
+    rows.clear()
+    unstable = LinearPolicy.constant(dict(BUILTIN_EXPERIMENT["controllers"])["K3"])
+    recipe = TransitionAlignedDisturbance(closed_loop(sys, unstable)(0), 1.0)
+    horizons = np.arange(1, 101)
+    assert len(np.unique(recipe.realize_grid(horizons)[1])) == len(horizons)
+    regret_curve(sys, costs, unstable, np.zeros(2), recipe, horizons)
+    assert rows == [99, 100]
 
 
 def test_forward_costs_match_backward_solves_on_random_loops():
