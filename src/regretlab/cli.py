@@ -9,7 +9,6 @@ failure; failures additionally emit a JSON diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import sys
@@ -40,6 +39,7 @@ from .model import (
     closed_loop_matrix,
     jsonable,
     simulate,
+    write_csv,
 )
 from .regret import (
     RegretCurve,
@@ -388,19 +388,13 @@ def _out_dir(args) -> Path:
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:
-    """t, the states, the inputs, the stage and cumulative cost per row, each float as %.17g.
-
-    One format string per row gives the bytes of csv.writer on the same
-    fields: no field needs quoting, and rows end in \r\n.
-    """
+    """t, the states, the inputs, the stage and cumulative cost per row, each float as %.17g."""
     n, m = traj.states.shape[1], traj.inputs.shape[1]
     header = ["t", *(f"x{i}" for i in range(n)), *(f"u{i}" for i in range(m)),
               "stage_cost", "cum_cost"]
     table = np.column_stack([traj.states, traj.inputs, traj.stage_costs, traj.cumulative_costs()])
-    row = "%d" + ",%.17g" * table.shape[1] + "\r\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(row % (t, *table[t].tolist()) for t in range(len(table)))
+    write_csv(path, header, "%d" + ",%.17g" * table.shape[1],
+              ((t, *row.tolist()) for t, row in enumerate(table)))
 
 
 def cmd_simulate(args) -> int:
@@ -536,19 +530,11 @@ def cmd_counterexample(args) -> int:
         report["bound_report"] = rep.to_dict()
         report["dare_residual"] = model.residual
     out = _out_dir(args)
-    with open(out / "gamma_scan.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha", "converged", "in_gamma", "spectral_radius", "alpha_norm_F"])
-        for r in rows:
-            writer.writerow(
-                [
-                    f"{r.alpha:.17g}",
-                    int(r.converged),
-                    int(r.in_gamma),
-                    f"{r.spectral_radius:.17g}",
-                    f"{r.discounted_norm:.17g}",
-                ]
-            )
+    write_csv(out / "gamma_scan.csv",
+              ["alpha", "converged", "in_gamma", "spectral_radius", "alpha_norm_F"],
+              "%.17g,%d,%d,%.17g,%.17g",
+              ((r.alpha, r.converged, r.in_gamma, r.spectral_radius, r.discounted_norm)
+               for r in rows))
     _write_json(out / "counterexample_report.json", report)
     return EXIT_OK
 

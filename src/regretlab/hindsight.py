@@ -198,8 +198,8 @@ def hindsight_costs(
     horizons = check_grid(horizons, scales)
     scales = np.asarray(scales, dtype=float)
     x0 = np.asarray(x0, dtype=float)
-    T_max = int(horizons[-1])
-    ref = solve_hindsight(system, costs, x0, scales[-1] * base[:T_max], T_max)
+    base, T_max = disturbance_prefix(base, system.n, horizons[-1])
+    ref = solve_hindsight(system, costs, x0, scales[-1] * base, T_max)
     if _may_overflow(ref.optimal_cost, costs, T_max):
         ref.trajectory  # raises SimulationOverflowError if the optimal rollout overflows
     out = np.empty(len(horizons))

@@ -41,6 +41,17 @@ def jsonable(obj):
     return obj
 
 
+def write_csv(path, header, row_format, rows) -> None:
+    """Write the header fields, then row_format % row for each row, every line ending in \r\n.
+
+    The bytes are those of csv.writer on the same text, since no field
+    written here needs quoting; "%.17g" prints a float as f"{x:.17g}" does.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(row_format % tuple(row) + "\r\n" for row in rows)
+
+
 def _as_array(value, shape, what):
     arr = np.asarray(value, dtype=float)
     if arr.shape != tuple(shape):
@@ -342,9 +353,12 @@ def disturbance_prefix(w, n: int, T: int | None = None) -> tuple[np.ndarray, int
 
 
 def check_grid(horizons, scales=None) -> np.ndarray:
-    """horizons as an int array; ShapeError unless they are nonempty, strictly
+    """horizons as an int array; ShapeError unless they are nonempty, integral, strictly
     increasing and >= 0, and scales, when given, holds one scale per horizon."""
-    horizons = np.asarray(horizons, dtype=int)
+    values = np.asarray(horizons, dtype=float)
+    if not np.isfinite(values).all() or (values % 1).any():
+        raise ShapeError(f"horizons must be integers, got {horizons}")
+    horizons = values.astype(int)
     if (horizons.ndim != 1 or not len(horizons) or horizons[0] < 0
             or (horizons[1:] <= horizons[:-1]).any()):
         raise ShapeError(f"horizons must be nonempty, strictly increasing and >= 0, got {horizons}")
@@ -385,12 +399,10 @@ def closed_loop(system: SystemDynamics, policy: LinearPolicy) -> MatrixSequence:
     )
 
 
-# The guard is first tested on the whole batch: while the batch's sum of
-# squares stays below this, every row is within OVERFLOW_LIMIT.
+# While the sum of squares of all states after x0 stays below this, every
+# row is within OVERFLOW_LIMIT; the margin covers rounding between that sum
+# and a row's norm.
 _BATCH_GUARD = 0.99 * OVERFLOW_LIMIT**2
-
-# The batch guard is tested once per chunk of this many steps.
-_GUARD_CHUNK = 32
 
 
 @dataclass
@@ -451,18 +463,20 @@ def _rollout(system, costs, x0, w, T, policy=None, inputs=None, scales=None) -> 
     inputs[t] (T+1, m), else zero.  x0 is (rows, n); w is (T, n), shared by
     all rows and multiplied by scales[row] when scales is given, or one
     signal per row, (rows, T, n).  A row whose state norm exceeds
-    OVERFLOW_LIMIT (or is not finite) at step t records overflow = t and is
-    held at zero afterwards; the loop stops once every row has overflowed.
-    Stage costs are computed after the loop.
+    OVERFLOW_LIMIT (or is not finite) first at step t >= 1 records
+    overflow = t and is dead from t on: its states are zero and its inputs
+    are the offsets d_t (zero without them), and once every row is dead all
+    inputs are zero.  Stage costs are computed after the guard.
 
     The floats are those of a per-step loop with the guard after every step.
     The disturbance, scaled per row, is written into the states up front, and
-    each step adds x_t A_t' + u_t B_t' to it (IEEE addition commutes).  The
-    guard is tested once per _GUARD_CHUNK steps, on the chunk's sum of
-    squares.  A chunk that trips it is replayed from its first state, step by
-    step with the per-step guard; rows never depend on each other, so the
-    replay gives the states, inputs, overflow steps and peaks of a per-step
-    guard.  The caller decides whether an overflow raises (raise_overflow).
+    each step adds x_t A_t' + u_t B_t' to it (IEEE addition commutes).  Every
+    row is stepped to T, a diverging one on inf and NaN; the guard runs once
+    after the loop, on the batch's sum of squares and, only when that breaks
+    _BATCH_GUARD, on each state's norm.  Rows never depend on each other, so
+    a row's states up to its overflow, its overflow step and its peak are
+    those of a per-step guard.  The caller decides whether an overflow raises
+    (raise_overflow).
     """
     check_dims(system, costs, x0, policy)
     n, m = system.n, system.m
@@ -472,8 +486,7 @@ def _rollout(system, costs, x0, w, T, policy=None, inputs=None, scales=None) -> 
     negKT = None if policy is None else (-policy.K.stack(T + 1)).transpose(0, 2, 1)
     d = inputs if policy is None else policy.offsets(T)
     driven = negKT is not None or d is not None
-    if w.ndim == 3:
-        w = w.transpose(1, 0, 2)
+    w = w.transpose(1, 0, 2) if w.ndim == 3 else w[:, None]
 
     rows = len(x0)
     X = np.zeros((T + 1, rows, n))
@@ -482,60 +495,34 @@ def _rollout(system, costs, x0, w, T, policy=None, inputs=None, scales=None) -> 
     overflow = np.zeros(rows, dtype=int)
     peak = np.zeros(rows)
     drift = np.empty((rows, n))
-
-    def disturb(lo, hi):
-        """Write w_lo..w_{hi-1} (times scales[row]) into X[lo+1 : hi+1]."""
-        wr = w[lo:hi] if w.ndim == 3 else w[lo:hi, None]
-        if scales is None:
-            X[lo + 1 : hi + 1] = wr
-        else:
-            np.multiply(scales[:, None], wr, out=X[lo + 1 : hi + 1])
-
-    def step(t):
-        """Write u_t and, for t < T, add x_t A_t' + u_t B_t' to the w_t in X[t+1]."""
-        x, u = X[t], U[t]
-        if negKT is not None:
-            np.matmul(x, negKT[t], out=u)
-        if d is not None:
-            u += d[t]
-        if t < T:
-            np.matmul(x, AT[t], out=drift)
-            if driven:
-                np.add(drift, u @ BT[t], out=drift)
-            X[t + 1] += drift
-
-    def run():
-        dead = None
-        for t0 in range(0, T, _GUARD_CHUNK):
-            t1 = min(t0 + _GUARD_CHUNK, T)
-            for t in range(t0, t1):
-                step(t)
-                if dead is not None:
-                    X[t + 1, dead] = 0.0
-            chunk = X[t0 + 1 : t1 + 1]
-            if np.vdot(chunk, chunk) <= _BATCH_GUARD:
-                continue
-            disturb(t0, t1)
-            U[t0:t1] = 0.0
-            for t in range(t0, t1):
-                step(t)
-                nxt = X[t + 1]
-                if not np.vdot(nxt, nxt) <= _BATCH_GUARD:
-                    norms = np.linalg.norm(nxt, axis=1)
-                    burst = ~(norms <= OVERFLOW_LIMIT) & (overflow == 0)
-                    overflow[burst] = t + 1
-                    peak[burst] = norms[burst]
-                    dead = overflow > 0
-                if dead is not None:
-                    nxt[dead] = 0.0
-                    if dead.all():
-                        X[t + 2 :] = 0.0
-                        return
-        step(T)
-
     with np.errstate(over="ignore", invalid="ignore"):
-        disturb(0, T)
-        run()
+        if scales is None:
+            X[1:] = w
+        else:
+            np.multiply(scales[:, None], w, out=X[1:])
+        for t in range(T + 1):
+            x, u = X[t], U[t]
+            if negKT is not None:
+                np.matmul(x, negKT[t], out=u)
+            if d is not None:
+                u += d[t]
+            if t < T:
+                np.matmul(x, AT[t], out=drift)
+                if driven:
+                    np.add(drift, u @ BT[t], out=drift)
+                X[t + 1] += drift
+
+        if not np.vdot(X[1:], X[1:]) <= _BATCH_GUARD:
+            norms = np.linalg.norm(X[1:], axis=2)
+            burst = ~(norms <= OVERFLOW_LIMIT)
+            hit = burst.any(axis=0)
+            overflow[hit] = burst[:, hit].argmax(axis=0) + 1
+            peak[hit] = norms[overflow[hit] - 1, hit]
+            dead = hit & (np.arange(T + 1)[:, None] >= overflow)
+            X[dead] = 0.0
+            U[dead] = 0.0 if d is None else np.broadcast_to(d[:, None], U.shape)[dead]
+            if hit.all():
+                U[overflow.max():] = 0.0
         stage = _stage_costs(costs, X, U)
     return _Rollout(X, U, stage, overflow, peak)
 

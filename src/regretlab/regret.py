@@ -31,6 +31,7 @@ from .model import (
     disturbance_prefix,
     jsonable,
     simulate_grid,
+    write_csv,
 )
 from .hindsight import hindsight_costs
 from .transition import converged_sums, norm_sums
@@ -68,18 +69,8 @@ class RegretCurve:
     benchmark_costs: np.ndarray | None = None
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["T", "R_T", "R_T_over_T", "flag"])
-            for i, T in enumerate(self.horizons):
-                writer.writerow(
-                    [
-                        int(T),
-                        f"{self.regret[i]:.17g}",
-                        f"{self.time_averaged[i]:.17g}",
-                        self.flags[i],
-                    ]
-                )
+        write_csv(path, ["T", "R_T", "R_T_over_T", "flag"], "%d,%.17g,%.17g,%s",
+                  zip(self.horizons, self.regret, self.time_averaged, self.flags))
 
     @classmethod
     def from_csv(cls, path) -> "RegretCurve":

@@ -27,6 +27,11 @@ NORM_CAP = 1e140
 # less than this relative amount.
 TAIL_GROWTH_TOL = 0.01
 
+# classify_ltv reads a tail log-norm slope within +-TREND_SLOPE_TOL per step as
+# flat, and a flat tail whose log-range is within OSCILLATION_BAND as marginal.
+TREND_SLOPE_TOL = 1e-3
+OSCILLATION_BAND = 2.0
+
 
 class Stability(str, Enum):
     ASYMPTOTICALLY_STABLE = "AsymptoticallyStable"
@@ -325,19 +330,15 @@ def classify_lti(F, horizon: int = 500, marginal_tol: float = 1e-9) -> Stability
     )
 
 
-def classify_ltv(
-    F,
-    T: int,
-    slope_tol: float = 1e-3,
-    oscillation_band: float = 2.0,
-) -> StabilityReport:
+def classify_ltv(F, T: int) -> StabilityReport:
     """Empirical classification of a time-varying closed loop from its norm trend.
 
     Runs a log-linear regression of ||Phi(t, 0)|| over the tail half: slope
-    below -slope_tol per step reads as asymptotically stable, above +slope_tol
-    unstable.  A flat trend with tail log-range within oscillation_band is
-    marginal; wilder oscillation is reported Inconclusive, since no finite
-    norm table can decide between bounded oscillation and chaotic behaviour.
+    below -TREND_SLOPE_TOL per step reads as asymptotically stable, above
+    +TREND_SLOPE_TOL unstable.  A flat trend with tail log-range within
+    OSCILLATION_BAND is marginal; wilder oscillation is reported Inconclusive,
+    since no finite norm table can decide between bounded oscillation and
+    chaotic behaviour.
     Requires T >= 50 so the trend is meaningful.  The sum fields come from
     the first min(T, 150) steps of the same norm column.
     """
@@ -364,13 +365,13 @@ def classify_ltv(
         tail = slice((T + 1) // 2, None)
         slope = float(np.polyfit(ts[tail], logs[tail], 1)[0])
         exp_pair = exponential_fit(np.maximum(norms, 1e-300))
-        if slope < -slope_tol:
+        if slope < -TREND_SLOPE_TOL:
             classification = Stability.ASYMPTOTICALLY_STABLE
-        elif slope > slope_tol:
+        elif slope > TREND_SLOPE_TOL:
             classification = Stability.UNSTABLE
         else:
             swing = float(logs[tail].max() - logs[tail].min())
-            if swing <= oscillation_band:
+            if swing <= OSCILLATION_BAND:
                 classification = Stability.MARGINALLY_STABLE
             else:
                 classification = Stability.INCONCLUSIVE

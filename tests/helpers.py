@@ -100,7 +100,7 @@ def reference_transition_norms(F, T, cap):
 
 
 def reference_rollout(system, costs, x0, w, T, policy=None, inputs=None, scales=None):
-    """The per-step loop that model._rollout chunks: the overflow guard tested after every step.
+    """The per-step loop that model._rollout matches: the overflow guard tested after every step.
 
     Returns (states, inputs, stage, overflow, peak) with the shapes of _Rollout.
     """

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,7 @@ from regretlab import (
     solve_hindsight,
     vq_recursion,
 )
-from regretlab.model import _BATCH_GUARD, _GUARD_CHUNK, _rollout, jsonable
+from regretlab.model import _BATCH_GUARD, OVERFLOW_LIMIT, _rollout, jsonable, write_csv
 
 from helpers import random_instance, random_pd, reference_rollout, reference_simulate_grid
 
@@ -418,7 +420,7 @@ def _kernel_cases():
     """(name, args, kwargs) of _rollout calls covering each branch of its step and guard."""
     rng = np.random.default_rng(31)
     cases = []
-    for T in (0, 1, _GUARD_CHUNK, 3 * _GUARD_CHUNK + 5):
+    for T in (0, 1, 32, 101):
         rows = 4
         sys, costs, _, _, _ = random_instance(rng, T_max=1)
         n, m = sys.n, sys.m
@@ -473,6 +475,39 @@ def _kernel_cases():
     policy = LinearPolicy.varying([[0.1, 0.2]], 1, 2, d=np.ones((T + 1, 1)), d_max=1.0)
     x0 = np.array([[1.0, 1.0], [1e30, 0.0], [0.0, 1e-30]])
     cases.append(("all rows dead", (sys, costs, x0, rng.standard_normal((T, 2)), T, policy), {}))
+
+    # overflow exactly at the last step: x_t = 3^t x0 passes 1e150 first at t = T
+    T = 10
+    last = 1.5e150 / 3.0**T
+    at_T = LinearPolicy.varying([[0.0]], 1, 1, d=np.full((T + 1, 1), 0.5), d_max=1.0)
+    cases += [
+        ("overflow at T, all rows dead",
+         (scalar, unit, np.array([[last], [1.2 * last]]), np.zeros((T, 1)), T, at_T), {}),
+        ("overflow at T, one row live",
+         (scalar, unit, np.array([[last], [1.0]]), np.zeros((T, 1)), T, at_T), {}),
+    ]
+    # non-finite data: NaN in a shared w, inf in one row's w, a NaN initial state
+    sys, costs, _, _, _ = random_instance(rng, T_max=1)
+    n, m = sys.n, sys.m
+    T, rows = 40, 3
+    pol = LinearPolicy.varying(0.3 * rng.standard_normal((m, n)), m, n,
+                               d=rng.standard_normal((T + 1, m)), d_max=10.0)
+    w = rng.standard_normal((T, n))
+    w[5, 0] = np.nan
+    w3 = rng.standard_normal((rows, T, n))
+    w3[1, 7, -1] = np.inf
+    x0 = rng.standard_normal((rows, n))
+    x0_nan = x0.copy()
+    x0_nan[2, 0] = np.nan
+    cases += [
+        ("NaN in shared w", (sys, costs, x0, w, T, pol), {"scales": np.array([0.0, 1.0, 2.0])}),
+        ("inf in 3-d w", (sys, costs, x0, w3, T, pol), {}),
+        ("NaN x0", (sys, costs, x0_nan, w3[[0, 0, 2]], T, pol), {}),
+    ]
+    # a held state of 3e148 on 100 rows: the batch guard breaks, no row overflows
+    hold = SystemDynamics.lti([[1.0]], [[0.0]])
+    cases.append(("batch guard, no row dead",
+                  (hold, unit, np.full((100, 1), 3e148), np.zeros((100, 1)), 100), {}))
     return cases
 
 
@@ -533,8 +568,8 @@ def _grid_cases():
     cases.append(("overflow", (grow, None, [0.0], np.ones((400, 1)),
                                [1e60, 1e60, 1e20, 1e40, 1.0], [100, 200, 250, 300, 400], scalar)))
 
-    # a held state of 3e148: a chunk of 100 rows breaks the batch guard, one of 2 rows does not
-    assert _GUARD_CHUNK * 100 * 9e296 > _BATCH_GUARD >= _GUARD_CHUNK * 2 * 9e296
+    # a held state of 3e148: 100 rows over 100 steps break the batch guard, though no row overflows
+    assert 100 * 100 * 9e296 > _BATCH_GUARD and 3e148 <= OVERFLOW_LIMIT
     hold = SystemDynamics.lti([[1.0]], [[0.0]])
     cases.append(("batch guard", (hold, None, [3e148], np.zeros((100, 1)), np.ones(100), full, scalar)))
     return cases
@@ -556,3 +591,13 @@ def test_simulate_grid_is_bit_identical_to_one_row_per_horizon(name, args):
 def test_jsonable_names_each_non_finite_float():
     obj = {"a": [np.inf, -np.inf, np.nan, 1.5], "b": np.float64(np.nan), "c": np.array([2.0, -np.inf])}
     assert jsonable(obj) == {"a": ["inf", "-inf", "nan", 1.5], "b": "nan", "c": [2.0, "-inf"]}
+
+
+def test_write_csv_gives_the_bytes_of_csv_writer(tmp_path):
+    rows = [(0, 1.5, np.inf, "ok"), (7, -0.0, np.nan, "overflow@7"), (12, np.float64(1 / 3), -np.inf, "ok")]
+    write_csv(tmp_path / "a.csv", ["T", "x", "y", "flag"], "%d,%.17g,%.17g,%s", rows)
+    with open(tmp_path / "b.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["T", "x", "y", "flag"])
+        writer.writerows([t, f"{x:.17g}", f"{y:.17g}", flag] for t, x, y, flag in rows)
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()

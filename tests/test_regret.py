@@ -515,7 +515,8 @@ def test_hindsight_costs_from_a_zero_horizon():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("horizons", [[], [0], [0, 5], [-1, 5], [5, 5], [5, 3]], ids=str)
+@pytest.mark.parametrize("horizons", [[], [0], [0, 5], [-1, 5], [5, 5], [5, 3], [1.5, 2.9],
+                                      [1.0, np.nan], [1.0, np.inf]], ids=str)
 def test_regret_curve_rejects_bad_grids(horizons):
     sys, costs = four_system()
     pol = LinearPolicy.constant([[0.2, 0.4]])
@@ -525,8 +526,9 @@ def test_regret_curve_rejects_bad_grids(horizons):
 
 @pytest.mark.parametrize("horizons, scales", [
     ([], []), ([-1, 5], [1.0, 1.0]), ([5, 5], [1.0, 1.0]), ([3, 5], [1.0]), ([3, 5], [1.0, 1.0, 1.0]),
-    ([3, 5], [[1.0, 1.0]]),
-], ids=["empty", "negative", "repeated", "short scales", "long scales", "2-d scales"])
+    ([3, 5], [[1.0, 1.0]]), ([1.5, 2.9], [1.0, 1.0]), ([1.0, np.nan], [1.0, 1.0]),
+], ids=["empty", "negative", "repeated", "short scales", "long scales", "2-d scales", "fractional",
+        "nan"])
 def test_grid_functions_reject_bad_grids(horizons, scales):
     sys, costs = four_system()
     pol = LinearPolicy.constant([[0.2, 0.4]])
@@ -535,6 +537,24 @@ def test_grid_functions_reject_bad_grids(horizons, scales):
         hindsight_costs(sys, costs, np.zeros(2), w, scales, horizons)
     with pytest.raises(ShapeError):
         simulate_grid(sys, pol, np.zeros(2), w, scales, horizons, costs)
+
+
+def test_integral_float_horizons_are_horizons():
+    sys, costs = four_system()
+    pol = LinearPolicy.constant([[0.2, 0.4]])
+    x0, w = np.array([0.3, -0.2]), random_ball(2, 1.0, 10, 4).w
+    got = regret_curve(sys, costs, pol, x0, w, [3.0, 5.0])
+    want = regret_curve(sys, costs, pol, x0, w, [3, 5])
+    assert got.horizons.tolist() == [3, 5]
+    assert np.array_equal(got.regret, want.regret)
+
+
+def test_hindsight_costs_reads_a_disturbance_signal_base():
+    sys = SystemDynamics.lti([[0.9]], [[1.0]])
+    costs = QuadraticStageCost.constant([[1.0]], [[1.0]])
+    w = np.ones((5, 1))
+    got = hindsight_costs(sys, costs, [0.5], DisturbanceSignal(w, 1.0), [1.0, 1.0], [3, 5])
+    assert np.array_equal(got, hindsight_costs(sys, costs, [0.5], w, [1.0, 1.0], [3, 5]))
 
 
 def test_regret_at_a_zero_horizon_is_the_first_input_cost():
