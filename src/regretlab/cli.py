@@ -4,6 +4,12 @@ Subcommands: simulate | stability | regret | figure1 | counterexample.
 All outputs are deterministic (seeded sampling, fixed float formatting, no
 timestamps).  Exit codes: 0 success, 2 configuration error, 3 numerical
 failure; failures additionally emit a JSON diagnostic on stderr.
+
+A config (and a system.path file) is checked against its JSON Schema by
+`schema_errors`, a walker over the few keywords these schemas use, without
+jsonschema.  `best_error` picks the error to report the way jsonschema 4.26's
+`best_match` does, so the diagnostic names the same JSON path and message.
+Horizon grids may not go beyond MAX_HORIZON.
 """
 
 from __future__ import annotations
@@ -11,11 +17,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
-import jsonschema
 import numpy as np
 
 from ._svg import render_semilog_svg
@@ -69,6 +76,14 @@ DEFAULT_THRESHOLDS = {
     "slope_bounded": 0.1,
     "slope_superlinear": 1.5,
 }
+# one schema per threshold, for a config's "thresholds" and for --threshold alike
+_THRESHOLD_SCHEMAS = {
+    "marginal_tol": {"type": "number", "minimum": 0},
+    "slope_bounded": {"type": "number"},
+    "slope_superlinear": {"type": "number"},
+}
+# the longest horizon a grid may hold: a grid's rollouts and tables grow with it
+MAX_HORIZON = 10**6
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -114,7 +129,7 @@ CONFIG_SCHEMA = {
         },
         "thresholds": {
             "type": "object",
-            "properties": {key: {"type": "number"} for key in DEFAULT_THRESHOLDS},
+            "properties": _THRESHOLD_SCHEMAS,
             "additionalProperties": False,
         },
         "counterexample": {
@@ -144,21 +159,114 @@ CONFIG_SCHEMA = {
 }
 
 
-def _rectangular(validator, value, instance, schema):
-    """The schema keyword "rectangular": the rows of a matrix have one length."""
-    rows = instance if validator.is_type(instance, "array") else []
-    if len({len(row) for row in rows if isinstance(row, list)}) > 1:
-        yield jsonschema.ValidationError("rows of unequal length")
-
-
-# built once: jsonschema.validate would re-check the schema itself on every call
-_Validator = jsonschema.validators.extend(jsonschema.validators.validator_for(CONFIG_SCHEMA),
-                                          {"rectangular": _rectangular})
-_SCHEMA_VALIDATOR = _Validator(CONFIG_SCHEMA)
 # a system.path file holds the two matrices of an inline system
-_SYSTEM_FILE_VALIDATOR = _Validator(
-    {"properties": {"A": _MATRIX, "B": _MATRIX}, "required": ["A", "B"]}
-)
+_SYSTEM_FILE_SCHEMA = {"properties": {"A": _MATRIX, "B": _MATRIX}, "required": ["A", "B"]}
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    # draft 2020-12: a number with an integral value, so 3.0 is an integer and NaN is not
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+
+
+class SchemaError(NamedTuple):
+    """One schema violation, in the terms jsonschema 4.26 reports it in."""
+
+    path: tuple  # keys and indices from the checked value to the offending one
+    keyword: str
+    message: str
+    type_mismatch: bool  # the value is not of the enclosing schema's "type" (or it has none)
+    context: tuple = ()  # a failed oneOf's branch errors, their paths relative to its value
+
+    @property
+    def json_path(self) -> str:
+        # every key on a path is a declared property name, so none needs quoting
+        return "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in self.path)
+
+
+def schema_errors(value, schema: dict, path: tuple = ()):
+    """Every violation of schema by value, in jsonschema's order: keywords in schema order.
+
+    Supports the keywords the config schemas use: type, properties, required,
+    additionalProperties (false), items, minItems, enum, minimum, exclusiveMinimum,
+    exclusiveMaximum, pattern, oneOf, and "rectangular" (the rows of a matrix have
+    one length).  Messages are jsonschema's.
+    """
+    mismatch = not ("type" in schema and _TYPES[schema["type"]](value))
+    number = _TYPES["number"](value)
+    for keyword, arg in schema.items():
+        if keyword == "properties" and isinstance(value, dict):
+            for key, sub in arg.items():
+                if key in value:
+                    yield from schema_errors(value[key], sub, (*path, key))
+            continue
+        if keyword == "items" and isinstance(value, list):
+            for i, item in enumerate(value):
+                yield from schema_errors(item, arg, (*path, i))
+            continue
+        if keyword == "required" and isinstance(value, dict):
+            for key in arg:
+                if key not in value:
+                    yield SchemaError(path, keyword, f"{key!r} is a required property", mismatch)
+            continue
+        message, context = None, ()
+        if keyword == "type" and not _TYPES[arg](value):
+            message = f"{value!r} is not of type {arg!r}"
+        elif keyword == "additionalProperties" and not arg and isinstance(value, dict):
+            extras = sorted(key for key in value if key not in schema.get("properties", {}))
+            if extras:
+                message = (f"Additional properties are not allowed ({', '.join(map(repr, extras))}"
+                           f" {'was' if len(extras) == 1 else 'were'} unexpected)")
+        elif keyword == "minItems" and isinstance(value, list) and len(value) < arg:
+            message = f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+        elif keyword == "enum" and value not in arg:
+            message = f"{value!r} is not one of {arg!r}"
+        elif keyword == "minimum" and number and value < arg:
+            message = f"{value!r} is less than the minimum of {arg!r}"
+        elif keyword == "exclusiveMinimum" and number and value <= arg:
+            message = f"{value!r} is less than or equal to the minimum of {arg!r}"
+        elif keyword == "exclusiveMaximum" and number and value >= arg:
+            message = f"{value!r} is greater than or equal to the maximum of {arg!r}"
+        elif keyword == "pattern" and isinstance(value, str) and not re.search(arg, value):
+            message = f"{value!r} does not match {arg!r}"
+        elif keyword == "oneOf":
+            branches = [list(schema_errors(value, sub)) for sub in arg]
+            valid = [sub for sub, errors in zip(arg, branches) if not errors]
+            if not valid:
+                message = f"{value!r} is not valid under any of the given schemas"
+                context = tuple(error for errors in branches for error in errors)
+            elif len(valid) > 1:
+                reprs = ", ".join(map(repr, valid[1:] + valid[:1]))
+                message = f"{value!r} is valid under each of {reprs}"
+        elif keyword == "rectangular" and isinstance(value, list):
+            if len({len(row) for row in value if isinstance(row, list)}) > 1:
+                message = "rows of unequal length"
+        if message is not None:
+            yield SchemaError(path, keyword, message, mismatch, context)
+
+
+def _relevance(error: SchemaError) -> tuple:
+    # jsonschema's relevance: shallow paths first, then the later sibling, then
+    # anything but oneOf, then an error whose value is not of its schema's type
+    return (-len(error.path), error.path, error.keyword != "oneOf", error.type_mismatch)
+
+
+def best_error(errors) -> SchemaError | None:
+    """The error jsonschema's best_match reports: the most relevant one (the first of
+    equals), and from a failed oneOf the least relevant error of its branches, unless
+    two of them tie, in which case the oneOf itself."""
+    best = max(errors, key=_relevance, default=None)
+    while best is not None and best.context:
+        least = sorted(best.context, key=_relevance)[:2]
+        if len(least) == 2 and _relevance(least[0]) == _relevance(least[1]):
+            break
+        best = least[0]._replace(path=best.path + least[0].path)
+    return best
+
 
 # Built-in two-state demo loop with one stable, one marginal, one unstable gain.
 BUILTIN_EXPERIMENT = {
@@ -215,6 +323,8 @@ DEFAULT_COUNTEREXAMPLE = {
 
 
 def parse_horizons(spec) -> list[int]:
+    """The horizon grid of a range "a:b[:step]" or a strictly increasing list; its longest
+    horizon may not exceed MAX_HORIZON, which is checked before a range is expanded."""
     if isinstance(spec, str):
         parts = spec.split(":")
         if len(parts) not in (2, 3):
@@ -226,11 +336,20 @@ def parse_horizons(spec) -> list[int]:
             raise ConfigError(f"bad horizon range {spec!r}: {exc}", field="horizons") from exc
         if a < 1 or b < a or step < 1:
             raise ConfigError(f"bad horizon range {spec!r}", field="horizons")
-        return list(range(a, b + 1, step))
-    hs = [int(h) for h in spec]
-    if any(b <= a for a, b in zip(hs, hs[1:])):
-        raise ConfigError("horizons must be strictly increasing", field="horizons")
-    return hs
+        hs = range(a, b + 1, step)
+    else:
+        hs = [int(h) for h in spec]
+        if any(b <= a for a, b in zip(hs, hs[1:])):
+            raise ConfigError("horizons must be strictly increasing", field="horizons")
+    if hs:
+        _check_horizon_limit(hs[-1], "horizons")
+    return list(hs)
+
+
+def _check_horizon_limit(longest: int, field: str) -> None:
+    if longest > MAX_HORIZON:
+        raise ConfigError(f"longest horizon {longest} exceeds the limit of {MAX_HORIZON}",
+                          field=field)
 
 
 @dataclass
@@ -259,15 +378,15 @@ class ExperimentConfig:
         return BallDisturbance(self.system.n, self.W, self.seed)
 
 
-def _read_json(path, what: str, validator, field=None) -> dict:
-    """The JSON object in the file at path, checked against validator; ConfigError otherwise."""
+def _read_json(path, what: str, schema: dict, field=None) -> dict:
+    """The JSON object in the file at path, checked against schema; ConfigError otherwise."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}", field=field) from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{what} root must be a JSON object", field=field)
-    error = jsonschema.exceptions.best_match(validator.iter_errors(raw))
+    error = best_error(schema_errors(raw, schema))
     if error is not None:
         raise ConfigError(f"{what} schema violation at {error.json_path}: {error.message}",
                           field=field or error.json_path)
@@ -290,7 +409,7 @@ def _system_and_costs(sysraw: dict, costraw: dict, sections=("system", "cost")):
 
 def load_config(path, overrides: argparse.Namespace, need_system: bool = True) -> ExperimentConfig:
     """The validated config at path; overrides holds the flags its subcommand accepts."""
-    raw = _read_json(path, "config", _SCHEMA_VALIDATOR)
+    raw = _read_json(path, "config", CONFIG_SCHEMA)
     flags = vars(overrides)
 
     system = None
@@ -303,7 +422,7 @@ def load_config(path, overrides: argparse.Namespace, need_system: bool = True) -
                 raise ConfigError(f"missing required config section {key!r}", field=key)
         sysraw = raw["system"]
         if "path" in sysraw:
-            sysraw = _read_json(sysraw["path"], "system file", _SYSTEM_FILE_VALIDATOR,
+            sysraw = _read_json(sysraw["path"], "system file", _SYSTEM_FILE_SCHEMA,
                                 field="system.path")
         if "A" not in sysraw or "B" not in sysraw:
             raise ConfigError("system needs A and B (inline or via path)", field="system")
@@ -314,6 +433,8 @@ def load_config(path, overrides: argparse.Namespace, need_system: bool = True) -
                 if any(entry["name"] == name for name, _ in policies):
                     raise ConfigError(f"duplicate policy name {entry['name']!r}", field="policies")
                 pol = LinearPolicy.constant(entry["K"])
+                if not np.isfinite(pol.K(0)).all():
+                    raise ConditioningError(f"policies[{entry['name']}].K has a non-finite entry")
                 if (pol.m, pol.n) != (m, n):
                     raise ConfigError(
                         f"policy {entry['name']!r} gain is {pol.K.shape}, expected ({m},{n})",
@@ -358,6 +479,14 @@ def load_config(path, overrides: argparse.Namespace, need_system: bool = True) -
         except ValueError as exc:
             raise ConfigError(f"bad threshold value {item!r}: {exc}",
                               field="thresholds") from exc
+        error = best_error(schema_errors(thresholds[key], _THRESHOLD_SCHEMAS[key],
+                                         ("thresholds", key)))
+        if error is not None:
+            raise ConfigError(f"bad threshold value {item!r}: {error.message}",
+                              field=error.json_path)
+    for key, value in thresholds.items():
+        if not np.isfinite(value):
+            raise ConditioningError(f"thresholds.{key} has a non-finite entry")
 
     return ExperimentConfig(
         system=system,
@@ -516,6 +645,7 @@ def cmd_counterexample(args) -> int:
         cfg = load_config(args.config, args, need_system=False)
         ce, seed = {**ce, **cfg.counterexample}, cfg.seed
     _system_and_costs(ce, ce, ("counterexample", "counterexample"))
+    _check_horizon_limit(max(ce["T_grid"]), "counterexample.T_grid")
     rows = gamma_scan(ce["A"], ce["B"], ce["Q"], ce["R"], ce["alpha_grid"])
     in_gamma = [r.alpha for r in rows if r.in_gamma]
     report: dict = {

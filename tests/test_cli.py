@@ -329,6 +329,15 @@ def test_cli_import_does_not_load_scipy():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_does_not_load_jsonschema():
+    # configs are checked by cli.schema_errors; jsonschema is only the tests' reference
+    probe = "import sys, regretlab.cli; print('jsonschema' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+                          check=True, timeout=120)
+    assert proc.stdout.strip() == "False"
+
+
 def test_phi_recipe_scales_large_rows_and_stops_at_non_finite_ones(tmp_path, capsys):
     # K = 0 leaves the open loop x' = 50 x: the rows Phi(k,0) w0 = 50^k pass
     # 1e154 (squares overflow) near k = 91 and the float range at k = 182
@@ -562,6 +571,7 @@ def test_counterexample_bad_weight_exits_numerical(tmp_path, capsys, key, value,
     ({}, ["--seed", "-3"]),
     ({"W": 1e200}, []),
     ({"X": 1e300}, []),
+    ({"T_grid": [1, 10**10]}, []),  # rejected before a row per step is allocated
 ])
 def test_counterexample_bad_input_exits_config_before_any_output(tmp_path, capsys, section, flags):
     cfg = {"counterexample": {"A": [[2.0]], "B": [[1.0]], "Q": [[1.0]], "R": [[1.0]], **section}}
@@ -610,6 +620,62 @@ def test_thresholds_are_closed_to_the_known_keys(tmp_path, capsys):
     path = write_config(tmp_path, dict(FOUR_STATE, thresholds={"marginal_tol": 1e-6}))
     assert main(["stability", "--config", path, "--out", str(out),
                  "--threshold", "marginal_tol=1e-3"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("thresholds, flags, expected, where", [
+    ({"marginal_tol": float("nan")}, [], EXIT_NUMERICAL, "thresholds.marginal_tol"),
+    ({}, ["--threshold", "marginal_tol=nan"], EXIT_NUMERICAL, "thresholds.marginal_tol"),
+    ({"slope_bounded": float("nan")}, [], EXIT_NUMERICAL, "thresholds.slope_bounded"),
+    ({}, ["--threshold", "slope_superlinear=-inf"], EXIT_NUMERICAL, "thresholds.slope_superlinear"),
+    ({"marginal_tol": -1}, [], EXIT_CONFIG, "$.thresholds.marginal_tol"),
+    ({}, ["--threshold", "marginal_tol=-1"], EXIT_CONFIG, "$.thresholds.marginal_tol"),
+])
+@pytest.mark.parametrize("command", ["regret", "stability"])
+def test_non_finite_or_negative_thresholds_are_rejected(tmp_path, capsys, thresholds, flags,
+                                                        expected, where, command):
+    # NaN used to call the stable K1 "Unstable" and -1 the marginal K2 "AsymptoticallyStable"
+    path = write_config(tmp_path, dict(FOUR_STATE, thresholds=thresholds))
+    out = tmp_path / "out"
+    code = main([command, "--config", path, "--out", str(out), *flags])
+    diag = assert_rejected(capsys, code, expected, out)
+    if expected == EXIT_NUMERICAL:
+        assert diag["message"] == f"{where} has a non-finite entry"
+    else:
+        assert diag["field"] == where and "is less than the minimum of 0" in diag["message"]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("command", ["regret", "simulate", "stability"])
+def test_non_finite_policy_gain_exits_numerical_naming_it(tmp_path, capsys, value, command):
+    cfg = json.loads(json.dumps(FOUR_STATE))
+    cfg["policies"][1]["K"] = [[0.0, value]]
+    out = tmp_path / "out"
+    code = main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    diag = assert_rejected(capsys, code, EXIT_NUMERICAL, out)
+    assert diag["message"] == "policies[K2].K has a non-finite entry"
+
+
+def test_horizon_grids_are_bounded_before_they_are_built():
+    top = cli.MAX_HORIZON
+    assert parse_horizons(f"{top}:{top}") == [top]
+    assert parse_horizons(f"1:{top + 1}:{top + 1}") == [1]  # the longest horizon, not b, counts
+    for spec in ["1:10000000000", f"1:{top + 1}:{top}", [1, top + 1], [1, 10**30]]:
+        with pytest.raises(ConfigError, match="exceeds the limit") as caught:
+            parse_horizons(spec)
+        assert caught.value.field == "horizons"
+
+
+@pytest.mark.parametrize("argv", [
+    ["regret", "--horizons", "1:10000000000"], ["simulate", "--horizons", "1:10000000000"],
+    ["regret"], ["simulate"], ["stability"],
+])
+def test_unbounded_horizon_grid_exits_config(tmp_path, capsys, argv):
+    # from the flag when one is given, else from the config
+    horizons = FOUR_STATE["horizons"] if "--horizons" in argv else "1:10000000000"
+    path = write_config(tmp_path, dict(FOUR_STATE, horizons=horizons))
+    out = tmp_path / "out"
+    code = main([*argv, "--config", path, "--out", str(out)])
+    assert assert_rejected(capsys, code, EXIT_CONFIG, out)["field"] == "horizons"
 
 
 def test_parser_is_built_once_and_carries_nothing_between_calls(tmp_path, capsys, monkeypatch):
@@ -770,3 +836,66 @@ def test_mutated_configs_keep_the_exit_code_contract(tmp_path, capsys, seed):
             capsys.readouterr()
         else:
             assert_rejected(capsys, code, code, out)
+
+
+# values a random key path is set to in the differential schema test
+SCHEMA_FUZZ_VALUES = [
+    None, True, False, 0, -1, 2, 3.0, 0.5, -0.0, 1e300, float("nan"), float("inf"),
+    -float("inf"), "", "x", "1:5", "../K", [], [0], [2, 1], [1.5, -2], [[1.0]],
+    [[1.0, 2.0], [3.0]], [["a"]], [[]], {}, {"A": [[1.0]]}, {"name": "K9", "K": [[0.1, 0.2]]},
+]
+
+
+def _value_paths(node, prefix=()):
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield (*prefix, key)
+        yield from _value_paths(value, (*prefix, key))
+
+
+def _fuzzed_config(seed):
+    """FUZZ_BASE after one `_mutate` and up to three random value replacements or extra keys."""
+    rng = np.random.default_rng(seed)
+    cfg = json.loads(json.dumps(FUZZ_BASE))
+    _mutate(rng, cfg, seed % 9)
+    for _ in range(rng.integers(4)):
+        paths = list(_value_paths(cfg))
+        path = paths[rng.integers(len(paths))]
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        value = json.loads(json.dumps(SCHEMA_FUZZ_VALUES[rng.integers(len(SCHEMA_FUZZ_VALUES))]))
+        if isinstance(node[path[-1]], dict) and rng.integers(4) == 0:
+            node[path[-1]]["extra"] = value
+        else:
+            node[path[-1]] = value
+    return cfg
+
+
+def test_schema_errors_match_jsonschema_on_fuzzed_configs():
+    jsonschema = pytest.importorskip("jsonschema")
+
+    def rectangular(validator, value, instance, schema):
+        rows = instance if validator.is_type(instance, "array") else []
+        if len({len(row) for row in rows if isinstance(row, list)}) > 1:
+            yield jsonschema.ValidationError("rows of unequal length")
+
+    def where(error):
+        return None if error is None else (error.json_path, error.message)
+
+    validator = jsonschema.validators.extend(jsonschema.Draft202012Validator,
+                                             {"rectangular": rectangular})
+    failing = 0
+    for seed in range(1200):
+        cfg = _fuzzed_config(seed)
+        for schema, value in ((cli.CONFIG_SCHEMA, cfg),
+                              (cli._SYSTEM_FILE_SCHEMA, cfg.get("system"))):
+            if not isinstance(value, dict):
+                continue
+            expected = list(validator(schema).iter_errors(value))
+            got = list(cli.schema_errors(value, schema))
+            assert sorted(map(where, got)) == sorted(map(where, expected)), seed
+            assert where(cli.best_error(got)) == where(jsonschema.exceptions.best_match(expected)), seed
+            failing += bool(expected)
+    assert failing >= 1000
