@@ -11,7 +11,6 @@ from .adversary import (
 )
 from .counterexample import (
     DiscountedLqrModel,
-    GammaCheck,
     GammaScanRow,
     InstabilityReport,
     ValueParams,

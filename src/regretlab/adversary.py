@@ -6,7 +6,8 @@ Three recipes, all emitting signals with ||w_t|| <= W:
   way to excite the slowest-decaying / fastest-growing mode);
 * aligned with the transition matrices, w_{k-1} = C Phi(k, 0) w0 with C chosen
   as the largest scale that respects the bound over the horizon -- under this
-  signal the undisturbed-start state is exactly x_t = t C Phi(t, 0) w0;
+  signal the undisturbed-start state is exactly x_t = t C Phi(t, 0) w0; the
+  rows Phi(k, 0) w0 come from transition._products, the one column recurrence;
 * i.i.d. uniform draws from the radius-W ball (seeded, prefix-stable: each
   row draws n normals, then one uniform; the arithmetic runs on whole arrays).
 
@@ -23,6 +24,7 @@ import numpy as np
 
 from .errors import SimulationOverflowError
 from .model import DisturbanceSignal, matrix_sequence
+from .transition import _products
 
 
 def _sign_normalize(v: np.ndarray) -> np.ndarray:
@@ -100,23 +102,16 @@ def constant_eigvec(F, W: float, complex_convention: str = "real-part") -> Const
 def _phi_rows(F, W: float, T: int, w0=None) -> tuple[np.ndarray, np.ndarray]:
     """Rows Phi(k, 0) w0 for k = 1..T and the scales C_0..C_T of phi_aligned.
 
+    The rows come from the column recurrence of the transition module.
     C_t = min_{k<=t} W / ||Phi(k,0) w0|| is the scale of the horizon-t signal,
     so phi_aligned(F, W, t, w0).w equals C_t * rows[:t] for every t <= T.
     Raises SimulationOverflowError at the first k whose row is not finite.
     """
     seq = matrix_sequence(F, what="F")
-    n = seq.shape[0]
-    if w0 is None:
-        w0 = np.zeros(n)
-        w0[0] = 1.0
-    w0 = np.asarray(w0, dtype=float)
+    w0 = np.eye(seq.shape[0])[0] if w0 is None else np.asarray(w0, dtype=float)
     if np.linalg.norm(w0) == 0.0:
         raise ValueError("w0 must be nonzero")
-    vecs = np.zeros((T + 1, n))
-    vecs[0] = w0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, T + 1):
-            vecs[k] = seq(k - 1) @ vecs[k - 1]
+    vecs = _products(seq, T, w0)
     finite = np.all(np.isfinite(vecs), axis=1)
     if not finite.all():
         k = int(np.argmin(finite))

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._svg import render_semilog_svg
 from .adversary import BallDisturbance, TransitionAlignedDisturbance, constant_eigvec
-from .counterexample import build_model, gamma_scan, linear_regret_despite_instability
+from .counterexample import gamma_scan, linear_regret_despite_instability
 from .errors import (
     AssumptionViolationError,
     ConditioningError,
@@ -122,10 +122,9 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
         },
         "horizons": {
-            "oneOf": [
-                {"type": "string"},
-                {"type": "array", "minItems": 1, "items": {"type": "integer", "minimum": 1}},
-            ]
+            "type": ["string", "array"],
+            "minItems": 1,
+            "items": {"type": "integer", "minimum": 1},
         },
         "thresholds": {
             "type": "object",
@@ -162,6 +161,7 @@ CONFIG_SCHEMA = {
 # a system.path file holds the two matrices of an inline system
 _SYSTEM_FILE_SCHEMA = {"properties": {"A": _MATRIX, "B": _MATRIX}, "required": ["A", "B"]}
 
+# a schema's "type" is one of these names or a list of them
 _TYPES = {
     "object": lambda v: isinstance(v, dict),
     "array": lambda v: isinstance(v, list),
@@ -180,7 +180,6 @@ class SchemaError(NamedTuple):
     keyword: str
     message: str
     type_mismatch: bool  # the value is not of the enclosing schema's "type" (or it has none)
-    context: tuple = ()  # a failed oneOf's branch errors, their paths relative to its value
 
     @property
     def json_path(self) -> str:
@@ -193,10 +192,12 @@ def schema_errors(value, schema: dict, path: tuple = ()):
 
     Supports the keywords the config schemas use: type, properties, required,
     additionalProperties (false), items, minItems, enum, minimum, exclusiveMinimum,
-    exclusiveMaximum, pattern, oneOf, and "rectangular" (the rows of a matrix have
-    one length).  Messages are jsonschema's.
+    exclusiveMaximum, pattern, and "rectangular" (the rows of a matrix have one
+    length).  Messages are jsonschema's.
     """
-    mismatch = not ("type" in schema and _TYPES[schema["type"]](value))
+    types = schema.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    mismatch = not any(_TYPES[name](value) for name in types)
     number = _TYPES["number"](value)
     for keyword, arg in schema.items():
         if keyword == "properties" and isinstance(value, dict):
@@ -213,9 +214,9 @@ def schema_errors(value, schema: dict, path: tuple = ()):
                 if key not in value:
                     yield SchemaError(path, keyword, f"{key!r} is a required property", mismatch)
             continue
-        message, context = None, ()
-        if keyword == "type" and not _TYPES[arg](value):
-            message = f"{value!r} is not of type {arg!r}"
+        message = None
+        if keyword == "type" and mismatch:
+            message = f"{value!r} is not of type {', '.join(map(repr, types))}"
         elif keyword == "additionalProperties" and not arg and isinstance(value, dict):
             extras = sorted(key for key in value if key not in schema.get("properties", {}))
             if extras:
@@ -233,39 +234,22 @@ def schema_errors(value, schema: dict, path: tuple = ()):
             message = f"{value!r} is greater than or equal to the maximum of {arg!r}"
         elif keyword == "pattern" and isinstance(value, str) and not re.search(arg, value):
             message = f"{value!r} does not match {arg!r}"
-        elif keyword == "oneOf":
-            branches = [list(schema_errors(value, sub)) for sub in arg]
-            valid = [sub for sub, errors in zip(arg, branches) if not errors]
-            if not valid:
-                message = f"{value!r} is not valid under any of the given schemas"
-                context = tuple(error for errors in branches for error in errors)
-            elif len(valid) > 1:
-                reprs = ", ".join(map(repr, valid[1:] + valid[:1]))
-                message = f"{value!r} is valid under each of {reprs}"
         elif keyword == "rectangular" and isinstance(value, list):
             if len({len(row) for row in value if isinstance(row, list)}) > 1:
                 message = "rows of unequal length"
         if message is not None:
-            yield SchemaError(path, keyword, message, mismatch, context)
+            yield SchemaError(path, keyword, message, mismatch)
 
 
 def _relevance(error: SchemaError) -> tuple:
     # jsonschema's relevance: shallow paths first, then the later sibling, then
-    # anything but oneOf, then an error whose value is not of its schema's type
-    return (-len(error.path), error.path, error.keyword != "oneOf", error.type_mismatch)
+    # an error whose value is not of its schema's type
+    return (-len(error.path), error.path, error.type_mismatch)
 
 
 def best_error(errors) -> SchemaError | None:
-    """The error jsonschema's best_match reports: the most relevant one (the first of
-    equals), and from a failed oneOf the least relevant error of its branches, unless
-    two of them tie, in which case the oneOf itself."""
-    best = max(errors, key=_relevance, default=None)
-    while best is not None and best.context:
-        least = sorted(best.context, key=_relevance)[:2]
-        if len(least) == 2 and _relevance(least[0]) == _relevance(least[1]):
-            break
-        best = least[0]._replace(path=best.path + least[0].path)
-    return best
+    """The error jsonschema's best_match reports: the most relevant one, the first of equals."""
+    return max(errors, key=_relevance, default=None)
 
 
 # Built-in two-state demo loop with one stable, one marginal, one unstable gain.
@@ -382,7 +366,8 @@ def _read_json(path, what: str, schema: dict, field=None) -> dict:
     """The JSON object in the file at path, checked against schema; ConfigError otherwise."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: not JSON or not UTF-8; RecursionError: nested deeper than the parser goes
         raise ConfigError(f"cannot read {what} {path}: {exc}", field=field) from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{what} root must be a JSON object", field=field)
@@ -647,13 +632,13 @@ def cmd_counterexample(args) -> int:
     _system_and_costs(ce, ce, ("counterexample", "counterexample"))
     _check_horizon_limit(max(ce["T_grid"]), "counterexample.T_grid")
     rows = gamma_scan(ce["A"], ce["B"], ce["Q"], ce["R"], ce["alpha_grid"])
-    in_gamma = [r.alpha for r in rows if r.in_gamma]
+    in_gamma = [r for r in rows if r.in_gamma]
     report: dict = {
-        "gamma_alphas": in_gamma,
+        "gamma_alphas": [r.alpha for r in in_gamma],
         "found_gamma": bool(in_gamma),
     }
     if in_gamma:
-        model = build_model(ce["A"], ce["B"], ce["Q"], ce["R"], in_gamma[0])
+        model = in_gamma[0].model  # solved by the scan
         rep = linear_regret_despite_instability(
             model, W=ce["W"], X=ce["X"], T_grid=ce["T_grid"], seed=seed
         )

@@ -21,6 +21,7 @@ import numpy as np
 from .adversary import ball_point, dominant_direction, random_ball
 from .errors import AssumptionViolationError, ConvergenceError
 from .model import (
+    REL_SLACK,
     LinearPolicy,
     QuadraticStageCost,
     SystemDynamics,
@@ -29,12 +30,17 @@ from .model import (
     jsonable,
     simulate,
 )
+from .transition import spectral_radius
+
+DARE_TOL = 1e-12  # dare_modified stops once an iterate moves by at most this (Frobenius)
+DARE_MAX_ITER = 100_000  # the most iterates dare_modified runs before it gives up
+INSTABILITY_TRIALS = 8  # signals of the instability report: the eigenvector one, then draws
 
 
 def _riccati_step(P, A, B, Q, R, alpha):
     APB = alpha * A.T @ P @ B
     G = R + alpha * B.T @ P @ B
-    return Q + alpha * A.T @ P @ A - APB @ np.linalg.solve(G, APB.T) / 1.0
+    return Q + alpha * A.T @ P @ A - APB @ np.linalg.solve(G, APB.T)
 
 
 def dare_residual(A, B, Q, R, alpha, P) -> float:
@@ -44,24 +50,21 @@ def dare_residual(A, B, Q, R, alpha, P) -> float:
     return float(np.linalg.norm(lhs, "fro") / max(1.0, np.linalg.norm(P, "fro")))
 
 
-def dare_modified(A, B, Q, R, alpha, tol=1e-12, max_iter=100_000) -> np.ndarray:
+def dare_modified(A, B, Q, R, alpha) -> np.ndarray:
     """Fixed-point iteration of the discounted Riccati map from P^0 = Q.
 
     Q and R must pass QuadraticStageCost.bounds (PD and symmetric).  The
     iterates are monotone nondecreasing from Q (asserted each step); the
-    loop stops when the Frobenius change drops below tol and the returned P is
-    residual-checked.  Divergence (e.g. the modified pair is not stabilizable)
+    loop stops when the Frobenius change drops below DARE_TOL and the returned
+    P is residual-checked.  Divergence (e.g. the modified pair is not stabilizable)
     raises ConvergenceError carrying the last residual.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    R = np.asarray(R, dtype=float)
+    A, B, Q, R = (np.asarray(M, dtype=float) for M in (A, B, Q, R))
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     QuadraticStageCost.constant(Q, R).bounds(0)
     P = Q.copy()
-    for _ in range(max_iter):
+    for _ in range(DARE_MAX_ITER):
         nxt = _riccati_step(P, A, B, Q, R, alpha)
         nxt = 0.5 * (nxt + nxt.T)
         step = np.linalg.eigvalsh(nxt - P)[0]
@@ -71,7 +74,7 @@ def dare_modified(A, B, Q, R, alpha, tol=1e-12, max_iter=100_000) -> np.ndarray:
             )
         delta = float(np.linalg.norm(nxt - P, "fro"))
         P = nxt
-        if delta <= tol:
+        if delta <= DARE_TOL:
             resid = dare_residual(A, B, Q, R, alpha, P)
             if resid > 1e-10:
                 raise ConvergenceError(
@@ -83,18 +86,16 @@ def dare_modified(A, B, Q, R, alpha, tol=1e-12, max_iter=100_000) -> np.ndarray:
             break
     resid = dare_residual(A, B, Q, R, alpha, P) if np.all(np.isfinite(P)) else float("inf")
     raise ConvergenceError(
-        f"Riccati iteration did not converge within {max_iter} steps "
+        f"Riccati iteration did not converge within {DARE_MAX_ITER} steps "
         f"(last residual {resid:.3e}); the modified pair may not be stabilizable",
         residual=resid,
-        iterations=max_iter,
+        iterations=DARE_MAX_ITER,
     )
 
 
 def discounted_gain(P, A, B, R, alpha) -> tuple[np.ndarray, np.ndarray]:
     """Gain K_alpha (stored so that u = -K_alpha x) and closed loop F = A - B K_alpha."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    R = np.asarray(R, dtype=float)
+    A, B, R = (np.asarray(M, dtype=float) for M in (A, B, R))
     G = R + alpha * B.T @ P @ B
     K = alpha * np.linalg.solve(G, B.T @ P @ A)
     F = A - B @ K
@@ -130,13 +131,10 @@ class DiscountedLqrModel:
 
 
 def build_model(A, B, Q, R, alpha) -> DiscountedLqrModel:
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    R = np.asarray(R, dtype=float)
+    A, B, Q, R = (np.asarray(M, dtype=float) for M in (A, B, Q, R))
     P = dare_modified(A, B, Q, R, alpha)
     K, F = discounted_gain(P, A, B, R, alpha)
-    rho = float(np.max(np.abs(np.linalg.eigvals(F))))
+    rho = spectral_radius(F)
     anorm = float(alpha * np.linalg.norm(F, 2))
     return DiscountedLqrModel(
         A=A,
@@ -154,17 +152,10 @@ def build_model(A, B, Q, R, alpha) -> DiscountedLqrModel:
     )
 
 
-@dataclass
-class GammaCheck:
-    in_gamma: bool
-    spectral_radius: float
-    discounted_norm: float
-
-
-def gamma_check(A, B, Q, R, alpha) -> GammaCheck:
-    """Both Gamma conditions, evaluated with spectral norm and spectral radius."""
-    model = build_model(A, B, Q, R, alpha)
-    return GammaCheck(model.in_gamma, model.spectral_radius, model.discounted_norm)
+def gamma_check(A, B, Q, R, alpha) -> DiscountedLqrModel:
+    """The solved model at alpha, whose in_gamma evaluates both Gamma conditions
+    (spectral norm and spectral radius)."""
+    return build_model(A, B, Q, R, alpha)
 
 
 @dataclass
@@ -174,20 +165,21 @@ class GammaScanRow:
     in_gamma: bool
     spectral_radius: float
     discounted_norm: float
+    model: DiscountedLqrModel | None  # the solved model, None when the DARE did not converge
 
 
 def gamma_scan(A, B, Q, R, alphas) -> list[GammaScanRow]:
-    """Per-alpha Gamma membership; non-convergent discount factors are flagged."""
+    """Per-alpha Gamma membership with the solved model; non-convergent discount
+    factors are flagged.  One DARE solve per alpha."""
     QuadraticStageCost.constant(Q, R).bounds(0)  # a bad weight is not a per-alpha failure
     rows = []
     for alpha in alphas:
         try:
-            chk = gamma_check(A, B, Q, R, float(alpha))
-            rows.append(
-                GammaScanRow(float(alpha), True, chk.in_gamma, chk.spectral_radius, chk.discounted_norm)
-            )
+            model = gamma_check(A, B, Q, R, float(alpha))
+            rows.append(GammaScanRow(float(alpha), True, model.in_gamma, model.spectral_radius,
+                                     model.discounted_norm, model))
         except (ConvergenceError, AssumptionViolationError):
-            rows.append(GammaScanRow(float(alpha), False, False, float("nan"), float("nan")))
+            rows.append(GammaScanRow(float(alpha), False, False, float("nan"), float("nan"), None))
     return rows
 
 
@@ -268,7 +260,6 @@ def linear_regret_despite_instability(
     W: float,
     X: float,
     T_grid,
-    trials: int = 8,
     seed: int = 0,
 ) -> InstabilityReport:
     """Certify the affine discounted-cost bound for an unstable in-Gamma loop.
@@ -279,7 +270,8 @@ def linear_regret_despite_instability(
         C_0 = ||P|| (X^2 + 2 X W sigma/(1-sigma) + W^2 alpha/(1-alpha)),
         C_w = 2 ||P|| sigma W^2 / (1-sigma),
 
-    and every sampled (x0, w) must satisfy J^d_T <= C_0 + C_w T on the grid.
+    and every sampled (x0, w) of INSTABILITY_TRIALS signals must satisfy
+    J^d_T <= C_0 + C_w T on the grid, up to the relative slack REL_SLACK.
     The same rollouts are also scored undiscounted to exhibit the diverging
     time-averaged cost of the very same loop.
     """
@@ -298,7 +290,7 @@ def linear_regret_despite_instability(
             undiscounted_ratio=float("nan"),
             undiscounted_diverges=False,
             horizons=[int(t) for t in T_grid],
-            trials=trials,
+            trials=INSTABILITY_TRIALS,
         )
 
     T_grid = sorted(int(t) for t in T_grid)
@@ -313,7 +305,7 @@ def linear_regret_despite_instability(
     v_dom, _, _ = dominant_direction(model.F)
     rng = np.random.default_rng(seed)
     signals = [np.tile(W * v_dom, (T_max, 1))]
-    for _ in range(max(trials - 1, 0)):
+    for _ in range(INSTABILITY_TRIALS - 1):
         signals.append(random_ball(n, W, T_max, seed=int(rng.integers(0, 2**31))).w)
     starts = [X * v_dom, np.zeros(n)]
     for _ in range(2):
@@ -343,11 +335,11 @@ def linear_regret_despite_instability(
         sigma=sigma,
         c0=c0,
         cw=cw,
-        bound_holds=bool(worst_gap <= 1e-9),
+        bound_holds=bool(worst_gap <= REL_SLACK),
         max_relative_gap=float(worst_gap),
         unstable_confirmed=bool(model.spectral_radius > 1.0),
         undiscounted_ratio=float(ratio),
         undiscounted_diverges=bool(ratio > 100.0),
         horizons=T_grid,
-        trials=trials,
+        trials=INSTABILITY_TRIALS,
     )

@@ -40,6 +40,8 @@ from .model import (
 
 FIXED_POINT_TOL = 4.0 * np.finfo(float).eps  # relative to the largest entry
 
+BATCH_ORACLE_CAP = 2000  # the largest T*m batch_oracle takes: its solve is O((T m)^3)
+
 
 def _settled(new: np.ndarray, old: np.ndarray) -> bool:
     """True when no entry moved by more than FIXED_POINT_TOL of max|new|."""
@@ -238,9 +240,8 @@ def batch_oracle(
     x0,
     w,
     T: int | None = None,
-    size_cap: int = 2000,
 ) -> tuple[np.ndarray, float]:
-    """Dense least-squares solve for the same minimizer; O((Tm)^3), cap T*m <= 2000.
+    """Dense least-squares solve for the same minimizer; O((Tm)^3), T*m <= BATCH_ORACLE_CAP.
 
     Its design holds A^k up to k = T, so it loses all digits on unstable open
     loops (1.7e21 against 6.6e3 from both O(T) routes at rho(A) = 2.9, T = 55).
@@ -249,8 +250,8 @@ def batch_oracle(
     w, T = disturbance_prefix(w, system.n, T)
     check_dims(system, costs, x0[None])
     n, m = system.n, system.m
-    if T * m > size_cap:
-        raise ValueError(f"batch oracle limited to T*m <= {size_cap}, got {T * m}")
+    if T * m > BATCH_ORACLE_CAP:
+        raise ValueError(f"batch oracle limited to T*m <= {BATCH_ORACLE_CAP}, got {T * m}")
 
     N = (T + 1) * n
     M = T * m

@@ -23,6 +23,9 @@ OVERFLOW_LIMIT = 1e150
 # Slack allowed on declared norm bounds (disturbances, affine offsets).
 BOUND_SLACK = 1e-12
 
+# A sampled cost may pass a certified bound, or fall short of a floor, by this fraction of it.
+REL_SLACK = 1e-9
+
 RCOND_FLOOR = 1e-14  # smallest 2-norm rcond of a PD weight or input Hessian
 
 
@@ -276,11 +279,6 @@ class QuadraticStageCost:
     def m(self) -> int:
         return self.R.shape[0]
 
-    def stage(self, t: int, x: np.ndarray, u: np.ndarray) -> float:
-        Qt = self.Q(t)
-        Rt = self.R(t)
-        return float(x @ Qt @ x + u @ Rt @ u)
-
     def bounds(self, T: int) -> tuple[float, float]:
         """(M_lower, M_upper) over 0..T from _check_pd on each weight's symmetric part.
 
@@ -456,13 +454,14 @@ def check_dims(system: SystemDynamics, costs: QuadraticStageCost, x0, policy=Non
         raise ShapeError(f"gain is {policy.K.shape}, expected ({m}, {n}) for this system")
 
 
-def _rollout(system, costs, x0, w, T, policy=None, inputs=None, scales=None) -> _Rollout:
+def _rollout(system, costs, x0, w, T, policy=None, scales=None) -> _Rollout:
     """The rollout kernel: rows of (x0, w) stepped together for T steps.
 
-    The input is u_t = -K_t x_t + d_t under `policy`, else the open-loop
-    inputs[t] (T+1, m), else zero.  x0 is (rows, n); w is (T, n), shared by
-    all rows and multiplied by scales[row] when scales is given, or one
-    signal per row, (rows, T, n).  A row whose state norm exceeds
+    Every row runs under one input rule: u_t = -K_t x_t + d_t under `policy`,
+    else zero; open-loop inputs are the offsets of a zero gain
+    (simulate_inputs).  x0 is (rows, n); w is (T, n), shared by all rows and
+    multiplied by scales[row] when scales is given, or one signal per row,
+    (rows, T, n).  A row whose state norm exceeds
     OVERFLOW_LIMIT (or is not finite) first at step t >= 1 records
     overflow = t and is dead from t on: its states are zero and its inputs
     are the offsets d_t (zero without them), and once every row is dead all
@@ -484,8 +483,7 @@ def _rollout(system, costs, x0, w, T, policy=None, inputs=None, scales=None) -> 
     BT = system.B.stack(T).transpose(0, 2, 1)
     # x (-K)' equals -(x K') exactly, so the gain stack is negated once
     negKT = None if policy is None else (-policy.K.stack(T + 1)).transpose(0, 2, 1)
-    d = inputs if policy is None else policy.offsets(T)
-    driven = negKT is not None or d is not None
+    d = None if policy is None else policy.offsets(T)
     w = w.transpose(1, 0, 2) if w.ndim == 3 else w[:, None]
 
     rows = len(x0)
@@ -508,7 +506,7 @@ def _rollout(system, costs, x0, w, T, policy=None, inputs=None, scales=None) -> 
                 u += d[t]
             if t < T:
                 np.matmul(x, AT[t], out=drift)
-                if driven:
+                if negKT is not None:
                     np.add(drift, u @ BT[t], out=drift)
                 X[t + 1] += drift
 
@@ -595,16 +593,22 @@ def simulate_inputs(
     inputs,
     costs: QuadraticStageCost,
 ) -> Trajectory:
-    """Roll out an explicit input sequence u_0..u_{T-1}; the terminal input is 0."""
+    """Roll out an explicit input sequence u_0..u_{T-1}; the terminal input is 0.
+
+    The inputs are the offsets d_t of a zero gain, bounded by their largest norm.
+    """
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim == 1:
         inputs = inputs[:, None]
     w, T = disturbance_prefix(w, system.n, len(inputs))
-    if inputs.shape[1] != system.m:
-        raise ShapeError(f"inputs have m={inputs.shape[1]}, expected {system.m}")
-    u = np.zeros((T + 1, system.m))
+    n, m = system.n, system.m
+    if inputs.shape[1] != m:
+        raise ShapeError(f"inputs have m={inputs.shape[1]}, expected {m}")
+    u = np.zeros((T + 1, m))
     u[:T] = inputs
-    roll = _rollout(system, costs, np.asarray(x0, dtype=float)[None], w, T, inputs=u)
+    policy = LinearPolicy.varying(np.zeros((m, n)), m, n, d=u,
+                                  d_max=np.max(np.linalg.norm(u, axis=1)))
+    roll = _rollout(system, costs, np.asarray(x0, dtype=float)[None], w, T, policy)
     roll.raise_overflow()
     return roll.trajectory()
 

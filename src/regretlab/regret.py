@@ -22,6 +22,7 @@ import numpy as np
 from .adversary import ball_point, random_ball
 from .errors import ShapeError
 from .model import (
+    REL_SLACK,
     LinearPolicy,
     QuadraticStageCost,
     SystemDynamics,
@@ -221,14 +222,14 @@ def linear_regret_certificate(
     T_max: int = 300,
     trials: int = 10,
     seed: int = 0,
-    rel_slack: float = 1e-9,
 ) -> LinearRegretCertificate:
     """Evaluate the linear-regret constants and test the cost bound on samples.
 
     Requires the BIBS row sums and both norm sums to look convergent at T_max;
     otherwise returns applicable=False and claims nothing.  The sampled check
     draws `trials` initial states from the radius-X ball and disturbances from
-    the radius-W ball and verifies J_T <= C_0 + C_w T for every prefix T.
+    the radius-W ball and verifies J_T <= C_0 + C_w T for every prefix T, up to
+    the relative slack REL_SLACK.
     """
     gated = converged_sums(*norm_sums(closed_loop(system, policy), T_max))
     d_bar, h_bar = gated["d_bar"], gated["h_bar"]
@@ -273,7 +274,7 @@ def linear_regret_certificate(
     worst = float(np.max(rel, initial=-math.inf))
     return LinearRegretCertificate(
         applicable=True,
-        holds=worst <= rel_slack,
+        holds=worst <= REL_SLACK,
         reason="",
         M=M,
         d_bar=d_bar,
@@ -306,9 +307,8 @@ def quadratic_floor_check(
     costs: QuadraticStageCost,
     W: float,
     T: int,
-    rel_slack: float = 1e-9,
 ) -> LowerBoundCheck:
-    """Check J_T >= M_lower W^2 (T^2 + T)/2 under the constant eigenvector signal.
+    """Check J_T >= M_lower W^2 (T^2 + T)/2 (1 - REL_SLACK) under the constant eigenvector signal.
 
     Applies when F has a real eigenvalue lambda >= 1 with a real eigenvector
     (the largest such lambda is used; a negative eigenvalue alternates the
@@ -339,5 +339,5 @@ def quadratic_floor_check(
     roll = _rollout(free, costs, np.zeros((1, n)), np.tile(W * v, (T, 1)), T)
     cost = math.inf if roll.overflow[0] else float(roll.stage.sum())
     bound = m_lower * W**2 * (T**2 + T) / 2.0
-    satisfied = cost >= bound * (1.0 - rel_slack)
+    satisfied = cost >= bound * (1.0 - REL_SLACK)
     return LowerBoundCheck(True, "", float(bound), cost, bool(satisfied), lam, v)

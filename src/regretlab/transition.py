@@ -5,6 +5,10 @@ from time k to time t.  Spectral-norm tables of these products drive the
 bounded-input-bounded-state check, the summability constants used by the
 regret certificates, and the empirical stability classification.
 
+Products of F come from two recurrences only: the column `_products`
+(Phi(t, k) x for one k, also the adversary's transition-aligned rows) and the
+row `_row_stacks` (Phi(t, k) for all k <= t, one t at a time).
+
 Norm sums over a finite horizon cannot certify limits; convergence is reported
 through documented heuristics (relative tail growth, log-linear trend) and
 divergence is flagged rather than raised.
@@ -32,6 +36,8 @@ TAIL_GROWTH_TOL = 0.01
 TREND_SLOPE_TOL = 1e-3
 OSCILLATION_BAND = 2.0
 
+LTI_HORIZON = 500  # classify_lti reads the norm table over steps 0..LTI_HORIZON
+
 
 class Stability(str, Enum):
     ASYMPTOTICALLY_STABLE = "AsymptoticallyStable"
@@ -44,16 +50,26 @@ def spectral_radius(M) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
+def _products(seq: MatrixSequence, T: int, x: np.ndarray, start: int = 0) -> np.ndarray:
+    """The column recurrence: x, F_start x, F_{start+1} F_start x, ... as one (T+1, *x.shape) array.
+
+    Entry j is Phi(start + j, start) x, formed by one matmul per step into its
+    row of the result; an overflowing product runs on as inf and NaN.
+    """
+    out = np.empty((T + 1, *np.shape(x)))
+    out[0] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, T + 1):
+            np.matmul(seq(start + j - 1), out[j - 1], out=out[j])
+    return out
+
+
 def transition_matrix(F, t: int, k: int) -> np.ndarray:
     """Ordered product F_{t-1} ... F_k; the identity when k == t."""
     if k > t:
         raise ShapeError(f"transition_matrix needs k <= t, got k={k}, t={t}")
     seq = matrix_sequence(F, what="F")
-    n = seq.shape[0]
-    M = np.eye(n)
-    for j in range(k, t):
-        M = seq(j) @ M
-    return M
+    return _products(seq, t - k, np.eye(seq.shape[0]), start=k)[-1]
 
 
 def _row_stacks(seq: MatrixSequence, T: int):
@@ -89,11 +105,7 @@ def transition_norms(F, T: int) -> tuple[np.ndarray, bool]:
     products; the first non-finite one takes its own unless a norm capped first.
     """
     seq = matrix_sequence(F, what="F")
-    stack = np.empty((T + 1, *seq.shape))
-    stack[0] = np.eye(seq.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, T + 1):
-            np.matmul(seq(t - 1), stack[t - 1], out=stack[t])
+    stack = _products(seq, T, np.eye(seq.shape[0]))
     finite = np.isfinite(stack).all(axis=(1, 2))
     k = T + 1 if finite.all() else int(np.argmin(finite))
     norms = np.full(T + 1, np.inf)
@@ -286,18 +298,17 @@ def _full_rank(M: np.ndarray) -> bool:
     return bool(np.all(np.linalg.matrix_rank(M) == M.shape[-1]))
 
 
-def classify_lti(F, horizon: int = 500, marginal_tol: float = 1e-9) -> StabilityReport:
+def classify_lti(F, marginal_tol: float = 1e-9) -> StabilityReport:
     """Classify a constant closed loop by its spectral radius.
 
     Tolerance band: rho < 1 - marginal_tol is stable, |rho - 1| <= marginal_tol
     marginal, larger unstable.  When stable, exp_fit is a certified pair
-    (g, eps) with eps = (1 + rho)/2 and ||F^k|| <= g eps^k on the checked range.
+    (g, eps) with eps = (1 + rho)/2 and ||F^k|| <= g eps^k on the checked range
+    0..LTI_HORIZON.
     """
     F = np.asarray(F, dtype=float)
     if F.ndim != 2 or F.shape[0] != F.shape[1]:
         raise ShapeError(f"F must be square, got {F.shape}")
-    if horizon < 1:
-        raise ShapeError(f"need horizon >= 1, got {horizon}")
     rho = spectral_radius(F)
 
     if rho < 1.0 - marginal_tol:
@@ -308,13 +319,13 @@ def classify_lti(F, horizon: int = 500, marginal_tol: float = 1e-9) -> Stability
         classification = Stability.UNSTABLE
 
     seq = matrix_sequence(F, what="F")
-    norms, capped = transition_norms(seq, horizon)
+    norms, capped = transition_norms(seq, LTI_HORIZON)
     bibs, sums = _sums_from_column(seq, norms, capped)
 
     exp_pair = None
     if rho < 1.0 - marginal_tol:
         eps = 0.5 * (1.0 + rho)
-        ks = np.arange(horizon + 1)
+        ks = np.arange(LTI_HORIZON + 1)
         g = float(np.max(norms / eps**ks))
         exp_pair = (g, eps)
 
@@ -325,7 +336,7 @@ def classify_lti(F, horizon: int = 500, marginal_tol: float = 1e-9) -> Stability
         **converged_sums(bibs, sums),
         exp_fit=exp_pair,
         full_rank_ok=_full_rank(F),
-        horizon=horizon,
+        horizon=LTI_HORIZON,
         notes="",
     )
 

@@ -66,6 +66,14 @@ def random_instance(rng, n_max=4, m_max=2, T_max=50):
     return system, costs, x0, w, T
 
 
+def random_ltv_stack(rng, overflow=False):
+    """Random closed-loop stack F (T, n, n), n in 1..5 and T in 0..120; with overflow,
+    scaled so that its products leave the float range within the stack."""
+    n, T = int(rng.integers(1, 6)), int(rng.integers(0, 121))
+    F = rng.standard_normal((T, n, n))
+    return F * (1e30 if overflow else 1.0 / np.sqrt(n))
+
+
 def reference_random_ball(n, W, T, seed):
     """The per-row sampler loop that random_ball batches: n normals, then one uniform, per row."""
     rng = np.random.default_rng(seed)
@@ -97,6 +105,28 @@ def reference_transition_norms(F, T, cap):
             return norms, True
         norms[t] = norm
     return norms, False
+
+
+def reference_transition_matrix(F, t, k):
+    """The product loop that transition._products replaces in transition_matrix: F_{t-1} ... F_k."""
+    seq = matrix_sequence(F, what="F")
+    M = np.eye(seq.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(k, t):
+            M = seq(j) @ M
+    return M
+
+
+def reference_phi_rows(F, T, w0):
+    """The product loop that transition._products replaces in adversary._phi_rows:
+    Phi(k, 0) w0 for k = 0..T, each non-finite from its first overflow on."""
+    seq = matrix_sequence(F, what="F")
+    vecs = np.zeros((T + 1, seq.shape[0]))
+    vecs[0] = w0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, T + 1):
+            vecs[k] = seq(k - 1) @ vecs[k - 1]
+    return vecs
 
 
 def reference_rollout(system, costs, x0, w, T, policy=None, inputs=None, scales=None):

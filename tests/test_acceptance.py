@@ -134,7 +134,7 @@ def test_acceptance_3_linear_regret_certificate():
         costs_i = QuadraticStageCost.constant(random_pd(rng, n), random_pd(rng, m))
         cert = linear_regret_certificate(
             sys_i, costs_i, pol_i, X=1.0, W=1.0, T_max=300, trials=10,
-            seed=int(rng.integers(0, 2**31)), rel_slack=1e-9,
+            seed=int(rng.integers(0, 2**31)),
         )
         worst = max(worst, cert.max_relative_violation)
         if not (cert.applicable and cert.holds):
@@ -153,7 +153,7 @@ def test_acceptance_4_quadratic_lower_bound():
     failures = []
     for lam in (1.0, 1.05, 1.1):
         for T in range(1, 101):
-            chk = quadratic_floor_check(np.array([[lam]]), costs, 1.0, T, rel_slack=1e-9)
+            chk = quadratic_floor_check(np.array([[lam]]), costs, 1.0, T)
             if not (chk.applicable and chk.satisfied):
                 failures.append((lam, T, chk.cost, chk.bound))
     elapsed = time.perf_counter() - t0
@@ -208,7 +208,7 @@ def test_acceptance_6_discounted_counterexample_pipeline():
     equality_ok = worst_eq <= 1e-8
 
     report = linear_regret_despite_instability(
-        model, W=1.0, X=1.0, T_grid=range(1, 501), trials=8, seed=0
+        model, W=1.0, X=1.0, T_grid=range(1, 501), seed=0
     )
     bound_ok = report.applicable and report.bound_holds and report.unstable_confirmed
 

@@ -11,8 +11,9 @@ from regretlab import (
     random_ball,
 )
 from regretlab.adversary import ball_point
+from regretlab.errors import SimulationOverflowError
 
-from helpers import reference_ball_point, reference_random_ball
+from helpers import random_ltv_stack, reference_ball_point, reference_phi_rows, reference_random_ball
 
 F2 = np.array([[1.0, 0.0], [0.0, 0.5]])
 F3 = np.array([[1.02, 0.5], [0.01, 0.75]])
@@ -78,6 +79,23 @@ def test_phi_aligned_scalar_halving():
 def test_phi_aligned_rejects_zero_seed_vector():
     with pytest.raises(ValueError):
         phi_aligned(np.eye(2), 1.0, 3, w0=[0.0, 0.0])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_phi_rows_are_bit_identical_to_the_product_loop(seed):
+    rng = np.random.default_rng(seed)
+    F = random_ltv_stack(rng, overflow=seed % 4 == 0)
+    T, n = F.shape[0], F.shape[-1]
+    w0 = rng.standard_normal(n)
+    want = reference_phi_rows(F, T, w0)
+    finite = np.isfinite(want).all(axis=1)
+    if finite.all():
+        rows, _ = adversary._phi_rows(F, 1.0, T, w0)
+        assert np.array_equal(rows, want[1:])
+    else:
+        with pytest.raises(SimulationOverflowError) as err:
+            adversary._phi_rows(F, 1.0, T, w0)
+        assert err.value.t == int(np.argmin(finite))
 
 
 def test_phi_aligned_state_identity():

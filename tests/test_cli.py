@@ -392,6 +392,27 @@ def test_bad_system_file_exits_config(tmp_path, capsys, content):
     assert diag["error"] == "config" and diag["field"] == "system.path"
 
 
+# a file nested deeper than the JSON parser recurses, and one with a byte that is not UTF-8
+UNPARSABLE_JSON = {
+    "deep": b'{"x0": ' + b"[" * 200_000 + b"]" * 200_000 + b"}",
+    "not utf-8": b'{"x0": [0.0, 0.0], "W": "\xff"}',
+}
+
+
+@pytest.mark.parametrize("where", ["config", "system.path"])
+@pytest.mark.parametrize("kind", sorted(UNPARSABLE_JSON))
+def test_unparsable_json_exits_config(tmp_path, capsys, where, kind):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(UNPARSABLE_JSON[kind])
+    path = str(bad)
+    if where == "system.path":
+        path = write_config(tmp_path, dict(FOUR_STATE, system={"path": path}))
+    out = tmp_path / "out"
+    code = main(["stability", "--config", path, "--out", str(out)])
+    diag = assert_rejected(capsys, code, EXIT_CONFIG, out)
+    assert diag["error"] == "config" and diag.get("field") == (None if where == "config" else where)
+
+
 @pytest.mark.parametrize("command", ["regret", "simulate", "stability"])
 def test_nan_dynamics_exit_numerical(tmp_path, capsys, command):
     cfg = json.loads(json.dumps(FOUR_STATE))

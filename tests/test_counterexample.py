@@ -19,6 +19,9 @@ from regretlab import (
     vq_recursion,
 )
 
+import regretlab.counterexample as counterexample
+from regretlab.cli import DEFAULT_COUNTEREXAMPLE, main
+
 SCALAR = dict(A=[[2.0]], B=[[1.0]], Q=[[1.0]], R=[[1.0]])
 
 
@@ -71,7 +74,7 @@ def test_dare_matrix_case_matches_scipy():
 def test_dare_divergence_raises():
     # no input authority and alpha * rho(A)^2 = 2 > 1: the iteration diverges
     with pytest.raises(ConvergenceError) as err:
-        dare_modified([[2.0]], [[0.0]], [[1.0]], [[1.0]], 0.5, max_iter=2000)
+        dare_modified([[2.0]], [[0.0]], [[1.0]], [[1.0]], 0.5)
     assert err.value.residual is not None
 
 
@@ -130,6 +133,23 @@ def test_gamma_scan_finds_example_window():
     assert 0.1 in flagged
     assert all(r.converged for r in rows)
     assert gamma_scan(**SCALAR, alphas=[]) == []
+
+
+def test_gamma_scan_keeps_each_solved_model():
+    # no input authority: the DARE converges at alpha = 0.1 (P = 1 / 0.6) and diverges at 0.5
+    rows = gamma_scan([[2.0]], [[0.0]], [[1.0]], [[1.0]], [0.1, 0.5])
+    assert [r.converged for r in rows] == [True, False]
+    assert rows[0].model.alpha == 0.1 and rows[0].model.P[0, 0] == pytest.approx(1.0 / 0.6)
+    assert rows[0].model.spectral_radius == rows[0].spectral_radius
+    assert rows[1].model is None
+
+
+def test_counterexample_cli_solves_one_dare_per_alpha(tmp_path, monkeypatch):
+    calls = []
+    solve = counterexample.dare_modified
+    monkeypatch.setattr(counterexample, "dare_modified", lambda *args: calls.append(args) or solve(*args))
+    assert main(["counterexample", "--out", str(tmp_path)]) == 0
+    assert len(calls) == len(DEFAULT_COUNTEREXAMPLE["alpha_grid"]) == 19
 
 
 def test_gamma_scan_contractions_all_false():

@@ -33,7 +33,7 @@ from regretlab import (
     solve_hindsight,
     vq_recursion,
 )
-from regretlab.model import _BATCH_GUARD, OVERFLOW_LIMIT, _rollout, jsonable, write_csv
+from regretlab.model import _BATCH_GUARD, OVERFLOW_LIMIT, _rollout, _stage_costs, jsonable, write_csv
 
 from helpers import random_instance, random_pd, reference_rollout, reference_simulate_grid
 
@@ -273,7 +273,7 @@ def test_cost_bounds_quadratic_sandwich():
     for _ in range(100):
         x = rng.standard_normal(3)
         u = rng.standard_normal(2)
-        c = costs.stage(0, x, u)
+        c = _stage_costs(costs, x[None, None], u[None, None])[0, 0]
         assert c >= m_lower * x @ x - 1e-12
         assert c <= m_upper * (x @ x + u @ u) + 1e-12
 
@@ -377,9 +377,9 @@ def test_rollout_kernel_matches_per_row_loop():
         per_row_rollout(ltv, ltv_costs, x0[i], scales[i] * base, T, affine.K, d) for i in range(rows)
     ])
 
-    # open-loop inputs
+    # open-loop inputs, the offsets of a zero gain
     inputs = rng.standard_normal((T + 1, m))
-    roll = _rollout(ltv, ltv_costs, x0, base, T, inputs=inputs)
+    roll = _rollout(ltv, ltv_costs, x0, base, T, open_loop(inputs, n))
     assert_rows_match(roll, [
         per_row_rollout(ltv, ltv_costs, x0[i], base, T, d=inputs) for i in range(rows)
     ])
@@ -406,6 +406,26 @@ def test_rollout_kernel_rows_overflow_at_their_own_steps():
     assert np.all(np.isfinite(roll.stage))
 
 
+def open_loop(inputs, n):
+    """The zero-gain policy whose offsets are the open-loop inputs (T+1, m), as simulate_inputs builds it."""
+    m = inputs.shape[1]
+    return LinearPolicy.varying(np.zeros((m, n)), m, n, d=inputs,
+                                d_max=np.max(np.linalg.norm(inputs, axis=1)))
+
+
+def test_simulate_inputs_is_bit_identical_to_the_open_loop_reference():
+    rng = np.random.default_rng(12)
+    for T in (0, 1, 40):
+        sys, costs, x0, _, _ = random_instance(rng, T_max=1)
+        w = rng.standard_normal((T, sys.n))
+        inputs = rng.standard_normal((T, sys.m))
+        traj = simulate_inputs(sys, x0, w, inputs, costs)
+        padded = np.vstack([inputs, np.zeros((1, sys.m))])
+        states, inputs_ref, stage, _, _ = reference_rollout(sys, costs, x0[None], w, T, inputs=padded)
+        for got, want in ((traj.states, states), (traj.inputs, inputs_ref), (traj.stage_costs, stage)):
+            assert np.array_equal(got, want[:, 0]), T
+
+
 def _ltv_case(rng, T, n=3, m=2, gain=0.2):
     A = 0.6 * rng.standard_normal((max(T, 1), n, n))
     B = rng.standard_normal((max(T, 1), n, m))
@@ -417,7 +437,11 @@ def _ltv_case(rng, T, n=3, m=2, gain=0.2):
 
 
 def _kernel_cases():
-    """(name, args, kwargs) of _rollout calls covering each branch of its step and guard."""
+    """(name, args, kwargs, inputs) of _rollout calls covering each branch of its step and guard.
+
+    inputs is None, or the open-loop inputs that args carry as a zero gain's
+    offsets; reference_rollout then runs its own open-loop mode on them.
+    """
     rng = np.random.default_rng(31)
     cases = []
     for T in (0, 1, 32, 101):
@@ -435,7 +459,7 @@ def _kernel_cases():
             (f"lti 3-d w T={T}",
              (sys, costs, x0, rng.standard_normal((rows, T, n)), T, LinearPolicy.constant(K)), {}),
             (f"lti no input T={T}", (sys, costs, x0, w, T), {"scales": rng.uniform(0.5, 2, rows)}),
-            (f"lti open loop T={T}", (sys, costs, x0, w, T), {"inputs": d}),
+            (f"lti open loop T={T}", (sys, costs, x0, w, T, open_loop(d, n)), {}, d),
         ]
         ltv, ltv_costs, Ks = _ltv_case(rng, T)
         n, m = ltv.n, ltv.m
@@ -468,6 +492,8 @@ def _kernel_cases():
         ("overflow, one row stable",
          (scalar, unit, x0, np.ones((T, 1)), T, LinearPolicy.constant([[2.5]])),
          {"scales": np.linspace(0.0, 1.0, 5)}),
+        ("overflow open loop", (scalar, unit, x0, zeros, T, open_loop(np.full((T + 1, 1), 0.5), 1)),
+         {}, np.full((T + 1, 1), 0.5)),
     ]
     # a 2-state loop whose rows all die before T: the loop stops at the last death
     sys = SystemDynamics.lti([[3.0, 1.0], [0.0, 2.5]], [[1.0], [0.5]])
@@ -508,14 +534,17 @@ def _kernel_cases():
     hold = SystemDynamics.lti([[1.0]], [[0.0]])
     cases.append(("batch guard, no row dead",
                   (hold, unit, np.full((100, 1), 3e148), np.zeros((100, 1)), 100), {}))
-    return cases
+    return [c if len(c) == 4 else (*c, None) for c in cases]
 
 
-@pytest.mark.parametrize("name,args,kwargs", [pytest.param(*c, id=c[0])
-                                              for c in _kernel_cases()])
-def test_rollout_kernel_is_bit_identical_to_the_per_step_guard(name, args, kwargs):
+@pytest.mark.parametrize("name,args,kwargs,inputs", [pytest.param(*c, id=c[0])
+                                                     for c in _kernel_cases()])
+def test_rollout_kernel_is_bit_identical_to_the_per_step_guard(name, args, kwargs, inputs):
     roll = _rollout(*args, **kwargs)
-    ref = reference_rollout(*args, **kwargs)
+    if inputs is None:
+        ref = reference_rollout(*args, **kwargs)
+    else:
+        ref = reference_rollout(*args[:5], inputs=inputs, **kwargs)
     for got, want in zip((roll.states, roll.inputs, roll.stage, roll.overflow, roll.peak), ref):
         assert got.shape == want.shape
         assert np.array_equal(got, want, equal_nan=True), name

@@ -18,7 +18,7 @@ from regretlab import (
 import regretlab.transition as transition
 from regretlab.model import matrix_sequence
 
-from helpers import random_loop, reference_transition_norms
+from helpers import random_loop, random_ltv_stack, reference_transition_matrix, reference_transition_norms
 
 F1 = np.array([[0.8, 0.6], [-0.1, 0.8]])
 F2 = np.array([[1.0, 0.0], [0.0, 0.5]])
@@ -44,6 +44,16 @@ def test_transition_identity_and_power():
     )
     with pytest.raises(ShapeError):
         transition_matrix(F2, 1, 2)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_transition_matrix_is_bit_identical_to_the_product_loop(seed):
+    rng = np.random.default_rng(seed)
+    F = random_ltv_stack(rng, overflow=seed % 4 == 0)
+    T = len(F)
+    for t, k in [(T, 0), (T, T), (T, T // 2), (T // 2, 0), sorted(rng.integers(0, T + 1, 2))[::-1]]:
+        got, want = transition_matrix(F, t, k), reference_transition_matrix(F, t, k)
+        assert np.array_equal(got, want, equal_nan=True), (t, k)
 
 
 def test_transition_row_matches_per_entry_products():
@@ -179,12 +189,10 @@ def test_classify_lti_sums_are_the_norm_sums():
         assert rep.d_sum == (sums.d_sum if sums.d_sum_converged else np.inf)
         assert rep.d_bar == (sums.d_bar if sums.d_bar_converged else np.inf)
         assert rep.h_bar == (sums.h_bar if sums.h_bar_converged else np.inf)
-    with pytest.raises(ShapeError):
-        classify_lti(F1, horizon=0)
 
 
 def test_classify_lti_certified_power_bound():
-    rep = classify_lti(F1, horizon=200)
+    rep = classify_lti(F1)
     g, eps = rep.exp_fit
     assert eps == pytest.approx(0.5 * (1.0 + np.sqrt(0.7)), rel=1e-12)
     for k in (0, 1, 5, 20, 100, 200):
