@@ -61,10 +61,9 @@ from .regret import (
     quadratic_floor_check,
 )
 from .transition import (
-    BibsSums,
+    NormSums,
     Stability,
     StabilityReport,
-    SummabilityConstants,
     bibs_partial_sums,
     classify_lti,
     classify_ltv,

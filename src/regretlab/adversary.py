@@ -99,6 +99,12 @@ def constant_eigvec(F, W: float, complex_convention: str = "real-part") -> Const
     )
 
 
+def w0_vanishes(w0) -> bool:
+    """Whether phi_aligned rejects the start vector w0: its 2-norm is zero, as it
+    also is when every entry is below about 1e-162 and the squares underflow."""
+    return bool(np.linalg.norm(w0) == 0.0)
+
+
 def _phi_rows(F, W: float, T: int, w0=None) -> tuple[np.ndarray, np.ndarray]:
     """Rows Phi(k, 0) w0 for k = 1..T and the scales C_0..C_T of phi_aligned.
 
@@ -109,8 +115,8 @@ def _phi_rows(F, W: float, T: int, w0=None) -> tuple[np.ndarray, np.ndarray]:
     """
     seq = matrix_sequence(F, what="F")
     w0 = np.eye(seq.shape[0])[0] if w0 is None else np.asarray(w0, dtype=float)
-    if np.linalg.norm(w0) == 0.0:
-        raise ValueError("w0 must be nonzero")
+    if w0_vanishes(w0):
+        raise ValueError("w0 must have a nonzero norm")
     vecs = _products(seq, T, w0)
     finite = np.all(np.isfinite(vecs), axis=1)
     if not finite.all():

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._svg import render_semilog_svg
-from .adversary import BallDisturbance, TransitionAlignedDisturbance, constant_eigvec
+from .adversary import BallDisturbance, TransitionAlignedDisturbance, constant_eigvec, w0_vanishes
 from .counterexample import gamma_scan, linear_regret_despite_instability
 from .errors import (
     AssumptionViolationError,
@@ -446,8 +446,8 @@ def load_config(path, overrides: argparse.Namespace, need_system: bool = True) -
                 raise ConfigError(f"{key} is too large: its square overflows", field=key)
     if n is not None and x0.shape != (n,):
         raise ConfigError(f"x0 has length {x0.shape}, expected ({n},)", field="x0")
-    if n is not None and w0 is not None and (w0.shape != (n,) or not w0.any()):
-        raise ConfigError(f"disturbance.w0 must be a nonzero vector of length {n}",
+    if n is not None and w0 is not None and (w0.shape != (n,) or w0_vanishes(w0)):
+        raise ConfigError(f"disturbance.w0 must be a vector of length {n} with a nonzero norm",
                           field="disturbance.w0")
 
     horizons = parse_horizons(flags.get("horizons") or raw.get("horizons", "1:100"))

@@ -57,14 +57,15 @@ def dare_modified(A, B, Q, R, alpha) -> np.ndarray:
     iterates are monotone nondecreasing from Q (asserted each step); the
     loop stops when the Frobenius change drops below DARE_TOL and the returned
     P is residual-checked.  Divergence (e.g. the modified pair is not stabilizable)
-    raises ConvergenceError carrying the last residual.
+    raises ConvergenceError carrying the last residual and the iterates run.
     """
     A, B, Q, R = (np.asarray(M, dtype=float) for M in (A, B, Q, R))
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     QuadraticStageCost.constant(Q, R).bounds(0)
     P = Q.copy()
-    for _ in range(DARE_MAX_ITER):
+    outcome = f"did not converge within {DARE_MAX_ITER} steps"
+    for iterations in range(1, DARE_MAX_ITER + 1):
         nxt = _riccati_step(P, A, B, Q, R, alpha)
         nxt = 0.5 * (nxt + nxt.T)
         step = np.linalg.eigvalsh(nxt - P)[0]
@@ -83,13 +84,14 @@ def dare_modified(A, B, Q, R, alpha) -> np.ndarray:
                 )
             return P
         if not np.isfinite(delta) or np.linalg.norm(P, "fro") > 1e120:
+            outcome = f"diverged after {iterations} steps"
             break
     resid = dare_residual(A, B, Q, R, alpha, P) if np.all(np.isfinite(P)) else float("inf")
     raise ConvergenceError(
-        f"Riccati iteration did not converge within {DARE_MAX_ITER} steps "
-        f"(last residual {resid:.3e}); the modified pair may not be stabilizable",
+        f"Riccati iteration {outcome} (last residual {resid:.3e}); "
+        f"the modified pair may not be stabilizable",
         residual=resid,
-        iterations=DARE_MAX_ITER,
+        iterations=iterations,
     )
 
 
@@ -275,70 +277,55 @@ def linear_regret_despite_instability(
     The same rollouts are also scored undiscounted to exhibit the diverging
     time-averaged cost of the very same loop.
     """
-    if not model.in_gamma:
-        return InstabilityReport(
-            applicable=False,
-            reason="discount factor not in Gamma",
-            alpha=model.alpha,
-            spectral_radius=model.spectral_radius,
-            sigma=model.discounted_norm,
-            c0=float("nan"),
-            cw=float("nan"),
-            bound_holds=False,
-            max_relative_gap=float("nan"),
-            unstable_confirmed=model.spectral_radius > 1.0,
-            undiscounted_ratio=float("nan"),
-            undiscounted_diverges=False,
-            horizons=[int(t) for t in T_grid],
-            trials=INSTABILITY_TRIALS,
-        )
-
     T_grid = sorted(int(t) for t in T_grid)
-    T_max = T_grid[-1]
-    sigma = model.discounted_norm
-    alpha = model.alpha
-    p_norm = float(np.linalg.norm(model.P, 2))
-    c0 = p_norm * (X**2 + 2.0 * X * W * sigma / (1.0 - sigma) + W**2 * alpha / (1.0 - alpha))
-    cw = 2.0 * p_norm * sigma * W**2 / (1.0 - sigma)
+    applicable = bool(model.in_gamma)
+    c0 = cw = worst_gap = ratio = float("nan")
+    if applicable:
+        T_max = T_grid[-1]
+        sigma = model.discounted_norm
+        alpha = model.alpha
+        p_norm = float(np.linalg.norm(model.P, 2))
+        c0 = p_norm * (X**2 + 2.0 * X * W * sigma / (1.0 - sigma) + W**2 * alpha / (1.0 - alpha))
+        cw = 2.0 * p_norm * sigma * W**2 / (1.0 - sigma)
 
-    n = model.n
-    v_dom, _, _ = dominant_direction(model.F)
-    rng = np.random.default_rng(seed)
-    signals = [np.tile(W * v_dom, (T_max, 1))]
-    for _ in range(INSTABILITY_TRIALS - 1):
-        signals.append(random_ball(n, W, T_max, seed=int(rng.integers(0, 2**31))).w)
-    starts = [X * v_dom, np.zeros(n)]
-    for _ in range(2):
-        starts.append(ball_point(rng, n, X))
+        n = model.n
+        v_dom, _, _ = dominant_direction(model.F)
+        rng = np.random.default_rng(seed)
+        signals = [np.tile(W * v_dom, (T_max, 1))]
+        for _ in range(INSTABILITY_TRIALS - 1):
+            signals.append(random_ball(n, W, T_max, seed=int(rng.integers(0, 2**31))).w)
+        starts = [X * v_dom, np.zeros(n)]
+        for _ in range(2):
+            starts.append(ball_point(rng, n, X))
 
-    # one row per (signal, start) pair, signal-major
-    costs = QuadraticStageCost.constant(model.Q, model.R)
-    x0 = np.tile(starts, (len(signals), 1))
-    w = np.repeat(signals, len(starts), axis=0)
-    roll = _rollout(model.system(), costs, x0, w, T_max, model.policy())
-    roll.raise_overflow()
-    disc_prefix = np.cumsum(alpha ** np.arange(T_max)[:, None] * roll.stage[:T_max], axis=0)
-    disc_prefix = np.concatenate((np.zeros((1, len(x0))), disc_prefix))
-    Ts = np.array(T_grid)
-    x_T = roll.states[Ts]
-    terminal = alpha ** Ts[:, None] * np.sum((x_T @ model.P) * x_T, axis=-1)
-    bound = (c0 + cw * Ts)[:, None]
-    worst_gap = float(np.max((disc_prefix[Ts] + terminal - bound) / np.maximum(1.0, bound)))
-    undisc = np.max(np.cumsum(roll.stage, axis=0)[Ts] / Ts[:, None], axis=1, initial=0.0)
-
-    ratio = undisc[-1] / max(undisc[0], 1e-300)
+        # one row per (signal, start) pair, signal-major
+        costs = QuadraticStageCost.constant(model.Q, model.R)
+        x0 = np.tile(starts, (len(signals), 1))
+        w = np.repeat(signals, len(starts), axis=0)
+        roll = _rollout(model.system(), costs, x0, w, T_max, model.policy())
+        roll.raise_overflow()
+        disc_prefix = np.cumsum(alpha ** np.arange(T_max)[:, None] * roll.stage[:T_max], axis=0)
+        disc_prefix = np.concatenate((np.zeros((1, len(x0))), disc_prefix))
+        Ts = np.array(T_grid)
+        x_T = roll.states[Ts]
+        terminal = alpha ** Ts[:, None] * np.sum((x_T @ model.P) * x_T, axis=-1)
+        bound = (c0 + cw * Ts)[:, None]
+        worst_gap = float(np.max((disc_prefix[Ts] + terminal - bound) / np.maximum(1.0, bound)))
+        undisc = np.max(np.cumsum(roll.stage, axis=0)[Ts] / Ts[:, None], axis=1, initial=0.0)
+        ratio = float(undisc[-1] / max(undisc[0], 1e-300))
+    # outside Gamma the NaN gap and ratio make bound_holds and undiscounted_diverges False
     return InstabilityReport(
-        applicable=True,
-        reason="",
-        alpha=alpha,
+        applicable=applicable,
+        reason="" if applicable else "discount factor not in Gamma",
+        alpha=model.alpha,
         spectral_radius=model.spectral_radius,
-        sigma=sigma,
+        sigma=model.discounted_norm,
         c0=c0,
         cw=cw,
         bound_holds=bool(worst_gap <= REL_SLACK),
-        max_relative_gap=float(worst_gap),
+        max_relative_gap=worst_gap,
         unstable_confirmed=bool(model.spectral_radius > 1.0),
-        undiscounted_ratio=float(ratio),
+        undiscounted_ratio=ratio,
         undiscounted_diverges=bool(ratio > 100.0),
         horizons=T_grid,
         trials=INSTABILITY_TRIALS,

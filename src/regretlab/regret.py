@@ -168,16 +168,18 @@ def growth_classify(
 
     slope < bounded_slope reads as a bounded average (linear regret), up to
     superlinear_slope as a linearly growing average, and beyond as faster.
-    Needs at least 10 horizons spanning a decade.
+    A non-finite value in the upper half (an overflowed rollout) reads as
+    faster.  Needs at least 10 horizons spanning a decade.
     """
     check_growth_grid(curve.horizons)
     h = np.asarray(curve.horizons, dtype=float)
     y = np.asarray(curve.time_averaged, dtype=float)
     upper = slice(len(h) // 2, None)
-    ymax = float(np.max(np.abs(y[np.isfinite(y)]))) if np.any(np.isfinite(y)) else 0.0
+    if not np.all(np.isfinite(y[upper])):
+        return GrowthClass.SUPERLINEAR_AVERAGE
+    ymax = float(np.max(np.abs(y[np.isfinite(y)])))
     floor = max(1e-300, 1e-15 * max(ymax, 1.0))
-    yy = np.where(np.isfinite(y), np.maximum(y, floor), 1e300)
-    slope = float(np.polyfit(np.log(h[upper]), np.log(yy[upper]), 1)[0])
+    slope = float(np.polyfit(np.log(h[upper]), np.log(np.maximum(y[upper], floor)), 1)[0])
     if slope < bounded_slope:
         return GrowthClass.BOUNDED_AVERAGE
     if slope <= superlinear_slope:
@@ -231,54 +233,39 @@ def linear_regret_certificate(
     the radius-W ball and verifies J_T <= C_0 + C_w T for every prefix T, up to
     the relative slack REL_SLACK.
     """
-    gated = converged_sums(*norm_sums(closed_loop(system, policy), T_max))
-    d_bar, h_bar = gated["d_bar"], gated["h_bar"]
-    if not np.all(np.isfinite(list(gated.values()))):
-        return LinearRegretCertificate(
-            applicable=False,
-            holds=False,
-            reason="transition-norm sums show no convergence at the test horizon",
-            M=float("nan"),
-            d_bar=d_bar,
-            h_bar=h_bar,
-            c0=float("inf"),
-            cw=float("inf"),
-            max_relative_violation=float("nan"),
-            X=float(X),
-            W=float(W),
-            T_max=T_max,
-            trials=trials,
-        )
+    gated = converged_sums(norm_sums(closed_loop(system, policy), T_max))
+    applicable = bool(np.all(np.isfinite(list(gated.values()))))
+    M, c0, cw, worst = math.nan, math.inf, math.inf, math.nan
+    if applicable:
+        _, m_upper = costs.bounds(T_max)
+        if policy.K.constant:
+            k_max = float(np.linalg.norm(policy.K(0), 2))
+        else:
+            k_max = max(float(np.linalg.norm(policy.K(t), 2)) for t in range(T_max + 1))
+        M = m_upper * (1.0 + k_max**2)
+        c0 = 2.0 * M * gated["d_bar"] * X**2
+        cw = 2.0 * M * gated["h_bar"] * W**2
 
-    _, m_upper = costs.bounds(T_max)
-    if policy.K.constant:
-        k_max = float(np.linalg.norm(policy.K(0), 2))
-    else:
-        k_max = max(float(np.linalg.norm(policy.K(t), 2)) for t in range(T_max + 1))
-    M = m_upper * (1.0 + k_max**2)
-    c0 = 2.0 * M * d_bar * X**2
-    cw = 2.0 * M * h_bar * W**2
-
-    rng = np.random.default_rng(seed)
-    n = system.n
-    x0 = np.zeros((trials, n))
-    w = np.zeros((trials, T_max, n))
-    for i in range(trials):
-        x0[i] = ball_point(rng, n, X)
-        w[i] = random_ball(n, W, T_max, seed=int(rng.integers(0, 2**31))).w
-    roll = _rollout(system, costs, x0, w, T_max, policy)
-    roll.raise_overflow()
-    J = np.cumsum(roll.stage, axis=0)[1:]
-    bound = c0 + cw * np.arange(1, T_max + 1)[:, None]
-    rel = (J - bound) / np.maximum(1.0, bound)
-    worst = float(np.max(rel, initial=-math.inf))
+        rng = np.random.default_rng(seed)
+        n = system.n
+        x0 = np.zeros((trials, n))
+        w = np.zeros((trials, T_max, n))
+        for i in range(trials):
+            x0[i] = ball_point(rng, n, X)
+            w[i] = random_ball(n, W, T_max, seed=int(rng.integers(0, 2**31))).w
+        roll = _rollout(system, costs, x0, w, T_max, policy)
+        roll.raise_overflow()
+        J = np.cumsum(roll.stage, axis=0)[1:]
+        bound = c0 + cw * np.arange(1, T_max + 1)[:, None]
+        rel = (J - bound) / np.maximum(1.0, bound)
+        worst = float(np.max(rel, initial=-math.inf))
     return LinearRegretCertificate(
-        applicable=True,
-        holds=worst <= REL_SLACK,
-        reason="",
+        applicable=applicable,
+        holds=worst <= REL_SLACK,  # False for the NaN of an inapplicable certificate
+        reason="" if applicable else "transition-norm sums show no convergence at the test horizon",
         M=M,
-        d_bar=d_bar,
-        h_bar=h_bar,
+        d_bar=gated["d_bar"],
+        h_bar=gated["h_bar"],
         c0=c0,
         cw=cw,
         max_relative_violation=worst,

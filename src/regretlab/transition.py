@@ -117,16 +117,6 @@ def transition_norms(F, T: int) -> tuple[np.ndarray, bool]:
     return norms, bool(over.any())
 
 
-@dataclass
-class BibsSums:
-    """Partial sums S_t = sum_{k=1..t} ||Phi(t, k)|| with their running supremum."""
-
-    sums: np.ndarray  # index t = 0..T, sums[0] = 0
-    running_sup: np.ndarray
-    sup: float
-    capped: bool
-
-
 def partial_sums_converged(partials: np.ndarray) -> bool:
     """Relative growth of the second half below TAIL_GROWTH_TOL."""
     if not np.all(np.isfinite(partials)):
@@ -137,16 +127,24 @@ def partial_sums_converged(partials: np.ndarray) -> bool:
 
 
 @dataclass
-class SummabilityConstants:
-    """Finite-horizon values of the transition-norm sums with convergence flags."""
+class NormSums:
+    """Finite-horizon values of the transition-norm sums with their convergence verdicts.
 
+    A verdict is True when its sum never hit NORM_CAP and its partial sums
+    pass partial_sums_converged.
+    """
+
+    sums: np.ndarray  # BIBS row sums S_t = sum_{k=1..t} ||Phi(t,k)||, t = 0..T, sums[0] = 0
+    sup: float  # max_t S_t
+    capped: bool  # some S_t hit NORM_CAP
     d_sum: float  # sum_t ||Phi(t,0)||
     d_bar: float  # sum_t ||Phi(t,0)||^2
     h_bar: float  # sup_t sum_k ||Phi(t,k)||^2
+    horizon: int
+    bibs_converged: bool
     d_sum_converged: bool
     d_bar_converged: bool
     h_bar_converged: bool
-    horizon: int
 
 
 def _row_norm_sums(seq: MatrixSequence, T: int) -> tuple[np.ndarray, np.ndarray]:
@@ -175,7 +173,7 @@ def _row_norm_sums(seq: MatrixSequence, T: int) -> tuple[np.ndarray, np.ndarray]
     return sums, squares
 
 
-def norm_sums(F, T: int) -> tuple[BibsSums, SummabilityConstants]:
+def norm_sums(F, T: int) -> NormSums:
     """BIBS row sums and summability constants from one pass over the norm table.
 
     The column ||Phi(t, 0)|| comes from transition_norms.  The row sums
@@ -189,7 +187,7 @@ def norm_sums(F, T: int) -> tuple[BibsSums, SummabilityConstants]:
     return _sums_from_column(seq, *transition_norms(seq, T))
 
 
-def _sums_from_column(seq: MatrixSequence, norms: np.ndarray, capped: bool):
+def _sums_from_column(seq: MatrixSequence, norms: np.ndarray, capped: bool) -> NormSums:
     """norm_sums from a column (norms, capped) of transition_norms at T = len(norms) - 1 >= 1."""
     T = len(norms) - 1
     if seq.constant:
@@ -200,38 +198,34 @@ def _sums_from_column(seq: MatrixSequence, norms: np.ndarray, capped: bool):
         row_sums, row_squares = _row_norm_sums(seq, T)
 
     sums = np.concatenate(([0.0], row_sums))
-    running = np.maximum.accumulate(sums)
-    bibs = BibsSums(
-        sums=sums,
-        running_sup=running,
-        sup=float(running[-1]),
-        capped=not np.all(np.isfinite(row_sums)),
-    )
-
+    bibs_capped = not np.all(np.isfinite(row_sums))
     finite = np.where(np.isfinite(norms), norms, 0.0)
     d_partials = np.cumsum(finite)
     d2_partials = np.cumsum(finite**2)
     h_capped = not np.all(np.isfinite(row_squares))
-    constants = SummabilityConstants(
+    return NormSums(
+        sums=sums,
+        sup=float(np.max(sums)),
+        capped=bibs_capped,
         d_sum=float("inf") if capped else float(d_partials[-1]),
         d_bar=float("inf") if capped else float(d2_partials[-1]),
         h_bar=float("inf") if h_capped else float(np.max(row_squares)),
+        horizon=T,
+        bibs_converged=(not bibs_capped) and partial_sums_converged(sums),
         d_sum_converged=(not capped) and partial_sums_converged(d_partials),
         d_bar_converged=(not capped) and partial_sums_converged(d2_partials),
         h_bar_converged=(not h_capped) and partial_sums_converged(row_squares),
-        horizon=T,
     )
-    return bibs, constants
 
 
-def bibs_partial_sums(F, T: int) -> BibsSums:
-    """Row sums of the transition-norm table, the BIBS stability diagnostic."""
-    return norm_sums(F, T)[0]
+def bibs_partial_sums(F, T: int) -> NormSums:
+    """norm_sums under the name of its BIBS row sums (a traced perfbench entry point)."""
+    return norm_sums(F, T)
 
 
-def summability_constants(F, T: int) -> SummabilityConstants:
-    """Partial values of the norm sums entering the linear-regret certificate."""
-    return norm_sums(F, T)[1]
+def summability_constants(F, T: int) -> NormSums:
+    """norm_sums under the name of its summability constants (a traced perfbench entry point)."""
+    return norm_sums(F, T)
 
 
 def exponential_fit(phi_norms) -> tuple[float, float]:
@@ -277,16 +271,11 @@ class StabilityReport:
         return jsonable({**self.__dict__, "classification": self.classification.value})
 
 
-def converged_sums(bibs: BibsSums, sums: SummabilityConstants) -> dict:
-    """The convergence gate: bibs_sup, d_sum, d_bar and h_bar, each +inf unless it looks convergent.
-
-    A sum passes when it never hit NORM_CAP and its tail growth is below
-    TAIL_GROWTH_TOL, so a field is finite exactly when its sum passed.
-    """
+def converged_sums(sums: NormSums) -> dict:
+    """The convergence gate: bibs_sup, d_sum, d_bar, h_bar, each +inf unless its verdict holds."""
     inf = float("inf")
-    bibs_ok = (not bibs.capped) and partial_sums_converged(bibs.sums)
     return {
-        "bibs_sup": bibs.sup if bibs_ok else inf,
+        "bibs_sup": sums.sup if sums.bibs_converged else inf,
         "d_sum": sums.d_sum if sums.d_sum_converged else inf,
         "d_bar": sums.d_bar if sums.d_bar_converged else inf,
         "h_bar": sums.h_bar if sums.h_bar_converged else inf,
@@ -310,30 +299,24 @@ def classify_lti(F, marginal_tol: float = 1e-9) -> StabilityReport:
     if F.ndim != 2 or F.shape[0] != F.shape[1]:
         raise ShapeError(f"F must be square, got {F.shape}")
     rho = spectral_radius(F)
+    seq = matrix_sequence(F, what="F")
+    norms, capped = transition_norms(seq, LTI_HORIZON)
 
+    exp_pair = None
     if rho < 1.0 - marginal_tol:
         classification = Stability.ASYMPTOTICALLY_STABLE
+        eps = 0.5 * (1.0 + rho)
+        exp_pair = (float(np.max(norms / eps ** np.arange(LTI_HORIZON + 1))), eps)
     elif rho <= 1.0 + marginal_tol:
         classification = Stability.MARGINALLY_STABLE
     else:
         classification = Stability.UNSTABLE
 
-    seq = matrix_sequence(F, what="F")
-    norms, capped = transition_norms(seq, LTI_HORIZON)
-    bibs, sums = _sums_from_column(seq, norms, capped)
-
-    exp_pair = None
-    if rho < 1.0 - marginal_tol:
-        eps = 0.5 * (1.0 + rho)
-        ks = np.arange(LTI_HORIZON + 1)
-        g = float(np.max(norms / eps**ks))
-        exp_pair = (g, eps)
-
     return StabilityReport(
         classification=classification,
         spectral_radius=rho,
         phi_norm_tail=float(norms[-1]),
-        **converged_sums(bibs, sums),
+        **converged_sums(_sums_from_column(seq, norms, capped)),
         exp_fit=exp_pair,
         full_rank_ok=_full_rank(F),
         horizon=LTI_HORIZON,
@@ -360,7 +343,7 @@ def classify_ltv(F, T: int) -> StabilityReport:
     full_rank_ok = _full_rank(seq.stack(T))
 
     bh = min(T, 150)
-    bibs, sums = _sums_from_column(seq, norms[: bh + 1], not np.isfinite(norms[bh]))
+    sums = _sums_from_column(seq, norms[: bh + 1], not np.isfinite(norms[bh]))
 
     notes = ""
     exp_pair = None
@@ -395,7 +378,7 @@ def classify_ltv(F, T: int) -> StabilityReport:
         classification=classification,
         spectral_radius=None,
         phi_norm_tail=float(norms[-1]),
-        **converged_sums(bibs, sums),
+        **converged_sums(sums),
         exp_fit=exp_pair,
         full_rank_ok=full_rank_ok,
         horizon=T,

@@ -536,6 +536,7 @@ def test_non_symmetric_cost_weight_exits_config_before_any_output(tmp_path, caps
     ("disturbance.w0", [1e300, 1.0], EXIT_CONFIG),
     ("disturbance.w0", [1.0, 0.0, 0.0], EXIT_CONFIG),
     ("disturbance.w0", [0.0, 0.0], EXIT_CONFIG),
+    ("disturbance.w0", [1e-170, 0.0], EXIT_CONFIG),
 ])
 @pytest.mark.parametrize("argv", [
     ["regret", "--certificate", "--horizons", "1:300"], ["simulate"], ["stability"],
@@ -551,6 +552,31 @@ def test_config_vectors_and_scalars_are_checked_before_any_output(tmp_path, caps
     code = main([*argv, "--config", write_config(tmp_path, cfg), "--out", str(out)])
     diag = assert_rejected(capsys, code, expected, out)
     assert diag["message"].startswith(key)
+
+
+def test_underflowing_w0_under_the_phi_flag_exits_config(tmp_path, capsys):
+    # its entries are nonzero, but the squares in its 2-norm underflow to zero
+    cfg = json.loads(json.dumps(FOUR_STATE))
+    cfg["disturbance"] = {"w0": [1e-170, 0.0]}
+    out = tmp_path / "out"
+    argv = ["regret", "--recipe", "phi", "--config", write_config(tmp_path, cfg), "--out", str(out)]
+    diag = assert_rejected(capsys, main(argv), EXIT_CONFIG, out)
+    assert diag["field"] == "disturbance.w0"
+
+
+def test_overflowing_regret_curve_reads_superlinear_like_the_unstable_loop(tmp_path):
+    cfg = json.loads(json.dumps(FOUR_STATE))
+    cfg["policies"] = [{"name": "Kbig", "K": [[-1000.0, -1000.0]]}]
+    cfg["horizons"] = "1:100"
+    path = write_config(tmp_path, cfg)
+    assert main(["regret", "--config", path, "--recipe", "eigvec",
+                 "--out", str(tmp_path / "r")]) == EXIT_OK
+    report = json.loads((tmp_path / "r" / "regret_report.json").read_text())["Kbig"]
+    assert report == {"flags": ["ok", "overflow@49"], "growth": "SuperlinearAverage"}
+    assert main(["stability", "--config", path, "--out", str(tmp_path / "s")]) == EXIT_OK
+    stability = json.loads((tmp_path / "s" / "stability.json").read_text())["Kbig"]
+    assert stability["classification"] == "Unstable"
+    assert stability["spectral_radius"] > 1500.0
 
 
 def test_counterexample_takes_its_seed_from_the_config(tmp_path, monkeypatch):

@@ -78,6 +78,16 @@ def test_dare_divergence_raises():
     assert err.value.residual is not None
 
 
+def test_dare_divergence_reports_the_iterates_it_ran():
+    # from P = 1 the iterates are P = 1 + 2 P; the loop stops once P > 1e120
+    P, ran = 1.0, 0
+    while P <= 1e120:
+        P, ran = 1.0 + 2.0 * P, ran + 1
+    with pytest.raises(ConvergenceError, match=f"diverged after {ran} steps") as err:
+        dare_modified([[2.0]], [[0.0]], [[1.0]], [[1.0]], 0.5)
+    assert err.value.iterations == ran < counterexample.DARE_MAX_ITER
+
+
 def test_dare_rejects_indefinite_weights():
     with pytest.raises(ConditioningError, match="Q at t=0 not PD"):
         dare_modified([[1.0]], [[1.0]], [[-1.0]], [[1.0]], 0.5)
@@ -241,6 +251,21 @@ def test_instability_report_not_applicable_outside_gamma():
     model = build_model(**SCALAR, alpha=0.999)
     rep = linear_regret_despite_instability(model, 1.0, 1.0, [10, 50])
     assert not rep.applicable
+
+
+def test_instability_report_outside_gamma_reports_the_recorded_values():
+    # recorded from the report's former early return; to_dict writes NaN as "nan"
+    model = build_model(**SCALAR, alpha=0.999)
+    rep = linear_regret_despite_instability(model, 1.0, 1.0, [10, 50])
+    assert rep.to_dict() == {
+        "applicable": False, "reason": "discount factor not in Gamma", "alpha": 0.999,
+        "spectral_radius": 0.38232815440683887, "sigma": 0.381945826252432,
+        "c0": "nan", "cw": "nan", "bound_holds": False, "max_relative_gap": "nan",
+        "unstable_confirmed": False, "undiscounted_ratio": "nan",
+        "undiscounted_diverges": False, "horizons": [10, 50], "trials": 8,
+    }
+    # the grid is sorted on this path too
+    assert linear_regret_despite_instability(model, 1.0, 1.0, [50, 10]).horizons == [10, 50]
 
 
 def test_degenerate_zero_scale_bound():

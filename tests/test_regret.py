@@ -38,6 +38,7 @@ from regretlab.cli import BUILTIN_EXPERIMENT, builtin_experiment_curves
 hindsight_module = importlib.import_module("regretlab.hindsight")
 model_module = importlib.import_module("regretlab.model")
 adversary_module = importlib.import_module("regretlab.adversary")
+regret_module = importlib.import_module("regretlab.regret")
 
 
 def scalar_instance():
@@ -147,6 +148,14 @@ def test_growth_classify_synthetic_curves():
     assert growth_classify(synthetic_curve(lambda T: 0.0)) is GrowthClass.BOUNDED_AVERAGE
 
 
+def test_growth_classify_reads_an_overflowed_upper_half_as_superlinear():
+    # a curve that overflows before the middle of its grid is not a flat line
+    inf_tail = synthetic_curve(lambda T: 5.0 * T if T < 40 else math.inf)
+    assert growth_classify(inf_tail) is GrowthClass.SUPERLINEAR_AVERAGE
+    one_inf = synthetic_curve(lambda T: math.inf if T == 100 else 5.0 * T)
+    assert growth_classify(one_inf) is GrowthClass.SUPERLINEAR_AVERAGE
+
+
 def test_growth_classify_input_validation():
     with pytest.raises(ValueError):
         growth_classify(synthetic_curve(lambda T: T, horizons=range(10, 50, 10)))
@@ -195,6 +204,29 @@ def test_certificate_not_applicable_for_unstable_loop():
     assert not cert.applicable
     assert not cert.holds
     assert "convergence" in cert.reason
+
+
+def test_inapplicable_certificate_reports_the_recorded_values():
+    # recorded from the certificate's former early return; to_dict writes NaN as "nan"
+    sys, costs = four_system()
+    pol = LinearPolicy.constant([[-0.02, 0.5]])
+    cert = linear_regret_certificate(sys, costs, pol, X=1.0, W=1.0, T_max=200, trials=2)
+    assert cert.to_dict() == {
+        "applicable": False, "holds": False,
+        "reason": "transition-norm sums show no convergence at the test horizon",
+        "M": "nan", "d_bar": "inf", "h_bar": "inf", "c0": "inf", "cw": "inf",
+        "max_relative_violation": "nan", "X": 1.0, "W": 1.0, "T_max": 200, "trials": 2,
+    }
+
+
+def test_inapplicable_certificate_runs_no_sampled_check(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the sampled check ran")
+
+    monkeypatch.setattr(regret_module, "_rollout", fail)
+    sys, costs = four_system()
+    pol = LinearPolicy.constant([[-0.02, 0.5]])
+    assert not linear_regret_certificate(sys, costs, pol, X=1.0, W=1.0, T_max=200).applicable
 
 
 def test_lower_bound_integrator_values():

@@ -183,9 +183,9 @@ def test_classify_lti_sums_are_the_norm_sums():
         M = rng.standard_normal((3, 3))
         F = M * rho / np.max(np.abs(np.linalg.eigvals(M)))
         rep = classify_lti(F)
-        bibs, sums = norm_sums(F, 500)
-        bibs_ok = (not bibs.capped) and transition.partial_sums_converged(bibs.sums)
-        assert rep.bibs_sup == (bibs.sup if bibs_ok else np.inf)
+        sums = norm_sums(F, 500)
+        bibs_ok = (not sums.capped) and transition.partial_sums_converged(sums.sums)
+        assert rep.bibs_sup == (sums.sup if bibs_ok else np.inf)
         assert rep.d_sum == (sums.d_sum if sums.d_sum_converged else np.inf)
         assert rep.d_bar == (sums.d_bar if sums.d_bar_converged else np.inf)
         assert rep.h_bar == (sums.h_bar if sums.h_bar_converged else np.inf)
@@ -235,7 +235,7 @@ def test_classify_ltv_sums_are_the_norm_sums_of_its_first_150_steps():
             for T in (60, 150, 500):
                 F = c * np.linalg.qr(rng.standard_normal((T, n, n)))[0]
                 rep = classify_ltv(F, T)
-                expected = transition.converged_sums(*norm_sums(F, min(T, 150)))
+                expected = transition.converged_sums(norm_sums(F, min(T, 150)))
                 assert {key: getattr(rep, key) for key in expected} == expected, (c, n, T)
 
 
@@ -335,15 +335,20 @@ def test_norm_sums_match_brute_force():
     constant = rng.standard_normal((3, 3))
     constant *= 0.9 / max(abs(np.linalg.eigvals(constant)))
     for F in (constant, 0.6 * rng.standard_normal((T, 3, 3))):
-        bibs, sums = norm_sums(F, T)
+        sums = norm_sums(F, T)
         column = [np.linalg.norm(transition_matrix(F, t, 0), 2) for t in range(T + 1)]
-        np.testing.assert_allclose(bibs.sums[1:], brute_row_sums(F, T, 1), rtol=1e-12)
-        assert not bibs.capped
+        np.testing.assert_allclose(sums.sums[1:], brute_row_sums(F, T, 1), rtol=1e-12)
+        assert not sums.capped
+        assert sums.bibs_converged == (transition.partial_sums_converged(sums.sums)
+                                       and not sums.capped)
         assert sums.d_sum == pytest.approx(sum(column), rel=1e-12)
         assert sums.d_bar == pytest.approx(sum(c**2 for c in column), rel=1e-12)
         assert sums.h_bar == pytest.approx(max(brute_row_sums(F, T, 2)), rel=1e-12)
-        assert bibs_partial_sums(F, T).sup == bibs.sup
-        assert summability_constants(F, T) == sums
+        assert bibs_partial_sums(F, T).sup == sums.sup
+        again = summability_constants(F, T)
+        np.testing.assert_array_equal(again.sums, sums.sums)
+        assert ({k: v for k, v in vars(again).items() if k != "sums"}
+                == {k: v for k, v in vars(sums).items() if k != "sums"})
 
 
 def test_norm_sums_cap_rows_of_a_growing_ltv_loop():
@@ -359,8 +364,8 @@ def test_norm_sums_cap_rows_of_a_growing_ltv_loop():
         np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
         assert 0 < np.sum(np.isinf(want)) < T
         np.testing.assert_allclose(got[np.isfinite(want)], want[np.isfinite(want)], rtol=1e-12)
-    bibs, sums = norm_sums(F, T)
-    assert bibs.capped and np.isinf(bibs.sup)
+    sums = norm_sums(F, T)
+    assert sums.capped and np.isinf(sums.sup)
     assert np.isinf(sums.h_bar) and not sums.h_bar_converged
 
 
