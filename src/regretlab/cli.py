@@ -439,11 +439,10 @@ def load_config(path, overrides: argparse.Namespace, need_system: bool = True) -
     ce = raw.get("counterexample", {})
     for key, value in (("x0", x0), ("X", X), ("W", W), ("disturbance.w0", w0),
                        ("counterexample.X", ce.get("X")), ("counterexample.W", ce.get("W"))):
-        with np.errstate(over="ignore"):
-            if value is not None and not np.isfinite(np.sum(np.square(value))):
-                if not np.isfinite(value).all():
-                    raise ConditioningError(f"{key} has a non-finite entry")
-                raise ConfigError(f"{key} is too large: its square overflows", field=key)
+        if value is not None and not np.isfinite(np.sum(np.square(value))):
+            if not np.isfinite(value).all():
+                raise ConditioningError(f"{key} has a non-finite entry")
+            raise ConfigError(f"{key} is too large: its square overflows", field=key)
     if n is not None and x0.shape != (n,):
         raise ConfigError(f"x0 has length {x0.shape}, expected ({n},)", field="x0")
     if n is not None and w0 is not None and (w0.shape != (n,) or w0_vanishes(w0)):
@@ -722,9 +721,12 @@ def _diag(exc: Exception, code: int, kind: str) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; numpy's floating-point warnings are silenced, so stderr holds
+    at most the one-line diagnostic."""
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ConfigError, ShapeError, AssumptionViolationError) as exc:
         return _diag(exc, EXIT_CONFIG, "config")
     except (SimulationOverflowError, ConvergenceError, ConditioningError,

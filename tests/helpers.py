@@ -4,6 +4,7 @@ import numpy as np
 
 from regretlab import LinearPolicy, QuadraticStageCost, SystemDynamics
 from regretlab.model import OVERFLOW_LIMIT, _stage_costs, matrix_sequence
+from regretlab.transition import _row_stacks
 
 
 def random_loop(rng, n, m, rho_target):
@@ -105,6 +106,32 @@ def reference_transition_norms(F, T, cap):
             return norms, True
         norms[t] = norm
     return norms, False
+
+
+def reference_row_norm_sums(F, T, cap):
+    """The row pass that transition._row_norm_sums runs on _spectral_norms, with one SVD per block.
+
+    Returns (sums, squares) over t = 1..T, each +inf from the first row at
+    which it exceeds cap (or is not finite) on.
+    """
+    seq = matrix_sequence(F, what="F")
+    sums = np.full(T, np.inf)
+    squares = np.full(T, np.inf)
+    squares_ok = True
+    for t, row in enumerate(_row_stacks(seq, T), start=1):
+        blocks = row[1:]
+        if not np.all(np.isfinite(blocks)):
+            break
+        norms = np.linalg.norm(blocks, 2, axis=(1, 2))
+        total = norms.sum()
+        if not total <= cap:
+            break
+        sums[t - 1] = total
+        square = np.sum(norms**2)
+        squares_ok = squares_ok and square <= cap
+        if squares_ok:
+            squares[t - 1] = square
+    return sums, squares
 
 
 def reference_transition_matrix(F, t, k):

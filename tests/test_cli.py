@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -626,6 +627,41 @@ def test_counterexample_bad_input_exits_config_before_any_output(tmp_path, capsy
     code = main(["counterexample", "--config", write_config(tmp_path, cfg), "--out", str(out),
                  *flags])
     assert_rejected(capsys, code, EXIT_CONFIG, out)
+
+
+def main_warning_free(argv):
+    """main(argv) with every warning raised as an error, so a leaked numpy warning fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main(argv)
+
+
+@pytest.mark.parametrize("key", ["A", "Q"])
+def test_overflowing_counterexample_prints_no_warning(tmp_path, capsys, key):
+    # the Riccati iterates overflow to inf and NaN; the command still succeeds
+    cfg = {"counterexample": {"A": [[2.0]], "B": [[1.0]], "Q": [[1.0]], "R": [[1.0]], key: [[1e300]]}}
+    out = tmp_path / "out"
+    code = main_warning_free(["counterexample", "--config", write_config(tmp_path, cfg),
+                              "--out", str(out)])
+    assert code == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert (out / "counterexample_report.json").exists()
+
+
+@pytest.mark.parametrize("argv, section, key, value, message", [
+    (["regret", "--certificate"], "system", "A", [[1e308, 1e308], [1e308, 1e308]],
+     "input Hessian at t=98 is numerically singular"),
+    (["regret"], "cost", "Q", [[1e308, 0.0], [0.0, 1e308]], "cost.Q at t=0 is numerically singular"),
+    (["simulate"], "cost", "Q", [[1e308, 0.0], [0.0, 1e308]], "cost.Q at t=0 is numerically singular"),
+    (["stability"], "cost", "Q", [[1e308, 0.0], [0.0, 1e308]], "cost.Q at t=0 is numerically singular"),
+])
+def test_overflowing_config_prints_only_its_diagnostic(tmp_path, capsys, argv, section, key, value,
+                                                       message):
+    cfg = json.loads(json.dumps(FOUR_STATE))
+    cfg[section][key] = value
+    out = tmp_path / "out"
+    code = main_warning_free([*argv, "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    assert assert_rejected(capsys, code, EXIT_NUMERICAL, out)["message"].startswith(message)
 
 
 @pytest.mark.parametrize("command", ["regret", "simulate"])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,13 @@ from regretlab import (
 import regretlab.transition as transition
 from regretlab.model import matrix_sequence
 
-from helpers import random_loop, random_ltv_stack, reference_transition_matrix, reference_transition_norms
+from helpers import (
+    random_loop,
+    random_ltv_stack,
+    reference_row_norm_sums,
+    reference_transition_matrix,
+    reference_transition_norms,
+)
 
 F1 = np.array([[0.8, 0.6], [-0.1, 0.8]])
 F2 = np.array([[1.0, 0.0], [0.0, 0.5]])
@@ -367,6 +375,81 @@ def test_norm_sums_cap_rows_of_a_growing_ltv_loop():
     sums = norm_sums(F, T)
     assert sums.capped and np.isinf(sums.sup)
     assert np.isinf(sums.h_bar) and not sums.h_bar_converged
+
+
+def _spectral_norm_cases(rng, n, scale):
+    """(k, n, n) stacks at one scale: random, rank one, near rank one, orthogonal and all-zero blocks."""
+    u, v = rng.standard_normal((2, 20, n, 1))
+    rank_one = u @ v.transpose(0, 2, 1)
+    return [scale * blocks for blocks in (
+        rng.standard_normal((20, n, n)),
+        rank_one,
+        rank_one + 1e-12 * rng.standard_normal((20, n, n)),
+        np.linalg.qr(rng.standard_normal((20, n, n)))[0],
+        np.zeros((3, n, n)),
+    )]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_spectral_norms_match_the_svd_norm_within_16_eps(n):
+    rng = np.random.default_rng(40 + n)
+    eps = np.finfo(float).eps
+    for scale in (1e-150, 1e-20, 1.0, 1e20, 1e150):
+        for blocks in _spectral_norm_cases(rng, n, scale):
+            got = transition._spectral_norms(blocks)
+            want = np.linalg.norm(blocks, 2, axis=(1, 2))
+            assert np.all(np.abs(got - want) <= 16 * eps * want)  # all-zero blocks give exactly 0
+
+
+def test_spectral_norms_near_the_float_maximum_raise_no_warning():
+    big = np.finfo(float).max
+    blocks = np.stack([
+        np.full((3, 3), 0.9 * big),  # norm 2.7 * 0.9 * big: beyond the float range
+        0.9 * big * np.eye(3),
+        np.diag([big, 1.0, -big]),
+        np.array([[big, 0.0, 0.0], [0.0, 5e-324, 0.0], [0.0, 0.0, 0.0]]),
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = transition._spectral_norms(blocks)
+    want = np.linalg.norm(blocks, 2, axis=(1, 2))
+    assert np.isinf(got[0]) and np.isinf(want[0])
+    np.testing.assert_allclose(got[1:], want[1:], rtol=16 * np.finfo(float).eps)
+
+
+def test_row_norm_sums_match_the_frozen_svd_row_pass():
+    rng = np.random.default_rng(17)
+    grew = 0
+    for case in range(60):
+        n, T = int(rng.integers(1, 6)), int(rng.integers(1, 151))
+        # contracting, about neutral, growing past NORM_CAP within a few dozen steps
+        gain = (0.6, 1.0, 1e4)[case % 3] / np.sqrt(n)
+        F = gain * rng.standard_normal((T, n, n))
+        seq = matrix_sequence(F, what="F")
+        got = transition._row_norm_sums(seq, T)
+        want = reference_row_norm_sums(F, T, transition.NORM_CAP)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(np.isinf(g), np.isinf(w))
+            np.testing.assert_allclose(g[np.isfinite(w)], w[np.isfinite(w)], rtol=1e-13)
+        grew += bool(np.isinf(want[0]).any())
+    assert grew >= 15
+
+
+@pytest.mark.parametrize("c", [0.97, 1.0, 1.02])
+def test_classify_ltv_reads_the_same_class_as_the_svd_row_pass(monkeypatch, c):
+    # ||c^t O_{t-1} ... O_0|| = c^t for orthogonal O_t
+    F = c * np.linalg.qr(np.random.default_rng(5).standard_normal((300, 3, 3)))[0]
+    got, got_sums = classify_ltv(F, 300), norm_sums(F, 150)
+    monkeypatch.setattr(transition, "_row_norm_sums",
+                        lambda seq, T: reference_row_norm_sums(seq, T, transition.NORM_CAP))
+    want, want_sums = classify_ltv(F, 300), norm_sums(F, 150)
+    assert got.classification == want.classification
+    for key in ("bibs_sup", "h_bar", "d_sum", "d_bar"):
+        assert getattr(got, key) == pytest.approx(getattr(want, key), rel=1e-13)
+    np.testing.assert_allclose(got_sums.sums, want_sums.sums, rtol=1e-13)
+    assert got_sums.h_bar == pytest.approx(want_sums.h_bar, rel=1e-13)
+    assert ((got_sums.bibs_converged, got_sums.h_bar_converged)
+            == (want_sums.bibs_converged, want_sums.h_bar_converged))
 
 
 def _assert_column_matches_the_per_step_loop(F, T):
