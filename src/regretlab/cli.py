@@ -584,18 +584,8 @@ def cmd_regret(args) -> int:
 def cmd_figure1(args) -> int:
     out = _out_dir(args)
     spec = BUILTIN_EXPERIMENT
-    meta = {
-        "A": spec["A"],
-        "B": spec["B"],
-        "Q": spec["Q"],
-        "R": spec["R"],
-        "x0": spec["x0"],
-        "W": spec["W"],
-        "disturbance": "constant dominant eigenvector of each closed loop",
-        "complex_convention": spec["complex_convention"],
-        "horizons": spec["horizons"],
-        "controllers": {},
-    }
+    meta = {**spec, "disturbance": "constant dominant eigenvector of each closed loop",
+            "controllers": {}}
     curves = builtin_experiment_curves()
     for name, K in spec["controllers"]:
         curve = curves[name]

@@ -56,7 +56,8 @@ def dare_modified(A, B, Q, R, alpha) -> np.ndarray:
     Q and R must pass QuadraticStageCost.bounds (PD and symmetric).  The
     iterates are monotone nondecreasing from Q (asserted each step); the
     loop stops when the Frobenius change drops below DARE_TOL and the returned
-    P is residual-checked.  Divergence (e.g. the modified pair is not stabilizable)
+    P, whose Frobenius norm must be finite, is residual-checked (a NaN
+    residual fails).  Divergence (e.g. the modified pair is not stabilizable)
     raises ConvergenceError carrying the last residual and the iterates run.
     """
     A, B, Q, R = (np.asarray(M, dtype=float) for M in (A, B, Q, R))
@@ -75,9 +76,9 @@ def dare_modified(A, B, Q, R, alpha) -> np.ndarray:
             )
         delta = float(np.linalg.norm(nxt - P, "fro"))
         P = nxt
-        if delta <= DARE_TOL:
+        if delta <= DARE_TOL and np.isfinite(np.linalg.norm(P, "fro")):
             resid = dare_residual(A, B, Q, R, alpha, P)
-            if resid > 1e-10:
+            if not resid <= 1e-10:
                 raise ConvergenceError(
                     f"Riccati residual {resid:.3e} above 1e-10 after convergence",
                     residual=resid,
@@ -86,7 +87,7 @@ def dare_modified(A, B, Q, R, alpha) -> np.ndarray:
         if not np.isfinite(delta) or np.linalg.norm(P, "fro") > 1e120:
             outcome = f"diverged after {iterations} steps"
             break
-    resid = dare_residual(A, B, Q, R, alpha, P) if np.all(np.isfinite(P)) else float("inf")
+    resid = dare_residual(A, B, Q, R, alpha, P) if np.isfinite(np.linalg.norm(P, "fro")) else np.inf
     raise ConvergenceError(
         f"Riccati iteration {outcome} (last residual {resid:.3e}); "
         f"the modified pair may not be stabilizable",

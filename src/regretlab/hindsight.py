@@ -169,7 +169,7 @@ def _may_overflow(cost: float, costs: QuadraticStageCost, T: int) -> bool:
     """
     if not np.isfinite(cost):
         return True
-    Q = costs.Q(0)[None] if costs.Q.constant else costs.Q.stack(T + 1)
+    Q = costs.Q.distinct(T + 1)
     q_min = np.linalg.eigvalsh(0.5 * (Q + Q.transpose(0, 2, 1))).min()
     return not cost < 0.5 * q_min * OVERFLOW_LIMIT**2
 
@@ -211,8 +211,8 @@ def hindsight_costs(
 
     T, n, m = int(horizons[-2]), system.n, system.m
     A, B, Q, R = system.A.stack(T), system.B.stack(T), costs.Q.stack(T + 1), costs.R.stack(T)
-    for t in range(1 if costs.R.constant else T):  # the pass needs each R_t^-1
-        _check_pd(_sym(costs.R(t)), "input weight R", t)
+    for t, R_t in enumerate(costs.R.distinct(T)):  # the pass needs each R_t^-1
+        _check_pd(_sym(R_t), "input weight R", t)
     BRB = B @ np.linalg.solve(R, B.transpose(0, 2, 1))  # B_t R_t^-1 B_t'
     AS = np.empty((T, n, n))
     QS = np.empty((T + 1, n, n))
@@ -228,8 +228,8 @@ def hindsight_costs(
                 AS[t + 1:], QS[t + 1:] = AS[t], QS[t]
                 break
     # the filter loop runs with zero input
-    filt = SystemDynamics.ltv(AS, np.zeros((n, m)), n, m)
-    weight = QuadraticStageCost.varying(QS, np.zeros((m, m)), n, m)
+    filt = SystemDynamics.ltv(AS, np.zeros((n, m)))
+    weight = QuadraticStageCost.varying(QS, np.zeros((m, m)))
     out[:-1], _ = simulate_grid(filt, None, x0, base, scales[:-1], horizons[:-1], weight)
     return out
 

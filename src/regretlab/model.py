@@ -11,7 +11,7 @@ sequences are memoized so repeated queries return identical matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,9 +113,6 @@ class MatrixSequence:
             self._cache[t] = _as_array(self._fn(t), self.shape, f"{self.what}(t={t})")
         return self._cache[t]
 
-    def __getitem__(self, t):
-        return self(t)
-
     def stack(self, count: int) -> np.ndarray:
         """Steps 0..count-1 as one (count, *shape) array; a read-only view when constant."""
         if self._const is not None:
@@ -125,6 +122,10 @@ class MatrixSequence:
                 self(count - 1)  # raises the ShapeError naming the missing step
             return self._stack[:count]
         return np.array([self(t) for t in range(count)]).reshape(count, *self.shape)
+
+    def distinct(self, count: int) -> np.ndarray:
+        """Step 0 alone as a (1, *shape) array when constant, else stack(count)."""
+        return self._const[None] if self._const is not None else self.stack(count)
 
 
 def matrix_sequence(source, shape=None, what="matrix") -> MatrixSequence:
@@ -151,20 +152,17 @@ def matrix_sequence(source, shape=None, what="matrix") -> MatrixSequence:
 
 @dataclass
 class SystemDynamics:
-    """Time-indexed state-space pair (A_t, B_t) with state dim n, input dim m."""
+    """Time-indexed state-space pair (A_t, B_t); n, m and constancy are read from them."""
 
     A: MatrixSequence
     B: MatrixSequence
-    n: int
-    m: int
-    kind: str  # "LTI" | "LTV"
 
     @classmethod
     def lti(cls, A, B) -> "SystemDynamics":
         A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
         if A.ndim != 2 or B.ndim != 2:
             raise ShapeError(f"A and B must be matrices, got shapes {A.shape} and {B.shape}")
-        return replace(cls.ltv(A, B), kind="LTI")
+        return cls.ltv(A, B)
 
     @classmethod
     def ltv(cls, A, B, n=None, m=None) -> "SystemDynamics":
@@ -176,7 +174,15 @@ class SystemDynamics:
         B = matrix_sequence(B, None if m is None else (n, m), "B")
         if B.shape[0] != n:
             raise ShapeError(f"B must be {n}xm, got {B.shape}")
-        return cls(A=A, B=B, n=n, m=B.shape[1], kind="LTV")
+        return cls(A=A, B=B)
+
+    @property
+    def n(self) -> int:
+        return self.A.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.B.shape[1]
 
 
 @dataclass
@@ -194,12 +200,14 @@ class LinearPolicy:
             raise ShapeError(f"gain must be 2-d, got shape {K.shape}")
         if d is not None and d_max is None:
             d_max = np.linalg.norm(d)
-        return cls.varying(K, *K.shape, d, d_max or 0.0)
+        return cls.varying(K, d, d_max or 0.0)
 
     @classmethod
-    def varying(cls, K, m, n, d=None, d_max=0.0) -> "LinearPolicy":
-        off = None if d is None else matrix_sequence(d, (m,), "d")
-        return cls(K=matrix_sequence(K, (m, n), "K"), d=off, d_max=float(d_max))
+    def varying(cls, K, d=None, d_max=0.0) -> "LinearPolicy":
+        """K_t from a matrix, stack or callable of t; d_t, if given, has length m = K's rows."""
+        K = matrix_sequence(K, what="K")
+        off = None if d is None else matrix_sequence(d, K.shape[:1], "d")
+        return cls(K=K, d=off, d_max=float(d_max))
 
     @property
     def m(self) -> int:
@@ -265,11 +273,15 @@ class QuadraticStageCost:
         Q, R = np.asarray(Q, dtype=float), np.asarray(R, dtype=float)
         if Q.ndim != 2 or R.ndim != 2:
             raise ShapeError(f"Q and R must be matrices, got shapes {Q.shape} and {R.shape}")
-        return cls.varying(Q, R, len(Q), len(R))
+        return cls.varying(Q, R)
 
     @classmethod
-    def varying(cls, Q, R, n, m) -> "QuadraticStageCost":
-        return cls(Q=matrix_sequence(Q, (n, n), "Q"), R=matrix_sequence(R, (m, m), "R"))
+    def varying(cls, Q, R) -> "QuadraticStageCost":
+        """Q_t and R_t from matrices, stacks or callables of t; each must be square."""
+        Q, R = matrix_sequence(Q, what="Q"), matrix_sequence(R, what="R")
+        if Q.shape[0] != Q.shape[1] or R.shape[0] != R.shape[1]:
+            raise ShapeError(f"Q and R must be square, got shapes {Q.shape} and {R.shape}")
+        return cls(Q=Q, R=R)
 
     @property
     def n(self) -> int:
@@ -388,9 +400,9 @@ def closed_loop_matrix(system: SystemDynamics, policy: LinearPolicy, t: int) -> 
 
 
 def closed_loop(system: SystemDynamics, policy: LinearPolicy) -> MatrixSequence:
-    """The closed-loop matrix sequence; collapses to a constant when both are."""
+    """The closed-loop matrix sequence; constant when A, B and K all are."""
     n = system.n
-    if system.kind == "LTI" and policy.K.constant:
+    if system.A.constant and system.B.constant and policy.K.constant:
         return MatrixSequence(closed_loop_matrix(system, policy, 0), (n, n), "F")
     return MatrixSequence(
         lambda t: closed_loop_matrix(system, policy, t), (n, n), "F"
@@ -606,8 +618,7 @@ def simulate_inputs(
         raise ShapeError(f"inputs have m={inputs.shape[1]}, expected {m}")
     u = np.zeros((T + 1, m))
     u[:T] = inputs
-    policy = LinearPolicy.varying(np.zeros((m, n)), m, n, d=u,
-                                  d_max=np.max(np.linalg.norm(u, axis=1)))
+    policy = LinearPolicy.varying(np.zeros((m, n)), d=u, d_max=np.max(np.linalg.norm(u, axis=1)))
     roll = _rollout(system, costs, np.asarray(x0, dtype=float)[None], w, T, policy)
     roll.raise_overflow()
     return roll.trajectory()

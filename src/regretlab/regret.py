@@ -238,10 +238,7 @@ def linear_regret_certificate(
     M, c0, cw, worst = math.nan, math.inf, math.inf, math.nan
     if applicable:
         _, m_upper = costs.bounds(T_max)
-        if policy.K.constant:
-            k_max = float(np.linalg.norm(policy.K(0), 2))
-        else:
-            k_max = max(float(np.linalg.norm(policy.K(t), 2)) for t in range(T_max + 1))
+        k_max = float(np.linalg.norm(policy.K.distinct(T_max + 1), 2, axis=(1, 2)).max())
         M = m_upper * (1.0 + k_max**2)
         c0 = 2.0 * M * gated["d_bar"] * X**2
         cw = 2.0 * M * gated["h_bar"] * W**2

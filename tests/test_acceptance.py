@@ -263,8 +263,6 @@ def test_acceptance_7_property_suites():
         scaled = QuadraticStageCost.varying(
             lambda t, Q=costs_i.Q: gamma * Q(t),
             lambda t, R=costs_i.R: gamma * R(t),
-            sys_i.n,
-            sys_i.m,
         )
         pol = LinearPolicy.constant(0.4 * rng.standard_normal((sys_i.m, sys_i.n)))
         r1 = regret(sys_i, costs_i, pol, x0, w, T)

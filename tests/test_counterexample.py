@@ -88,6 +88,20 @@ def test_dare_divergence_reports_the_iterates_it_ran():
     assert err.value.iterations == ran < counterexample.DARE_MAX_ITER
 
 
+def test_dare_rejects_an_iterate_whose_frobenius_norm_overflows(tmp_path):
+    # with Q = 1e300 the iterates stop moving at once, but ||P||_F overflows to inf,
+    # so the residual check (||lhs|| / ||P||_F) could not tell a fixed point
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConvergenceError) as err:
+        dare_modified([[2.0]], [[1.0]], [[1e300]], [[1.0]], 0.5)
+    assert err.value.residual == np.inf  # not the 0 of a division by the overflowed norm
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"counterexample": {"A": [[2.0]], "B": [[1.0]], "Q": [[1e300]], "R": [[1.0]]}}')
+    assert main(["counterexample", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "gamma_scan.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(DEFAULT_COUNTEREXAMPLE["alpha_grid"])
+    assert all(row.split(",")[1] == "0" for row in rows)  # converged = 0 for every alpha
+
+
 def test_dare_rejects_indefinite_weights():
     with pytest.raises(ConditioningError, match="Q at t=0 not PD"):
         dare_modified([[1.0]], [[1.0]], [[-1.0]], [[1.0]], 0.5)

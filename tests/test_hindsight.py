@@ -191,7 +191,6 @@ def test_split_pass_matches_the_per_step_pass_on_an_ltv_loop_and_short_horizons(
     costs = QuadraticStageCost.varying(
         lambda t: (1.0 + 0.5 * np.sin(t)) * np.eye(3),
         lambda t: np.diag([1.0 + 0.5 * np.cos(t), 2.0]),
-        3, 2,
     )
     w = rng.standard_normal((T, 3))
     for horizon in (0, 1, 2, T):
@@ -224,7 +223,7 @@ def test_riccati_pass_stops_at_its_fixed_point_only_on_constant_loops(monkeypatc
     # a Q given as a stack, and a time-varying A: every step is checked
     for sys, costs in (
         (builtin, QuadraticStageCost.varying(np.broadcast_to(1.5 * np.eye(2), (201, 2, 2)),
-                                             [[1.0]], 2, 1)),
+                                             [[1.0]])),
         (SystemDynamics.ltv(lambda t: [[1.0, 1.0], [0.0, 1.0 + 0.1 * np.sin(t)]],
                             [[1.0], [0.5]], 2, 1),
          QuadraticStageCost.constant(1.5 * np.eye(2), [[1.0]])),

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,14 +10,18 @@ from regretlab import (
     DisturbanceSignal,
     LinearPolicy,
     MatrixSequence,
+    NormSums,
     QuadraticStageCost,
     ShapeError,
     SimulationOverflowError,
     SystemDynamics,
     Trajectory,
     TransitionAlignedDisturbance,
+    closed_loop,
     closed_loop_matrix,
     evaluate_cost,
+    linear_regret_certificate,
+    norm_sums,
     simulate,
     simulate_grid,
     tracking_transform,
@@ -33,6 +38,7 @@ from regretlab import (
     solve_hindsight,
     vq_recursion,
 )
+from regretlab.cli import BUILTIN_EXPERIMENT
 from regretlab.model import _BATCH_GUARD, OVERFLOW_LIMIT, _rollout, _stage_costs, jsonable, write_csv
 
 from helpers import random_instance, random_pd, reference_rollout, reference_simulate_grid
@@ -309,7 +315,7 @@ def test_ltv_generator_system_simulation():
     A = lambda t: np.array([[2.0 if t % 2 == 0 else 0.25]])
     B = lambda t: np.array([[0.0]])
     sys = SystemDynamics.ltv(A, B, n=1, m=1)
-    assert sys.kind == "LTV"
+    assert not sys.A.constant
     costs = QuadraticStageCost.constant([[1.0]], [[1.0]])
     traj = simulate(sys, LinearPolicy.constant([[0.0]]), [1.0],
                     DisturbanceSignal.zeros(1, 6), costs, 6)
@@ -347,6 +353,66 @@ def assert_rows_match(roll, references):
     assert not np.any(roll.overflow)
 
 
+def test_constant_loop_reads_the_same_from_lti_and_ltv():
+    # constancy comes from the sequences, whichever constructor built them
+    spec = BUILTIN_EXPERIMENT
+    costs = QuadraticStageCost.constant(spec["Q"], spec["R"])
+    policy = LinearPolicy.constant(dict(spec["controllers"])["K1"])
+    results = []
+    for build in (SystemDynamics.lti, SystemDynamics.ltv):
+        system = build(spec["A"], spec["B"])
+        F = closed_loop(system, policy)
+        assert F.constant
+        sums = norm_sums(F, 1000)
+        cert = linear_regret_certificate(system, costs, policy, X=1.0, W=1.0, T_max=1000)
+        results.append((F(0), sums, cert))
+    (F_lti, sums_lti, cert_lti), (F_ltv, sums_ltv, cert_ltv) = results
+    assert np.array_equal(F_lti, F_ltv)
+    for field in fields(NormSums):
+        name = field.name
+        assert np.array_equal(getattr(sums_lti, name), getattr(sums_ltv, name)), name
+    assert cert_lti.to_dict() == cert_ltv.to_dict()
+    assert cert_lti.cw == 32.88691714362431
+
+
+def test_system_dynamics_stores_only_its_sequences():
+    assert [f.name for f in fields(SystemDynamics)] == ["A", "B"]
+    system = SystemDynamics.ltv(np.zeros((5, 3, 3)), np.zeros((3, 2)))
+    assert (system.n, system.m) == (3, 2)
+    assert not system.A.constant and system.B.constant
+    assert not closed_loop(system, LinearPolicy.constant(np.zeros((2, 3)))).constant
+    assert not closed_loop(SystemDynamics.lti(np.eye(3), np.zeros((3, 2))),
+                           LinearPolicy.varying(np.zeros((4, 2, 3)))).constant
+
+
+@pytest.mark.parametrize("build", [
+    lambda: QuadraticStageCost.varying(np.zeros((2, 3)), [[1.0]]),
+    lambda: QuadraticStageCost.varying(np.eye(2), np.zeros((4, 1, 2))),
+    lambda: QuadraticStageCost.varying(lambda t: np.zeros((2, 3)), [[1.0]]),
+    lambda: QuadraticStageCost.varying(np.zeros((2, 2, 2, 2)), [[1.0]]),
+    lambda: LinearPolicy.varying(np.zeros((1, 2)), d=np.zeros((5, 2))),
+    lambda: LinearPolicy.varying(np.zeros((4, 2, 3)), d=np.zeros(3)),
+    lambda: LinearPolicy.varying(np.zeros(3)),
+    lambda: SystemDynamics.ltv(np.zeros((5, 3, 3)), np.zeros((3, 2)), n=2),
+    lambda: SystemDynamics.ltv(np.eye(2), np.zeros((5, 2, 1)), m=2),
+    lambda: SystemDynamics.ltv(np.zeros((5, 2, 3)), np.zeros((2, 1))),
+    lambda: SystemDynamics.ltv(np.eye(2), np.zeros((5, 3, 1))),
+])
+def test_inferred_constructors_reject_bad_shapes(build):
+    with pytest.raises(ShapeError):
+        build()
+
+
+def test_distinct_is_step_zero_of_a_constant_sequence_else_the_stack():
+    const = MatrixSequence(np.eye(2), (2, 2))
+    assert const.distinct(7).shape == (1, 2, 2)
+    assert np.array_equal(const.distinct(7)[0], np.eye(2))
+    stack = MatrixSequence(np.arange(12.0).reshape(3, 2, 2), (2, 2))
+    assert np.array_equal(stack.distinct(3), stack.stack(3))
+    gen = MatrixSequence(lambda t: t * np.eye(2), (2, 2))
+    assert np.array_equal(gen.distinct(4), [t * np.eye(2) for t in range(4)])
+
+
 def test_rollout_kernel_matches_per_row_loop():
     rng = np.random.default_rng(10)
     T, rows = 30, 4
@@ -366,9 +432,9 @@ def test_rollout_kernel_matches_per_row_loop():
     B = rng.standard_normal((T, n, m))
     ltv = SystemDynamics.ltv(lambda t: A[t], B, n=n, m=m)
     Qs = np.array([random_pd(rng, n) for _ in range(T + 1)])
-    ltv_costs = QuadraticStageCost.varying(Qs, lambda t: (1.0 + t % 3) * np.eye(m), n, m)
+    ltv_costs = QuadraticStageCost.varying(Qs, lambda t: (1.0 + t % 3) * np.eye(m))
     d = rng.standard_normal((T + 1, m))
-    affine = LinearPolicy.varying(0.2 * rng.standard_normal((T + 1, m, n)), m, n, d=d, d_max=10.0)
+    affine = LinearPolicy.varying(0.2 * rng.standard_normal((T + 1, m, n)), d=d, d_max=10.0)
     x0 = rng.standard_normal((rows, n))
     base = rng.standard_normal((T, n))
     scales = rng.uniform(0.5, 2.0, rows)
@@ -409,7 +475,7 @@ def test_rollout_kernel_rows_overflow_at_their_own_steps():
 def open_loop(inputs, n):
     """The zero-gain policy whose offsets are the open-loop inputs (T+1, m), as simulate_inputs builds it."""
     m = inputs.shape[1]
-    return LinearPolicy.varying(np.zeros((m, n)), m, n, d=inputs,
+    return LinearPolicy.varying(np.zeros((m, n)), d=inputs,
                                 d_max=np.max(np.linalg.norm(inputs, axis=1)))
 
 
@@ -431,7 +497,7 @@ def _ltv_case(rng, T, n=3, m=2, gain=0.2):
     B = rng.standard_normal((max(T, 1), n, m))
     ltv = SystemDynamics.ltv(lambda t: A[t], B, n=n, m=m)
     Qs = np.array([random_pd(rng, n) for _ in range(T + 1)])
-    costs = QuadraticStageCost.varying(Qs, lambda t: (1.0 + t % 3) * np.eye(m), n, m)
+    costs = QuadraticStageCost.varying(Qs, lambda t: (1.0 + t % 3) * np.eye(m))
     K = gain * rng.standard_normal((T + 1, m, n))
     return ltv, costs, K
 
@@ -455,7 +521,7 @@ def _kernel_cases():
         cases += [
             (f"lti T={T}", (sys, costs, x0, w, T, LinearPolicy.constant(K)), {}),
             (f"lti offsets T={T}",
-             (sys, costs, x0, w, T, LinearPolicy.varying(K, m, n, d=d, d_max=10.0)), {}),
+             (sys, costs, x0, w, T, LinearPolicy.varying(K, d=d, d_max=10.0)), {}),
             (f"lti 3-d w T={T}",
              (sys, costs, x0, rng.standard_normal((rows, T, n)), T, LinearPolicy.constant(K)), {}),
             (f"lti no input T={T}", (sys, costs, x0, w, T), {"scales": rng.uniform(0.5, 2, rows)}),
@@ -466,9 +532,9 @@ def _kernel_cases():
         x0 = rng.standard_normal((rows, n))
         w = rng.standard_normal((T, n))
         d = rng.standard_normal((T + 1, m))
-        affine = LinearPolicy.varying(Ks, m, n, d=d, d_max=10.0)
+        affine = LinearPolicy.varying(Ks, d=d, d_max=10.0)
         cases += [
-            (f"ltv T={T}", (ltv, ltv_costs, x0, w, T, LinearPolicy.varying(Ks, m, n)), {}),
+            (f"ltv T={T}", (ltv, ltv_costs, x0, w, T, LinearPolicy.varying(Ks)), {}),
             (f"ltv offsets scales T={T}", (ltv, ltv_costs, x0, w, T, affine),
              {"scales": rng.uniform(0.5, 2.0, rows)}),
             (f"ltv 3-d w T={T}",
@@ -483,7 +549,7 @@ def _kernel_cases():
     scalar = SystemDynamics.lti([[3.0]], [[1.0]])
     unit = QuadraticStageCost.constant([[1.0]], [[1.0]])
     T = 400
-    offsets = LinearPolicy.varying([[0.0]], 1, 1, d=np.full((T + 1, 1), 0.5), d_max=1.0)
+    offsets = LinearPolicy.varying([[0.0]], d=np.full((T + 1, 1), 0.5), d_max=1.0)
     x0 = np.array([[1.0], [1e20], [1e-20], [1e300], [0.0]])
     zeros = np.zeros((T, 1))
     cases += [
@@ -498,14 +564,14 @@ def _kernel_cases():
     # a 2-state loop whose rows all die before T: the loop stops at the last death
     sys = SystemDynamics.lti([[3.0, 1.0], [0.0, 2.5]], [[1.0], [0.5]])
     costs = QuadraticStageCost.constant(np.eye(2), [[1.0]])
-    policy = LinearPolicy.varying([[0.1, 0.2]], 1, 2, d=np.ones((T + 1, 1)), d_max=1.0)
+    policy = LinearPolicy.varying([[0.1, 0.2]], d=np.ones((T + 1, 1)), d_max=1.0)
     x0 = np.array([[1.0, 1.0], [1e30, 0.0], [0.0, 1e-30]])
     cases.append(("all rows dead", (sys, costs, x0, rng.standard_normal((T, 2)), T, policy), {}))
 
     # overflow exactly at the last step: x_t = 3^t x0 passes 1e150 first at t = T
     T = 10
     last = 1.5e150 / 3.0**T
-    at_T = LinearPolicy.varying([[0.0]], 1, 1, d=np.full((T + 1, 1), 0.5), d_max=1.0)
+    at_T = LinearPolicy.varying([[0.0]], d=np.full((T + 1, 1), 0.5), d_max=1.0)
     cases += [
         ("overflow at T, all rows dead",
          (scalar, unit, np.array([[last], [1.2 * last]]), np.zeros((T, 1)), T, at_T), {}),
@@ -516,7 +582,7 @@ def _kernel_cases():
     sys, costs, _, _, _ = random_instance(rng, T_max=1)
     n, m = sys.n, sys.m
     T, rows = 40, 3
-    pol = LinearPolicy.varying(0.3 * rng.standard_normal((m, n)), m, n,
+    pol = LinearPolicy.varying(0.3 * rng.standard_normal((m, n)),
                                d=rng.standard_normal((T + 1, m)), d_max=10.0)
     w = rng.standard_normal((T, n))
     w[5, 0] = np.nan
@@ -581,7 +647,7 @@ def _grid_cases():
     # LTV loops, with a policy and offsets, and with zero input (the filter loop)
     ltv, ltv_costs, Ks = _ltv_case(rng, 60)
     n, m = ltv.n, ltv.m
-    affine = LinearPolicy.varying(Ks, m, n, d=rng.standard_normal((61, m)), d_max=10.0)
+    affine = LinearPolicy.varying(Ks, d=rng.standard_normal((61, m)), d_max=10.0)
     scales = np.repeat(rng.uniform(0.5, 2.0, 4), 3)
     horizons = np.arange(5, 61, 5)
     w = rng.standard_normal((60, n))

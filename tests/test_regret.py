@@ -133,7 +133,7 @@ def test_cost_scaling_equivariance():
     for _ in range(10):
         sys, costs, x0, w, T = random_instance(rng, T_max=25)
         scaled = QuadraticStageCost.varying(
-            lambda t: gamma * costs.Q(t), lambda t: gamma * costs.R(t), sys.n, sys.m
+            lambda t: gamma * costs.Q(t), lambda t: gamma * costs.R(t)
         )
         pol = LinearPolicy.constant(0.4 * rng.standard_normal((sys.m, sys.n)))
         r1 = regret(sys, costs, pol, x0, w, T)
@@ -461,7 +461,7 @@ def test_optimal_cost_rules_out_an_overflow_only_below_half_the_guard():
     for cost in (0.5e300, np.inf, np.nan):
         assert hindsight_module._may_overflow(cost, unit, 10)
     # a singular Q_t anywhere in 0..T rules out nothing
-    singular = QuadraticStageCost.varying(lambda t: np.diag([1.0, float(t != 7)]), [[1.0]], 2, 1)
+    singular = QuadraticStageCost.varying(lambda t: np.diag([1.0, float(t != 7)]), [[1.0]])
     assert not hindsight_module._may_overflow(1.0, singular, 6)
     assert hindsight_module._may_overflow(1.0, singular, 7)
 
@@ -515,7 +515,6 @@ def test_hindsight_costs_on_an_ltv_loop():
     costs = QuadraticStageCost.varying(
         lambda t: (1.0 + 0.5 * np.sin(t)) * np.eye(3),
         lambda t: np.diag([1.0 + 0.5 * np.cos(t), 2.0]),
-        3, 2,
     )
     w = random_ball(3, 1.0, T, 6).w
     horizons = np.arange(1, T + 1)
@@ -541,7 +540,7 @@ def test_hindsight_costs_from_a_zero_horizon():
     assert got[0] == pytest.approx(x0 @ costs.Q(0) @ x0, rel=1e-15)
 
     varying = QuadraticStageCost.varying(
-        lambda t: (1.0 + 0.5 * np.sin(t)) * np.eye(2), lambda t: [[1.0 + 0.5 * np.cos(t)]], 2, 1
+        lambda t: (1.0 + 0.5 * np.sin(t)) * np.eye(2), lambda t: [[1.0 + 0.5 * np.cos(t)]]
     )
     _assert_matches_per_horizon_solves(sys, varying, x0, w, [2.0, 1.0], [0, 8])
 
