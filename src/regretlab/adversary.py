@@ -79,9 +79,7 @@ class ConstantEigvecDisturbance:
 
     direction: np.ndarray
     bound: float
-    eigenvalue: complex
     provenance: str
-    kind: str = "eigvec"
 
     def realize(self, T: int) -> DisturbanceSignal:
         w = np.tile(self.bound * self.direction, (T, 1))
@@ -93,10 +91,8 @@ class ConstantEigvecDisturbance:
 
 
 def constant_eigvec(F, W: float, complex_convention: str = "real-part") -> ConstantEigvecDisturbance:
-    v, lam, tag = dominant_direction(F, complex_convention)
-    return ConstantEigvecDisturbance(
-        direction=v, bound=float(W), eigenvalue=lam, provenance=tag
-    )
+    v, _, tag = dominant_direction(F, complex_convention)
+    return ConstantEigvecDisturbance(direction=v, bound=float(W), provenance=tag)
 
 
 def w0_vanishes(w0) -> bool:
@@ -148,8 +144,6 @@ class TransitionAlignedDisturbance:
     F: object
     bound: float
     w0: np.ndarray | None = None
-    kind: str = "phi"
-    provenance: str = "transition-aligned"
 
     def realize(self, T: int) -> DisturbanceSignal:
         return phi_aligned(self.F, self.bound, T, self.w0)
@@ -196,8 +190,6 @@ class BallDisturbance:
     n: int
     bound: float
     seed: int
-    kind: str = "random"
-    provenance: str = "uniform-ball"
 
     def realize(self, T: int) -> DisturbanceSignal:
         return random_ball(self.n, self.bound, T, self.seed)

@@ -177,7 +177,6 @@ class SchemaError(NamedTuple):
     """One schema violation, in the terms jsonschema 4.26 reports it in."""
 
     path: tuple  # keys and indices from the checked value to the offending one
-    keyword: str
     message: str
     type_mismatch: bool  # the value is not of the enclosing schema's "type" (or it has none)
 
@@ -212,7 +211,7 @@ def schema_errors(value, schema: dict, path: tuple = ()):
         if keyword == "required" and isinstance(value, dict):
             for key in arg:
                 if key not in value:
-                    yield SchemaError(path, keyword, f"{key!r} is a required property", mismatch)
+                    yield SchemaError(path, f"{key!r} is a required property", mismatch)
             continue
         message = None
         if keyword == "type" and mismatch:
@@ -238,7 +237,7 @@ def schema_errors(value, schema: dict, path: tuple = ()):
             if len({len(row) for row in value if isinstance(row, list)}) > 1:
                 message = "rows of unequal length"
         if message is not None:
-            yield SchemaError(path, keyword, message, mismatch)
+            yield SchemaError(path, message, mismatch)
 
 
 def _relevance(error: SchemaError) -> tuple:
@@ -411,23 +410,20 @@ def load_config(path, overrides: argparse.Namespace, need_system: bool = True) -
                                 field="system.path")
         if "A" not in sysraw or "B" not in sysraw:
             raise ConfigError("system needs A and B (inline or via path)", field="system")
-        try:
-            system, costs = _system_and_costs(sysraw, raw["cost"])
-            n, m = system.n, system.m
-            for entry in raw["policies"]:
-                if any(entry["name"] == name for name, _ in policies):
-                    raise ConfigError(f"duplicate policy name {entry['name']!r}", field="policies")
-                pol = LinearPolicy.constant(entry["K"])
-                if not np.isfinite(pol.K(0)).all():
-                    raise ConditioningError(f"policies[{entry['name']}].K has a non-finite entry")
-                if (pol.m, pol.n) != (m, n):
-                    raise ConfigError(
-                        f"policy {entry['name']!r} gain is {pol.K.shape}, expected ({m},{n})",
-                        field=f"policies[{entry['name']}]",
-                    )
-                policies.append((entry["name"], pol))
-        except ShapeError as exc:
-            raise ConfigError(str(exc)) from exc
+        system, costs = _system_and_costs(sysraw, raw["cost"])
+        n, m = system.n, system.m
+        for entry in raw["policies"]:
+            if any(entry["name"] == name for name, _ in policies):
+                raise ConfigError(f"duplicate policy name {entry['name']!r}", field="policies")
+            pol = LinearPolicy.constant(entry["K"])
+            if not np.isfinite(pol.K(0)).all():
+                raise ConditioningError(f"policies[{entry['name']}].K has a non-finite entry")
+            if (pol.m, pol.n) != (m, n):
+                raise ConfigError(
+                    f"policy {entry['name']!r} gain is {pol.K.shape}, expected ({m},{n})",
+                    field=f"policies[{entry['name']}]",
+                )
+            policies.append((entry["name"], pol))
 
     dist = raw.get("disturbance", {})
     recipe = flags.get("recipe") or dist.get("recipe", "eigvec")
@@ -438,7 +434,8 @@ def load_config(path, overrides: argparse.Namespace, need_system: bool = True) -
     X, W = float(raw.get("X", 1.0)), float(raw.get("W", 1.0))
     ce = raw.get("counterexample", {})
     for key, value in (("x0", x0), ("X", X), ("W", W), ("disturbance.w0", w0),
-                       ("counterexample.X", ce.get("X")), ("counterexample.W", ce.get("W"))):
+                       ("counterexample.X", ce.get("X")), ("counterexample.W", ce.get("W")),
+                       ("counterexample.alpha_grid", ce.get("alpha_grid"))):
         if value is not None and not np.isfinite(np.sum(np.square(value))):
             if not np.isfinite(value).all():
                 raise ConditioningError(f"{key} has a non-finite entry")
@@ -544,15 +541,7 @@ def cmd_regret(args) -> int:
     curves, report = {}, {}
     for name, pol in cfg.policies:
         recipe = cfg.disturbance_for(pol)
-        curve = regret_curve(
-            cfg.system,
-            cfg.costs,
-            pol,
-            cfg.x0,
-            recipe,
-            cfg.horizons,
-            metadata={"policy": name, "seed": cfg.seed, "X": cfg.X},
-        )
+        curve = regret_curve(cfg.system, cfg.costs, pol, cfg.x0, recipe, cfg.horizons)
         curves[name] = curve
         entry = {
             "growth": growth_classify(

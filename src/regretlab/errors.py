@@ -31,7 +31,7 @@ class ConvergenceError(RuntimeError):
 
 
 class ConditioningError(RuntimeError):
-    """A matrix is non-finite, numerically singular or not positive definite: a cost
+    """A matrix is not finite, numerically singular or not positive definite: a cost
     weight or input Hessian failing model._check_pd, or a refused linear solve."""
 
 

@@ -194,13 +194,11 @@ class LinearPolicy:
     d_max: float = 0.0
 
     @classmethod
-    def constant(cls, K, d=None, d_max=None) -> "LinearPolicy":
+    def constant(cls, K) -> "LinearPolicy":
         K = np.asarray(K, dtype=float)
         if K.ndim != 2:
             raise ShapeError(f"gain must be 2-d, got shape {K.shape}")
-        if d is not None and d_max is None:
-            d_max = np.linalg.norm(d)
-        return cls.varying(K, d, d_max or 0.0)
+        return cls.varying(K)
 
     @classmethod
     def varying(cls, K, d=None, d_max=0.0) -> "LinearPolicy":
@@ -241,10 +239,15 @@ def _check_pd(G: np.ndarray, what: str, t: int) -> np.ndarray:
 
     The one PD test of cost weights and input Hessians: G must be PD with
     rcond >= RCOND_FLOOR.  The eigenvalues give both the exact 2-norm rcond and
-    the PD test; a non-finite G is singular without asking eigvalsh, whose NaN
-    output depends on LAPACK.  The diagnosis runs only on failure.
+    the PD test; a non-finite G (say, overflowed) is reported as not finite
+    before eigvalsh, whose NaN output depends on LAPACK.  The diagnosis runs
+    only on failure.
     """
-    eigs = np.linalg.eigvalsh(G) if np.isfinite(G).all() else np.zeros(1)
+    if not np.isfinite(G).all():
+        raise ConditioningError(
+            f"{what} at t={t} is not finite (a NaN or inf entry, or an overflow)"
+        )
+    eigs = np.linalg.eigvalsh(G)
     if eigs[0] > 0.0 and eigs[0] >= RCOND_FLOOR * eigs[-1]:
         return eigs
     mags = np.abs(eigs)

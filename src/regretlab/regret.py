@@ -122,17 +122,12 @@ def regret_curve(
         base, scales = disturbance_prefix(disturbances, system.n)[0], np.ones(len(horizons))
     reg, bench_costs, overflow = _regret_group(system, costs, policy, x0, base, scales, horizons)
     flags = [f"overflow@{t}" if t else "ok" for t in overflow]
-    meta = dict(metadata or {})
-    if hasattr(disturbances, "bound"):
-        meta.setdefault("W", float(disturbances.bound))
-    if hasattr(disturbances, "kind"):
-        meta.setdefault("disturbance", disturbances.kind)
     return RegretCurve(
         horizons=horizons,
         regret=reg,
         time_averaged=reg / horizons,
         flags=flags,
-        metadata=meta,
+        metadata=dict(metadata or {}),
         benchmark_costs=bench_costs,
     )
 

@@ -135,12 +135,10 @@ class NormSums:
     """
 
     sums: np.ndarray  # BIBS row sums S_t = sum_{k=1..t} ||Phi(t,k)||, t = 0..T, sums[0] = 0
-    sup: float  # max_t S_t
-    capped: bool  # some S_t hit NORM_CAP
+    sup: float  # max_t S_t, +inf once some S_t hit NORM_CAP
     d_sum: float  # sum_t ||Phi(t,0)||
     d_bar: float  # sum_t ||Phi(t,0)||^2
     h_bar: float  # sup_t sum_k ||Phi(t,k)||^2
-    horizon: int
     bibs_converged: bool
     d_sum_converged: bool
     d_bar_converged: bool
@@ -207,12 +205,17 @@ def norm_sums(F, T: int) -> NormSums:
     if T < 1:
         raise ShapeError(f"need T >= 1, got {T}")
     seq = matrix_sequence(F, what="F")
-    return _sums_from_column(seq, *transition_norms(seq, T))
+    return _sums_from_column(seq, transition_norms(seq, T)[0])
 
 
-def _sums_from_column(seq: MatrixSequence, norms: np.ndarray, capped: bool) -> NormSums:
-    """norm_sums from a column (norms, capped) of transition_norms at T = len(norms) - 1 >= 1."""
+def _sums_from_column(seq: MatrixSequence, norms: np.ndarray) -> NormSums:
+    """norm_sums from a column of transition_norms at T = len(norms) - 1 >= 1.
+
+    The column is capped when its last entry is +inf: transition_norms sets
+    every entry from the first cap on to +inf and leaves no NaN.
+    """
     T = len(norms) - 1
+    capped = np.isinf(norms[-1])
     if seq.constant:
         powers = norms[:T]
         row_sums = np.cumsum(powers)
@@ -229,11 +232,9 @@ def _sums_from_column(seq: MatrixSequence, norms: np.ndarray, capped: bool) -> N
     return NormSums(
         sums=sums,
         sup=float(np.max(sums)),
-        capped=bibs_capped,
         d_sum=float("inf") if capped else float(d_partials[-1]),
         d_bar=float("inf") if capped else float(d2_partials[-1]),
         h_bar=float("inf") if h_capped else float(np.max(row_squares)),
-        horizon=T,
         bibs_converged=(not bibs_capped) and partial_sums_converged(sums),
         d_sum_converged=(not capped) and partial_sums_converged(d_partials),
         d_bar_converged=(not capped) and partial_sums_converged(d2_partials),
@@ -323,7 +324,7 @@ def classify_lti(F, marginal_tol: float = 1e-9) -> StabilityReport:
         raise ShapeError(f"F must be square, got {F.shape}")
     rho = spectral_radius(F)
     seq = matrix_sequence(F, what="F")
-    norms, capped = transition_norms(seq, LTI_HORIZON)
+    norms = transition_norms(seq, LTI_HORIZON)[0]
 
     exp_pair = None
     if rho < 1.0 - marginal_tol:
@@ -339,7 +340,7 @@ def classify_lti(F, marginal_tol: float = 1e-9) -> StabilityReport:
         classification=classification,
         spectral_radius=rho,
         phi_norm_tail=float(norms[-1]),
-        **converged_sums(_sums_from_column(seq, norms, capped)),
+        **converged_sums(_sums_from_column(seq, norms)),
         exp_fit=exp_pair,
         full_rank_ok=_full_rank(F),
         horizon=LTI_HORIZON,
@@ -366,7 +367,7 @@ def classify_ltv(F, T: int) -> StabilityReport:
     full_rank_ok = _full_rank(seq.stack(T))
 
     bh = min(T, 150)
-    sums = _sums_from_column(seq, norms[: bh + 1], not np.isfinite(norms[bh]))
+    sums = _sums_from_column(seq, norms[: bh + 1])
 
     notes = ""
     exp_pair = None

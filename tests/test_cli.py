@@ -372,7 +372,7 @@ def test_nan_cost_weight_exits_numerical(tmp_path, capsys):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     diag = json.loads(lines[0])
-    assert diag["error"] == "numerical" and "numerically singular" in diag["message"]
+    assert diag["error"] == "numerical" and "cost.Q at t=0 is not finite" in diag["message"]
 
 
 @pytest.mark.parametrize("content", ["{not json", json.dumps({"A": [[1.0, 1.0], [0.0, 1.0]]}), None])
@@ -601,6 +601,7 @@ def test_counterexample_takes_its_seed_from_the_config(tmp_path, monkeypatch):
     ("R", [[0.0]], "counterexample.R at t=0 is numerically singular"),
     ("W", float("inf"), "counterexample.W has a non-finite entry"),
     ("X", float("nan"), "counterexample.X has a non-finite entry"),
+    ("alpha_grid", [0.5, float("nan")], "counterexample.alpha_grid has a non-finite entry"),
 ])
 def test_counterexample_bad_weight_exits_numerical(tmp_path, capsys, key, value, message):
     cfg = {"counterexample": {"A": [[2.0]], "B": [[1.0]], "Q": [[1.0]], "R": [[1.0]], key: value}}
@@ -650,10 +651,10 @@ def test_overflowing_counterexample_prints_no_warning(tmp_path, capsys, key):
 
 @pytest.mark.parametrize("argv, section, key, value, message", [
     (["regret", "--certificate"], "system", "A", [[1e308, 1e308], [1e308, 1e308]],
-     "input Hessian at t=98 is numerically singular"),
-    (["regret"], "cost", "Q", [[1e308, 0.0], [0.0, 1e308]], "cost.Q at t=0 is numerically singular"),
-    (["simulate"], "cost", "Q", [[1e308, 0.0], [0.0, 1e308]], "cost.Q at t=0 is numerically singular"),
-    (["stability"], "cost", "Q", [[1e308, 0.0], [0.0, 1e308]], "cost.Q at t=0 is numerically singular"),
+     "input Hessian at t=98 is not finite"),
+    (["regret"], "cost", "Q", [[1e308, 0.0], [0.0, 1e308]], "cost.Q at t=0 is not finite"),
+    (["simulate"], "cost", "Q", [[1e308, 0.0], [0.0, 1e308]], "cost.Q at t=0 is not finite"),
+    (["stability"], "cost", "Q", [[1e308, 0.0], [0.0, 1e308]], "cost.Q at t=0 is not finite"),
 ])
 def test_overflowing_config_prints_only_its_diagnostic(tmp_path, capsys, argv, section, key, value,
                                                        message):

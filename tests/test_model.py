@@ -147,14 +147,14 @@ def test_affine_policy_with_zero_offset_matches_linear():
     K = 0.3 * rng.standard_normal((sys.m, sys.n))
     plain = simulate(sys, LinearPolicy.constant(K), x0, w, costs, T)
     affine = simulate(
-        sys, LinearPolicy.constant(K, d=np.zeros(sys.m), d_max=0.0), x0, w, costs, T
+        sys, LinearPolicy.varying(K, d=np.zeros(sys.m), d_max=0.0), x0, w, costs, T
     )
     assert np.array_equal(plain.states, affine.states)
     assert plain.total_cost == affine.total_cost
 
 
 def test_affine_offset_bound_enforced():
-    pol = LinearPolicy.constant([[1.0]], d=[2.0], d_max=1.0)
+    pol = LinearPolicy.varying([[1.0]], d=[2.0], d_max=1.0)
     sys = SystemDynamics.lti([[1.0]], [[1.0]])
     costs = QuadraticStageCost.constant([[1.0]], [[1.0]])
     with pytest.raises(AssumptionViolationError):

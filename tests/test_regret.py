@@ -1,4 +1,6 @@
+import dataclasses
 import importlib
+import inspect
 import math
 
 import numpy as np
@@ -10,6 +12,7 @@ from regretlab import (
     DisturbanceSignal,
     GrowthClass,
     LinearPolicy,
+    NormSums,
     QuadraticStageCost,
     RegretCurve,
     ShapeError,
@@ -33,7 +36,7 @@ from regretlab import (
 
 from helpers import overdriven_loop, random_instance, random_loop, random_pd
 
-from regretlab.cli import BUILTIN_EXPERIMENT, builtin_experiment_curves
+from regretlab.cli import BUILTIN_EXPERIMENT, SchemaError, builtin_experiment_curves
 
 hindsight_module = importlib.import_module("regretlab.hindsight")
 model_module = importlib.import_module("regretlab.model")
@@ -121,10 +124,23 @@ def test_regret_curve_metadata_and_monotone_horizons():
     pol = LinearPolicy.constant([[0.5]])
     rec = constant_eigvec(np.array([[0.5]]), 1.0)
     curve = regret_curve(sys, costs, pol, [0.0], rec, [1, 2, 4], metadata={"policy": "p"})
-    assert curve.metadata["policy"] == "p"
-    assert curve.metadata["W"] == 1.0
+    assert curve.metadata == {"policy": "p"}
     with pytest.raises(Exception):
         regret_curve(sys, costs, pol, [0.0], rec, [4, 2])
+
+
+def test_result_types_keep_only_read_fields():
+    # every field is read by an output, a caller or a test; derivable values are not stored
+    def fields(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    assert fields(adversary_module.ConstantEigvecDisturbance) == ["direction", "bound", "provenance"]
+    assert fields(TransitionAlignedDisturbance) == ["F", "bound", "w0"]
+    assert fields(BallDisturbance) == ["n", "bound", "seed"]
+    assert fields(NormSums) == ["sums", "sup", "d_sum", "d_bar", "h_bar", "bibs_converged",
+                                "d_sum_converged", "d_bar_converged", "h_bar_converged"]
+    assert SchemaError._fields == ("path", "message", "type_mismatch")
+    assert list(inspect.signature(LinearPolicy.constant).parameters) == ["K"]
 
 
 def test_cost_scaling_equivariance():

@@ -192,7 +192,7 @@ def test_classify_lti_sums_are_the_norm_sums():
         F = M * rho / np.max(np.abs(np.linalg.eigvals(M)))
         rep = classify_lti(F)
         sums = norm_sums(F, 500)
-        bibs_ok = (not sums.capped) and transition.partial_sums_converged(sums.sums)
+        bibs_ok = (not np.isinf(sums.sup)) and transition.partial_sums_converged(sums.sums)
         assert rep.bibs_sup == (sums.sup if bibs_ok else np.inf)
         assert rep.d_sum == (sums.d_sum if sums.d_sum_converged else np.inf)
         assert rep.d_bar == (sums.d_bar if sums.d_bar_converged else np.inf)
@@ -346,9 +346,9 @@ def test_norm_sums_match_brute_force():
         sums = norm_sums(F, T)
         column = [np.linalg.norm(transition_matrix(F, t, 0), 2) for t in range(T + 1)]
         np.testing.assert_allclose(sums.sums[1:], brute_row_sums(F, T, 1), rtol=1e-12)
-        assert not sums.capped
+        assert not np.isinf(sums.sup)
         assert sums.bibs_converged == (transition.partial_sums_converged(sums.sums)
-                                       and not sums.capped)
+                                       and not np.isinf(sums.sup))
         assert sums.d_sum == pytest.approx(sum(column), rel=1e-12)
         assert sums.d_bar == pytest.approx(sum(c**2 for c in column), rel=1e-12)
         assert sums.h_bar == pytest.approx(max(brute_row_sums(F, T, 2)), rel=1e-12)
@@ -373,7 +373,7 @@ def test_norm_sums_cap_rows_of_a_growing_ltv_loop():
         assert 0 < np.sum(np.isinf(want)) < T
         np.testing.assert_allclose(got[np.isfinite(want)], want[np.isfinite(want)], rtol=1e-12)
     sums = norm_sums(F, T)
-    assert sums.capped and np.isinf(sums.sup)
+    assert np.isinf(sums.sup)
     assert np.isinf(sums.h_bar) and not sums.h_bar_converged
 
 
