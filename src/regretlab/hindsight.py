@@ -109,9 +109,14 @@ def solve_hindsight(
 ) -> HindsightSolution:
     """Backward affine value-function pass; the optimal rollout waits for its first reader.
 
-    The Riccati pass checks each input Hessian G_t = R_t + B_t'P_{t+1}B_t; on a
-    loop with constant A, B, Q and R it stops once P_t is within FIXED_POINT_TOL
-    of P_{t+1}, and earlier steps repeat that one.  The data pass is one matvec
+    The Riccati pass stores each input Hessian G_t = R_t + B_t'P_{t+1}B_t and
+    checks them all in one _check_pd call after its loop, labelled T-1, T-2,
+    ...: the error names the G_t that a check at every step would have named.
+    The loop runs with overflow warnings off; if it raises (a LinAlgError
+    from the solve, or anything a callable weight raises), the Hessians built
+    so far are checked first and their error wins.  On a loop with constant
+    A, B, Q and R it stops once P_t is within FIXED_POINT_TOL of P_{t+1}, and
+    earlier steps repeat that one.  The data pass is one matvec
     per step, p_t = F_t'(p_{t+1} + 2P_{t+1}w_t) with F_t = A_t - B_t gains_t.
 
     The rollout is simulate() under feedback_policy(), run on first access to
@@ -127,20 +132,30 @@ def solve_hindsight(
     P = np.zeros((T + 1, n, n))
     gains = np.zeros((T + 1, m, n))
     L = np.zeros((T, m, n))  # G_t^-1 B_t'
+    Gs = np.empty((T, m, m))  # the input Hessians G_first..G_{T-1}, checked after the pass
+    first = T
     P[T] = _sym(costs.Q(T))
     constant = all(seq.constant for seq in (system.A, system.B, costs.Q, costs.R))
-    for t in reversed(range(T)):  # data-free Riccati pass
-        A, B, Pn = system.A(t), system.B(t), P[t + 1]
-        BP = B.T @ Pn
-        G = _sym(costs.R(t) + BP @ B)
-        _check_pd(G, "input Hessian", t)
-        H = BP @ A
-        sol = np.linalg.solve(G, np.column_stack([H, B.T]))
-        gains[t], L[t] = sol[:, :n], sol[:, n:]
-        P[t] = _sym(costs.Q(t) + A.T @ Pn @ A - H.T @ gains[t])
-        if constant and _settled(P[t], Pn):  # earlier steps repeat this one
-            P[:t], gains[:t], L[:t] = P[t], gains[t], L[t]
-            break
+    failure = None
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in reversed(range(T)):  # data-free Riccati pass
+                A, B, Pn = system.A(t), system.B(t), P[t + 1]
+                BP = B.T @ Pn
+                G = Gs[t] = _sym(costs.R(t) + BP @ B)
+                first = t
+                H = BP @ A
+                sol = np.linalg.solve(G, np.column_stack([H, B.T]))
+                gains[t], L[t] = sol[:, :n], sol[:, n:]
+                P[t] = _sym(costs.Q(t) + A.T @ Pn @ A - H.T @ gains[t])
+                if constant and _settled(P[t], Pn):  # earlier steps repeat this one
+                    P[:t], gains[:t], L[:t] = P[t], gains[t], L[t]
+                    break
+    except Exception as exc:  # raised after the check: a bad Hessian before it outranks it
+        failure = exc
+    _check_pd(Gs[first:][::-1], "input Hessian", range(T - 1, first - 1, -1))
+    if failure is not None:
+        raise failure
 
     # data pass, linear in w: v_t = p_{t+1} + 2 P_{t+1} w_t and p_t = F_t' v_t
     B = system.B.stack(T)
@@ -193,8 +208,8 @@ def hindsight_costs(
     cost at horizon T is J*_T = sum_{t <= T} mu_t' Q_t S_t mu_t along
     mu_0 = x0, mu_{t+1} = A_t S_t mu_t + w_t: one simulate_grid call on that
     filter loop over the shorter horizons.  The shortest horizon may be 0,
-    where J*_0 = x0'Q_0 x0.  The pass needs each R_t PD
-    (checked once when R is constant, else per step) and each Q_t PSD; on a
+    where J*_0 = x0'Q_0 x0.  The pass needs each R_t PD (checked once when
+    R is constant, else in one call on the stack) and each Q_t PSD; on a
     constant loop it stops once Sigma_t is within FIXED_POINT_TOL of Sigma_{t-1}.
     """
     horizons = check_grid(horizons, scales)
@@ -211,8 +226,9 @@ def hindsight_costs(
 
     T, n, m = int(horizons[-2]), system.n, system.m
     A, B, Q, R = system.A.stack(T), system.B.stack(T), costs.Q.stack(T + 1), costs.R.stack(T)
-    for t, R_t in enumerate(costs.R.distinct(T)):  # the pass needs each R_t^-1
-        _check_pd(_sym(R_t), "input weight R", t)
+    R_distinct = costs.R.distinct(T)  # the pass needs each R_t^-1
+    _check_pd(0.5 * (R_distinct + R_distinct.transpose(0, 2, 1)), "input weight R",
+              range(len(R_distinct)))
     BRB = B @ np.linalg.solve(R, B.transpose(0, 2, 1))  # B_t R_t^-1 B_t'
     AS = np.empty((T, n, n))
     QS = np.empty((T + 1, n, n))

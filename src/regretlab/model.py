@@ -234,28 +234,36 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def _check_pd(G: np.ndarray, what: str, t: int) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric G, else ConditioningError naming what and t.
+def _check_pd(G: np.ndarray, what: str, t) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric G, else ConditioningError naming what and a step.
 
     The one PD test of cost weights and input Hessians: G must be PD with
     rcond >= RCOND_FLOOR.  The eigenvalues give both the exact 2-norm rcond and
-    the PD test; a non-finite G (say, overflowed) is reported as not finite
-    before eigvalsh, whose NaN output depends on LAPACK.  The diagnosis runs
-    only on failure.
+    the PD test.  G is one (m, m) matrix of step t, or a (count, m, m) stack
+    whose entry i is step t[i]: one batched eigvalsh checks it, and the error
+    names the first entry that fails, in the order given.  A non-finite entry
+    (say, overflowed) is reported as not finite without eigvalsh, whose NaN
+    output depends on LAPACK, once every finite entry before it passed.  The
+    diagnosis runs only on failure.
     """
-    if not np.isfinite(G).all():
-        raise ConditioningError(
-            f"{what} at t={t} is not finite (a NaN or inf entry, or an overflow)"
-        )
-    eigs = np.linalg.eigvalsh(G)
-    if eigs[0] > 0.0 and eigs[0] >= RCOND_FLOOR * eigs[-1]:
-        return eigs
-    mags = np.abs(eigs)
-    if not (mags.max() > 0.0 and mags.min() / mags.max() >= RCOND_FLOOR):
-        raise ConditioningError(
-            f"{what} at t={t} is numerically singular (rcond below {RCOND_FLOOR:.0e})"
-        )
-    raise ConditioningError(f"{what} at t={t} not PD (min eigenvalue {eigs[0]:.3e})")
+    single = np.ndim(G) == 2
+    stack = G[None] if single else G
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    k = len(stack) if finite.all() else int(np.argmin(finite))
+    eigs = np.linalg.eigvalsh(stack[:k])
+    ok = (eigs[:, 0] > 0.0) & (eigs[:, 0] >= RCOND_FLOOR * eigs[:, -1])
+    if ok.all() and k == len(stack):
+        return eigs[0] if single else eigs
+    if ok.all():
+        fault = "is not finite (a NaN or inf entry, or an overflow)"
+    else:
+        k = int(np.argmin(ok))
+        mags = np.abs(eigs[k])
+        if not (mags.max() > 0.0 and mags.min() / mags.max() >= RCOND_FLOOR):
+            fault = f"is numerically singular (rcond below {RCOND_FLOOR:.0e})"
+        else:
+            fault = f"not PD (min eigenvalue {eigs[k, 0]:.3e})"
+    raise ConditioningError(f"{what} at t={t if single else t[k]} {fault}")
 
 
 @dataclass
@@ -298,7 +306,7 @@ class QuadraticStageCost:
         """(M_lower, M_upper) over 0..T from _check_pd on each weight's symmetric part.
 
         A weight not symmetric within 1e-10 (1 + max|M|) then raises
-        AssumptionViolationError; tested second, a NaN weight reads singular.
+        AssumptionViolationError; tested second, a NaN weight reads not finite.
         """
         ts = [0] if (self.Q.constant and self.R.constant) else range(T + 1)
         m_lower, m_upper = np.inf, 0.0

@@ -38,6 +38,8 @@ OSCILLATION_BAND = 2.0
 
 LTI_HORIZON = 500  # classify_lti reads the norm table over steps 0..LTI_HORIZON
 
+ROW_CHUNK = 2**15  # floats of row blocks per _spectral_norms call in _row_norm_sums
+
 
 class Stability(str, Enum):
     ASYMPTOTICALLY_STABLE = "AsymptoticallyStable"
@@ -166,31 +168,51 @@ def _spectral_norms(stack: np.ndarray) -> np.ndarray:
 def _row_norm_sums(seq: MatrixSequence, T: int) -> tuple[np.ndarray, np.ndarray]:
     """sum_k ||Phi(t, k)|| and sum_k ||Phi(t, k)||^2 over k = 1..t, for t = 1..T.
 
-    One row pass, each row's norms from one _spectral_norms call (one eigvalsh
-    per row, where an SVD per block costs about twice as much).  The column
-    pass, transition_norms, keeps the SVD norm: its values reach the stability
-    and certificate outputs of constant loops, which stay byte-identical,
-    while no CLI command writes a row sum of a time-varying loop.  Each sum is
-    +inf from the first row at which it exceeds NORM_CAP (or is not finite)
-    on; the pass stops once the norm sum does, since the squared sum has then
-    done so too.
+    One row pass.  Consecutive rows' blocks are copied into a chunk of at
+    most ROW_CHUNK floats (one row at least), and each chunk's norms come
+    from one _spectral_norms call (one batched eigvalsh, where an SVD per
+    block costs about twice as much); each row's sums are then taken alone,
+    as a pass with one call per row takes them, to the same bits.  The
+    column pass, transition_norms, keeps the SVD norm: its values reach the
+    stability and certificate outputs of constant loops, which stay
+    byte-identical, while no CLI command writes a row sum of a time-varying
+    loop.  Each sum is +inf from the first row at which it exceeds NORM_CAP
+    (or is not finite) on; the pass stops once the norm sum does, since the
+    squared sum has then done so too.  A row with an entry beyond NORM_CAP
+    (or a NaN or inf) caps, since a block's norm is at least its largest
+    entry, so it ends its chunk at once and no later row is built; the
+    overflow that built it is silenced.
     """
+    n = seq.shape[0]
     sums = np.full(T, np.inf)
     squares = np.full(T, np.inf)
     squares_ok = True
-    for t, row in enumerate(_row_stacks(seq, T), start=1):
-        blocks = row[1:]
-        if not np.all(np.isfinite(blocks)):
-            break
-        norms = _spectral_norms(blocks)
-        total = norms.sum()
-        if not total <= NORM_CAP:
-            break
-        sums[t - 1] = total
-        square = np.sum(norms**2)
-        squares_ok = squares_ok and square <= NORM_CAP
-        if squares_ok:
-            squares[t - 1] = square
+    size = ROW_CHUNK // (n * n)  # blocks per chunk, unless a row alone has more
+    chunk = np.empty((max(size, T), n, n))
+    ends = []  # the chunk holds rows t - len(ends) + 1..t, row i ending at block ends[i]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, row in enumerate(_row_stacks(seq, T), start=1):
+            at = ends[-1] if ends else 0
+            chunk[at : at + t] = row[1:]
+            ends.append(at + t)
+            if t < T and ends[-1] + t + 1 <= size and np.abs(row[1:]).max() <= NORM_CAP:
+                continue  # else the chunk is full, or this row caps
+            finite = np.isfinite(chunk[: ends[-1]]).all(axis=(1, 2))
+            stop = ends[-1] if finite.all() else int(np.argmin(finite))  # first non-finite block
+            norms = _spectral_norms(chunk[:stop])
+            start = 0
+            for r, end in enumerate(ends, start=t - len(ends) + 1):
+                row_norms = norms[start:end]
+                total = row_norms.sum()
+                if end > stop or not total <= NORM_CAP:
+                    return sums, squares
+                sums[r - 1] = total
+                square = np.sum(row_norms**2)
+                squares_ok = squares_ok and square <= NORM_CAP
+                if squares_ok:
+                    squares[r - 1] = square
+                start = end
+            ends = []
     return sums, squares
 
 

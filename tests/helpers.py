@@ -108,11 +108,17 @@ def reference_transition_norms(F, T, cap):
     return norms, False
 
 
-def reference_row_norm_sums(F, T, cap):
-    """The row pass that transition._row_norm_sums runs on _spectral_norms, with one SVD per block.
+def _svd_norms(blocks):
+    return np.linalg.norm(blocks, 2, axis=(1, 2))
 
-    Returns (sums, squares) over t = 1..T, each +inf from the first row at
-    which it exceeds cap (or is not finite) on.
+
+def reference_row_norm_sums(F, T, cap, block_norms=_svd_norms):
+    """The per-row pass that transition._row_norm_sums chunks: one block_norms call per row.
+
+    block_norms defaults to one SVD per block; transition._spectral_norms
+    gives the pass that _row_norm_sums must match bit for bit.  Returns
+    (sums, squares) over t = 1..T, each +inf from the first row at which it
+    exceeds cap (or is not finite) on.
     """
     seq = matrix_sequence(F, what="F")
     sums = np.full(T, np.inf)
@@ -122,7 +128,7 @@ def reference_row_norm_sums(F, T, cap):
         blocks = row[1:]
         if not np.all(np.isfinite(blocks)):
             break
-        norms = np.linalg.norm(blocks, 2, axis=(1, 2))
+        norms = block_norms(blocks)
         total = norms.sum()
         if not total <= cap:
             break

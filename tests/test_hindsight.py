@@ -145,15 +145,61 @@ def test_non_finite_hessian_is_not_finite_before_eigvalsh():
     _check_pd(np.eye(2), "G", 4)
 
 
-def test_forward_pass_needs_a_pd_input_weight():
+@pytest.mark.parametrize("costs, message", [
     # R = -0.5 keeps every input Hessian R + B'P B PD (the backward pass
     # solves), but the forward pass needs R^-1 of a PD R
+    (QuadraticStageCost.constant([[2.0]], [[-0.5]]),
+     r"input weight R at t=0 not PD \(min eigenvalue -5.000e-01\)"),
+    # a varying R is checked as one stack; the error names its first bad step
+    (QuadraticStageCost.varying([[2.0]], lambda t: [[-0.5]] if t == 7 else [[1.0]]),
+     r"input weight R at t=7 not PD \(min eigenvalue -5.000e-01\)"),
+], ids=["constant", "varying"])
+def test_forward_pass_needs_a_pd_input_weight(costs, message):
     sys = SystemDynamics.lti([[1.0]], [[1.0]])
-    costs = QuadraticStageCost.constant([[2.0]], [[-0.5]])
-    w = np.ones((5, 1))
-    assert np.isfinite(hindsight_costs(sys, costs, [1.0], w, [1.0], [5])[0])
-    with pytest.raises(ConditioningError, match="input weight R at t=0 not PD"):
-        hindsight_costs(sys, costs, [1.0], w, [1.0, 1.0], [3, 5])
+    w = np.ones((20, 1))
+    assert np.isfinite(hindsight_costs(sys, costs, [1.0], w, [1.0], [20])[0])
+    with pytest.raises(ConditioningError, match=message):
+        hindsight_costs(sys, costs, [1.0], w, [1.0, 1.0], [10, 20])
+
+
+def _step_weight(value, at, wrong_shape_at=None):
+    """A callable 1x1 weight: [[1]], but [[value]] at step `at` and a 2x2 (a ShapeError) at
+    wrong_shape_at."""
+    def weight(t):
+        if t == wrong_shape_at:
+            return np.eye(2)
+        return [[value]] if t == at else [[1.0]]
+    return weight
+
+
+def _nan_in_A5():
+    A = np.broadcast_to(0.9 * np.eye(2), (20, 2, 2)).copy()
+    A[5, 0, 1] = np.nan
+    return A
+
+
+@pytest.mark.parametrize("sys, costs, message", [
+    # solve raises LinAlgError on the singular G_19; the check after the pass names it
+    (SystemDynamics.lti(np.eye(2), np.zeros((2, 2))),
+     QuadraticStageCost.constant(np.eye(2), np.diag([1.0, 0.0])),
+     "input Hessian at t=19 is numerically singular (rcond below 1e-14)"),
+    (SystemDynamics.lti([[1.0]], [[0.0]]),
+     QuadraticStageCost.varying([[1.0]], _step_weight(-5.0, 7)),
+     "input Hessian at t=7 not PD (min eigenvalue -5.000e+00)"),
+    (SystemDynamics.ltv(_nan_in_A5(), np.ones((2, 1))),
+     QuadraticStageCost.constant(np.eye(2), [[1.0]]),
+     "input Hessian at t=4 is not finite (a NaN or inf entry, or an overflow)"),
+    # R raises ShapeError at t = 2, after the pass went past the bad G_7
+    (SystemDynamics.lti([[1.0]], [[0.0]]),
+     QuadraticStageCost.varying([[1.0]], _step_weight(-5.0, 7, wrong_shape_at=2)),
+     "input Hessian at t=7 not PD (min eigenvalue -5.000e+00)"),
+], ids=["singular-solve", "indefinite-R", "nan-in-A", "shape-error-after"])
+def test_riccati_pass_raises_the_first_bad_hessian_of_a_per_step_check(sys, costs, message):
+    # the messages a check at every step raised, T = 20
+    n = sys.n
+    with pytest.raises(ConditioningError) as err:
+        solve_hindsight(sys, costs, np.ones(n), np.ones((20, n)), 20)
+    assert str(err.value) == message
 
 
 def _assert_matches_reference_pass(sys, costs, x0, w, T):
@@ -201,11 +247,14 @@ def test_split_pass_matches_the_per_step_pass_on_an_ltv_loop_and_short_horizons(
 
 
 def _count_hessian_checks(monkeypatch):
+    """The labels of the input Hessians checked, from the one batched call each pass makes."""
     steps = []
 
     def counting(G, what, t):
         if what == "input Hessian":
-            steps.append(t)
+            assert not steps, "the Riccati pass checks its Hessians in one call"
+            assert len(G) == len(t)
+            steps.extend(t)
         return _check_pd(G, what, t)
 
     monkeypatch.setattr(hindsight_module, "_check_pd", counting)

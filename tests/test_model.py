@@ -272,6 +272,29 @@ def test_cost_bounds_rejects_non_pd():
         QuadraticStageCost.constant([[1.0, 0.5], [0.2, 1.0]], np.eye(1)).bounds(3)
 
 
+def test_varying_cost_bounds_raise_the_first_failure_of_the_per_step_order():
+    # Q_t then R_t for t = 0, 1, ...: the first failure in that order raises,
+    # with its own class
+    def indefinite_R(at):
+        return lambda t: [[-1.0]] if t == at else [[1.0]]
+
+    def skewed_Q(t):
+        return [[1.0, 0.5], [0.2, 1.0]] if t == 3 else np.eye(2)
+
+    cases = [
+        (np.eye(2), indefinite_R(7), ConditioningError, "R at t=7 not PD"),
+        (skewed_Q, [[1.0]], AssumptionViolationError, "Q at t=3 is not symmetric"),
+        (skewed_Q, indefinite_R(7), AssumptionViolationError, "Q at t=3 is not symmetric"),
+        (skewed_Q, indefinite_R(3), AssumptionViolationError, "Q at t=3 is not symmetric"),
+        (skewed_Q, indefinite_R(2), ConditioningError, "R at t=2 not PD"),
+    ]
+    for Q, R, error, message in cases:
+        with pytest.raises(error, match=message):
+            QuadraticStageCost.varying(Q, R).bounds(20)
+    # R_7 lies past the horizon
+    assert QuadraticStageCost.varying(np.eye(2), indefinite_R(7)).bounds(6) == (1.0, 1.0)
+
+
 def test_cost_bounds_quadratic_sandwich():
     rng = np.random.default_rng(4)
     costs = QuadraticStageCost.constant(random_pd(rng, 3), random_pd(rng, 2))

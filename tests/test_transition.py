@@ -435,6 +435,65 @@ def test_row_norm_sums_match_the_frozen_svd_row_pass():
     assert grew >= 15
 
 
+def _first_chunk_rows(n):
+    """The rows 1..t that fill the first chunk of the row pass for n x n blocks."""
+    size = transition.ROW_CHUNK // (n * n)
+    return int((np.sqrt(8 * size + 1) - 1) // 2)  # largest t with t (t + 1) / 2 <= size
+
+
+def _assert_row_pass_matches_the_per_row_pass(F, T):
+    got = transition._row_norm_sums(matrix_sequence(F, what="F"), T)
+    with np.errstate(over="ignore", invalid="ignore"):  # the per-row pass builds a NaN row
+        want = reference_row_norm_sums(F, T, transition.NORM_CAP, transition._spectral_norms)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)  # inf in the same places, and the same bits
+    return want
+
+
+def test_chunked_row_pass_matches_the_per_row_pass_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for n in range(1, 6):
+        edge = _first_chunk_rows(n)
+        assert edge * (edge + 1) // 2 <= transition.ROW_CHUNK // n**2 < (edge + 1) * (edge + 2) // 2
+        for T in (1, 2, edge - 1, edge, edge + 1, edge + 2, int(rng.integers(3, 2 * edge))):
+            for gain in (0.6, 1.0, 1.3):
+                _assert_row_pass_matches_the_per_row_pass(
+                    gain / np.sqrt(n) * rng.standard_normal((T, n, n)), T)
+
+
+def test_chunked_row_pass_stops_mid_chunk_as_the_per_row_pass_does(monkeypatch):
+    # n = 2: the first chunk holds rows 1..127
+    T = 200
+    rng = np.random.default_rng(24)
+    orth = np.linalg.qr(rng.standard_normal((T, 2, 2)))[0]
+    # the squares cap near row 20 and the sums near row 40; the rows after
+    # that in the chunk would overflow to inf and NaN, but are never built
+    growing = 10 ** (140 / 40) * orth
+    built = []  # the rows the pass builds
+    row_stacks = transition._row_stacks
+
+    def counted(seq, T):
+        for row in row_stacks(seq, T):
+            built.append(len(row) - 1)
+            yield row
+
+    monkeypatch.setattr(transition, "_row_stacks", counted)
+    sums, squares = _assert_row_pass_matches_the_per_row_pass(growing, T)
+    capped, squared = int(np.argmax(np.isinf(sums))), int(np.argmax(np.isinf(squares)))
+    assert 0 < squared < capped < _first_chunk_rows(2) - 1
+    assert not np.isfinite(reference_transition_matrix(growing, _first_chunk_rows(2), 0)).all()
+    assert capped < len(built) <= capped + 3  # the chunk ends within a few rows of the cap
+    # a NaN or inf in F_40 makes row 41 and all later ones non-finite
+    for bad in (np.nan, np.inf):
+        stack = orth.copy()
+        stack[40, 0, 1] = bad
+        sums, squares = _assert_row_pass_matches_the_per_row_pass(stack, T)
+        assert np.isfinite(sums[:40]).all() and np.isinf(sums[40:]).all()
+    # a cap in a later chunk
+    sums, _ = _assert_row_pass_matches_the_per_row_pass(10 ** (140 / 150) * orth, T)
+    assert _first_chunk_rows(2) < int(np.argmax(np.isinf(sums))) < T - 1
+
+
 @pytest.mark.parametrize("c", [0.97, 1.0, 1.02])
 def test_classify_ltv_reads_the_same_class_as_the_svd_row_pass(monkeypatch, c):
     # ||c^t O_{t-1} ... O_0|| = c^t for orthogonal O_t
