@@ -91,12 +91,9 @@ class HindsightSolution:
     def feedback_policy(self) -> LinearPolicy:
         """The optimal inputs as an affine policy, replayable via simulate()."""
         m, n = self.gains.shape[1], self.gains.shape[2]
-        d = -self.offsets
-        d_max = float(np.max(np.linalg.norm(d, axis=1))) if len(d) else 0.0
         return LinearPolicy(
             K=MatrixSequence(self.gains, (m, n), "K*"),
-            d=MatrixSequence(d, (m,), "d*"),
-            d_max=d_max,
+            d=MatrixSequence(-self.offsets, (m,), "d*"),
         )
 
 
@@ -113,11 +110,11 @@ def solve_hindsight(
     checks them all in one _check_pd call after its loop, labelled T-1, T-2,
     ...: the error names the G_t that a check at every step would have named.
     The loop runs with overflow warnings off; if it raises (a LinAlgError
-    from the solve, or anything a callable weight raises), the Hessians built
-    so far are checked first and their error wins.  On a loop with constant
-    A, B, Q and R it stops once P_t is within FIXED_POINT_TOL of P_{t+1}, and
-    earlier steps repeat that one.  The data pass is one matvec
-    per step, p_t = F_t'(p_{t+1} + 2P_{t+1}w_t) with F_t = A_t - B_t gains_t.
+    from the solve), the Hessians built so far are checked first and their
+    error wins.  On a loop with constant A, B, Q and R it stops once P_t is
+    within FIXED_POINT_TOL of P_{t+1}, and earlier steps repeat that one.
+    The data pass is one matvec per step, p_t = F_t'(p_{t+1} + 2P_{t+1}w_t)
+    with F_t = A_t - B_t gains_t.
 
     The rollout is simulate() under feedback_policy(), run on first access to
     the solution's trajectory or inputs, so it carries the overflow guard: an

@@ -5,8 +5,9 @@ The loop under study is
     x_{t+1} = A_t x_t + B_t u_t + w_t,      u_t = -K_t x_t (+ d_t),
 
 with quadratic stage costs x'Q_t x + u'R_t u and disturbances bounded in
-Euclidean norm.  All operations here are pure and deterministic; generator
-sequences are memoized so repeated queries return identical matrices.
+Euclidean norm.  Each time-indexed input is one array: a constant of the
+per-step shape, or a stack of its steps.  All operations here are pure and
+deterministic.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import AssumptionViolationError, ConditioningError, ShapeError, Sim
 # Rollouts abort with a structured error instead of propagating non-finite values.
 OVERFLOW_LIMIT = 1e150
 
-# Slack allowed on declared norm bounds (disturbances, affine offsets).
+# Slack allowed on a declared disturbance bound, relative to max(1, bound).
 BOUND_SLACK = 1e-12
 
 # A sampled cost may pass a certified bound, or fall short of a floor, by this fraction of it.
@@ -55,84 +56,55 @@ def write_csv(path, header, row_format, rows) -> None:
         fh.writelines(row_format % tuple(row) + "\r\n" for row in rows)
 
 
-def _as_array(value, shape, what):
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != tuple(shape):
-        raise ShapeError(f"{what} has shape {arr.shape}, expected {tuple(shape)}")
-    return arr
-
-
 class MatrixSequence:
-    """Time-indexed family of fixed-shape arrays.
+    """Time-indexed family of fixed-shape arrays: one constant array, or a stack indexed by t.
 
-    Accepts a single constant array, an explicit stack indexed by t, or a
-    generator function of t.  Generator output is memoized per instance, so a
-    given sequence always replays identically.  Works for matrices and for
+    `values` holds the array: of the per-step shape when constant, else
+    (count, *shape) with step t at values[t].  Works for matrices and for
     vectors (pass a 1-d shape).
     """
 
     def __init__(self, source, shape, what="matrix"):
         self.shape = tuple(shape)
         self.what = what
-        self._fn = None
-        self._stack = None
-        self._const = None
-        self._cache = {}
-        if callable(source):
-            self._fn = source
-        else:
-            arr = np.asarray(source, dtype=float)
-            if arr.ndim == len(self.shape):
-                self._const = _as_array(arr, self.shape, what)
-            elif arr.ndim == len(self.shape) + 1:
-                if arr.shape[1:] != self.shape:
-                    raise ShapeError(
-                        f"{what} stack has per-step shape {arr.shape[1:]}, "
-                        f"expected {self.shape}"
-                    )
-                self._stack = arr
-            else:
-                raise ShapeError(f"{what} must have shape {self.shape} per step")
-
-    @property
-    def constant(self) -> bool:
-        return self._const is not None
+        self.values = v = np.asarray(source, dtype=float)
+        self.constant = v.ndim == len(self.shape)
+        if self.constant:
+            if v.shape != self.shape:
+                raise ShapeError(f"{what} has shape {v.shape}, expected {self.shape}")
+        elif v.ndim != len(self.shape) + 1:
+            raise ShapeError(f"{what} must have shape {self.shape} per step")
+        elif v.shape[1:] != self.shape:
+            raise ShapeError(f"{what} stack has per-step shape {v.shape[1:]}, "
+                             f"expected {self.shape}")
 
     def __call__(self, t: int) -> np.ndarray:
         if t < 0:
             raise ShapeError(f"{self.what} queried at negative time {t}")
-        if self._const is not None:
-            return self._const
-        if self._stack is not None:
-            if t >= len(self._stack):
-                raise ShapeError(
-                    f"{self.what} defined for t < {len(self._stack)}, got t={t}"
-                )
-            return self._stack[t]
-        if t not in self._cache:
-            self._cache[t] = _as_array(self._fn(t), self.shape, f"{self.what}(t={t})")
-        return self._cache[t]
+        if self.constant:
+            return self.values
+        if t >= len(self.values):
+            raise ShapeError(f"{self.what} defined for t < {len(self.values)}, got t={t}")
+        return self.values[t]
 
     def stack(self, count: int) -> np.ndarray:
         """Steps 0..count-1 as one (count, *shape) array; a read-only view when constant."""
-        if self._const is not None:
-            return np.broadcast_to(self._const, (count, *self.shape))
-        if self._stack is not None:
-            if count > len(self._stack):
-                self(count - 1)  # raises the ShapeError naming the missing step
-            return self._stack[:count]
-        return np.array([self(t) for t in range(count)]).reshape(count, *self.shape)
+        if self.constant:
+            return np.broadcast_to(self.values, (count, *self.shape))
+        if count > len(self.values):
+            self(count - 1)  # raises the ShapeError naming the missing step
+        return self.values[:count]
 
     def distinct(self, count: int) -> np.ndarray:
         """Step 0 alone as a (1, *shape) array when constant, else stack(count)."""
-        return self._const[None] if self._const is not None else self.stack(count)
+        return self.values[None] if self.constant else self.stack(count)
 
 
 def matrix_sequence(source, shape=None, what="matrix") -> MatrixSequence:
-    """Coerce an array / stack / callable / MatrixSequence to a MatrixSequence.
+    """Coerce an array / stack / MatrixSequence to a MatrixSequence.
 
-    Without shape, the per-step shape is inferred: a 2-d array is constant, a
-    3-d array is a stack of its steps, and a callable is probed at t = 0.
+    Without shape, the per-step shape is inferred: a 2-d array is constant and
+    a 3-d array is a stack of its steps.
     """
     if isinstance(source, MatrixSequence):
         if shape is not None and source.shape != tuple(shape):
@@ -141,12 +113,11 @@ def matrix_sequence(source, shape=None, what="matrix") -> MatrixSequence:
             )
         return source
     if shape is None:
-        if not callable(source):
-            source = np.asarray(source, dtype=float)
-            if source.ndim not in (2, 3):
-                raise ShapeError(f"{what} must be a matrix or a stack of matrices, "
-                                 f"got shape {source.shape}")
-        shape = np.shape(source(0) if callable(source) else source)[-2:]
+        source = np.asarray(source, dtype=float)
+        if source.ndim not in (2, 3):
+            raise ShapeError(f"{what} must be a matrix or a stack of matrices, "
+                             f"got shape {source.shape}")
+        shape = source.shape[-2:]
     return MatrixSequence(source, shape, what)
 
 
@@ -166,7 +137,7 @@ class SystemDynamics:
 
     @classmethod
     def ltv(cls, A, B, n=None, m=None) -> "SystemDynamics":
-        """(A_t, B_t) from matrices, stacks or callables of t; n and m default to inferred ones."""
+        """(A_t, B_t) from matrices or stacks; n and m default to inferred ones."""
         A = matrix_sequence(A, None if n is None else (n, n), "A")
         n = A.shape[0]
         if A.shape != (n, n):
@@ -187,11 +158,10 @@ class SystemDynamics:
 
 @dataclass
 class LinearPolicy:
-    """State feedback u_t = -K_t x_t, optionally with a bounded offset d_t."""
+    """State feedback u_t = -K_t x_t, optionally with an offset d_t."""
 
     K: MatrixSequence
     d: MatrixSequence | None = None
-    d_max: float = 0.0
 
     @classmethod
     def constant(cls, K) -> "LinearPolicy":
@@ -201,11 +171,10 @@ class LinearPolicy:
         return cls.varying(K)
 
     @classmethod
-    def varying(cls, K, d=None, d_max=0.0) -> "LinearPolicy":
-        """K_t from a matrix, stack or callable of t; d_t, if given, has length m = K's rows."""
+    def varying(cls, K, d=None) -> "LinearPolicy":
+        """K_t from a matrix or stack; d_t, if given, has length m = K's rows."""
         K = matrix_sequence(K, what="K")
-        off = None if d is None else matrix_sequence(d, K.shape[:1], "d")
-        return cls(K=K, d=off, d_max=float(d_max))
+        return cls(K=K, d=None if d is None else matrix_sequence(d, K.shape[:1], "d"))
 
     @property
     def m(self) -> int:
@@ -216,18 +185,8 @@ class LinearPolicy:
         return self.K.shape[1]
 
     def offsets(self, T: int) -> np.ndarray | None:
-        """Offsets d_0..d_T as a (T+1, m) array, None without offsets; checked against d_max."""
-        if self.d is None:
-            return None
-        d = self.d.stack(T + 1)
-        norms = np.linalg.norm(d, axis=1)
-        over = np.flatnonzero(norms > self.d_max + BOUND_SLACK)
-        if len(over):
-            t = int(over[0])
-            raise AssumptionViolationError(
-                f"offset norm {norms[t]:.3e} exceeds d_max={self.d_max:.3e} at t={t}"
-            )
-        return d
+        """Offsets d_0..d_T as a (T+1, m) array, None without offsets."""
+        return None if self.d is None else self.d.stack(T + 1)
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
@@ -288,7 +247,7 @@ class QuadraticStageCost:
 
     @classmethod
     def varying(cls, Q, R) -> "QuadraticStageCost":
-        """Q_t and R_t from matrices, stacks or callables of t; each must be square."""
+        """Q_t and R_t from matrices or stacks; each must be square."""
         Q, R = matrix_sequence(Q, what="Q"), matrix_sequence(R, what="R")
         if Q.shape[0] != Q.shape[1] or R.shape[0] != R.shape[1]:
             raise ShapeError(f"Q and R must be square, got shapes {Q.shape} and {R.shape}")
@@ -324,7 +283,11 @@ class QuadraticStageCost:
 
 @dataclass
 class DisturbanceSignal:
-    """Realized disturbance rows w_0..w_{T-1} with a declared norm bound."""
+    """Realized disturbance rows w_0..w_{T-1} with a declared norm bound.
+
+    A row may exceed the bound by BOUND_SLACK * max(1, bound): the rounding of
+    a signal built as bound * (unit vector) grows with the bound.
+    """
 
     w: np.ndarray
     bound: float
@@ -336,7 +299,7 @@ class DisturbanceSignal:
         self.bound = float(self.bound)
         if len(self.w):
             worst = float(np.max(np.linalg.norm(self.w, axis=1)))
-            if worst > self.bound + BOUND_SLACK:
+            if worst > self.bound + BOUND_SLACK * max(1.0, self.bound):
                 raise AssumptionViolationError(
                     f"disturbance norm {worst:.6e} exceeds declared bound {self.bound:.6e}"
                 )
@@ -411,13 +374,18 @@ def closed_loop_matrix(system: SystemDynamics, policy: LinearPolicy, t: int) -> 
 
 
 def closed_loop(system: SystemDynamics, policy: LinearPolicy) -> MatrixSequence:
-    """The closed-loop matrix sequence; constant when A, B and K all are."""
-    n = system.n
-    if system.A.constant and system.B.constant and policy.K.constant:
-        return MatrixSequence(closed_loop_matrix(system, policy, 0), (n, n), "F")
-    return MatrixSequence(
-        lambda t: closed_loop_matrix(system, policy, t), (n, n), "F"
-    )
+    """The closed-loop matrix sequence F_t = A_t - B_t K_t.
+
+    Constant when A, B and K all are; else a stack as long as the shortest
+    stack among them, formed in one batched product.
+    """
+    seqs = (system.A, system.B, policy.K)
+    if all(seq.constant for seq in seqs):
+        F = closed_loop_matrix(system, policy, 0)
+    else:
+        c = min(len(seq.values) for seq in seqs if not seq.constant)
+        F = system.A.stack(c) - system.B.stack(c) @ policy.K.stack(c)
+    return MatrixSequence(F, (system.n, system.n), "F")
 
 
 # While the sum of squares of all states after x0 stays below this, every
@@ -618,7 +586,7 @@ def simulate_inputs(
 ) -> Trajectory:
     """Roll out an explicit input sequence u_0..u_{T-1}; the terminal input is 0.
 
-    The inputs are the offsets d_t of a zero gain, bounded by their largest norm.
+    The inputs are the offsets d_t of a zero gain.
     """
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim == 1:
@@ -629,7 +597,7 @@ def simulate_inputs(
         raise ShapeError(f"inputs have m={inputs.shape[1]}, expected {m}")
     u = np.zeros((T + 1, m))
     u[:T] = inputs
-    policy = LinearPolicy.varying(np.zeros((m, n)), d=u, d_max=np.max(np.linalg.norm(u, axis=1)))
+    policy = LinearPolicy.varying(np.zeros((m, n)), d=u)
     roll = _rollout(system, costs, np.asarray(x0, dtype=float)[None], w, T, policy)
     roll.raise_overflow()
     return roll.trajectory()

@@ -102,9 +102,9 @@ def transition_row(F, t: int) -> list[np.ndarray]:
 def transition_norms(F, T: int) -> tuple[np.ndarray, bool]:
     """||Phi(t, 0)|| for t = 0..T.
 
-    Returns (norms, capped); once a product norm exceeds NORM_CAP the rest of
-    the table is +inf and capped is True.  One batched 2-norm covers the finite
-    products; the first non-finite one takes its own unless a norm capped first.
+    Returns (norms, capped); once a product norm exceeds NORM_CAP, or a
+    product is not finite, the rest of the table is +inf and capped is True.
+    One batched 2-norm covers the products before the first non-finite one.
     """
     seq = matrix_sequence(F, what="F")
     stack = _products(seq, T, np.eye(seq.shape[0]))
@@ -112,8 +112,6 @@ def transition_norms(F, T: int) -> tuple[np.ndarray, bool]:
     k = T + 1 if finite.all() else int(np.argmin(finite))
     norms = np.full(T + 1, np.inf)
     norms[:k] = np.linalg.norm(stack[:k], 2, axis=(1, 2))
-    if k <= T and np.all(norms[:k] <= NORM_CAP):
-        norms[k] = np.linalg.norm(stack[k], 2)
     over = ~(norms <= NORM_CAP)
     norms[np.logical_or.accumulate(over)] = np.inf
     return norms, bool(over.any())
@@ -287,7 +285,11 @@ def exponential_fit(phi_norms) -> tuple[float, float]:
     tail = slice(len(norms) // 2, None)
     if len(norms[tail]) < 4:
         raise ValueError("exponential fit needs at least 4 tail points")
-    slope, intercept = np.polyfit(ts[tail], np.log(norms[tail]), 1)
+    return _exp_pair(*np.polyfit(ts[tail], np.log(norms[tail]), 1))
+
+
+def _exp_pair(slope, intercept) -> tuple[float, float]:
+    """(d, delta) = (e^intercept, e^slope) of a log-linear fit."""
     return float(np.exp(intercept)), float(max(np.exp(slope), 0.0))
 
 
@@ -373,7 +375,8 @@ def classify_lti(F, marginal_tol: float = 1e-9) -> StabilityReport:
 def classify_ltv(F, T: int) -> StabilityReport:
     """Empirical classification of a time-varying closed loop from its norm trend.
 
-    Runs a log-linear regression of ||Phi(t, 0)|| over the tail half: slope
+    Runs a log-linear regression of ||Phi(t, 0)|| over the tail half, the
+    one exponential_fit runs, and reports its (d, delta) as exp_fit: slope
     below -TREND_SLOPE_TOL per step reads as asymptotically stable, above
     +TREND_SLOPE_TOL unstable.  A flat trend with tail log-range within
     OSCILLATION_BAND is marginal; wilder oscillation is reported Inconclusive,
@@ -403,8 +406,8 @@ def classify_ltv(F, T: int) -> StabilityReport:
         logs = np.log(np.maximum(norms, 1e-300))
         ts = np.arange(T + 1)
         tail = slice((T + 1) // 2, None)
-        slope = float(np.polyfit(ts[tail], logs[tail], 1)[0])
-        exp_pair = exponential_fit(np.maximum(norms, 1e-300))
+        slope, intercept = np.polyfit(ts[tail], logs[tail], 1)
+        exp_pair = _exp_pair(slope, intercept)
         if slope < -TREND_SLOPE_TOL:
             classification = Stability.ASYMPTOTICALLY_STABLE
         elif slope > TREND_SLOPE_TOL:

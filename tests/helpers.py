@@ -46,6 +46,14 @@ def random_pd(rng, n, scale=1.0):
     return scale * (M @ M.T + n * np.eye(n))
 
 
+def wavy_costs(count, n, m):
+    """Weights of steps t < count: Q_t = (1 + sin(t)/2) I_n, R_t = diag(1 + cos(t)/2, 2, ..., 2)."""
+    t = np.arange(count)
+    Q = (1.0 + 0.5 * np.sin(t))[:, None, None] * np.eye(n)
+    R = np.array([np.diag([1.0 + 0.5 * np.cos(k)] + [2.0] * (m - 1)) for k in t])
+    return QuadraticStageCost.varying(Q, R)
+
+
 def random_instance(rng, n_max=4, m_max=2, T_max=50):
     """Random well-conditioned LQ instance for benchmark cross-checks.
 

@@ -261,8 +261,7 @@ def test_acceptance_7_property_suites():
         sys_i, costs_i, x0, w, T = random_instance(rng, T_max=25)
         gamma = float(rng.uniform(0.1, 10.0))
         scaled = QuadraticStageCost.varying(
-            lambda t, Q=costs_i.Q: gamma * Q(t),
-            lambda t, R=costs_i.R: gamma * R(t),
+            gamma * costs_i.Q.stack(T + 1), gamma * costs_i.R.stack(T + 1)
         )
         pol = LinearPolicy.constant(0.4 * rng.standard_normal((sys_i.m, sys_i.n)))
         r1 = regret(sys_i, costs_i, pol, x0, w, T)

@@ -565,6 +565,23 @@ def test_underflowing_w0_under_the_phi_flag_exits_config(tmp_path, capsys):
     assert diag["field"] == "disturbance.w0"
 
 
+@pytest.mark.parametrize("command", ["simulate", "regret"])
+def test_large_disturbance_bound_passes_the_recipes_own_check(tmp_path, capsys, command):
+    # W times the unit eigenvector rounds to a row norm of about W (1 + eps), past an
+    # absolute slack of 1e-12 at W = 1e5; the slack on the bound grows with it
+    cfg = {
+        "system": {"A": [[0.9, 0.09], [-0.74, -0.92]], "B": [[-0.46], [0.22]]},
+        "cost": {"Q": [[1.5, 0.0], [0.0, 1.5]], "R": [[1.0]]},
+        "policies": [{"name": "K", "K": [[-1.01, -0.21]]}],
+        "x0": [0.0, 0.0],
+        "W": 1e5,
+        "disturbance": {"recipe": "eigvec", "seed": 0},
+        "horizons": "10:100:10",
+    }
+    code = main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK, capsys.readouterr().err
+
+
 def test_overflowing_regret_curve_reads_superlinear_like_the_unstable_loop(tmp_path):
     cfg = json.loads(json.dumps(FOUR_STATE))
     cfg["policies"] = [{"name": "Kbig", "K": [[-1000.0, -1000.0]]}]

@@ -15,7 +15,7 @@ from regretlab import (
 from regretlab.hindsight import _check_pd
 import regretlab.hindsight as hindsight_module
 
-from helpers import random_instance, random_pd, reference_hindsight_pass
+from helpers import random_instance, random_pd, reference_hindsight_pass, wavy_costs
 
 
 def scalar_instance():
@@ -145,13 +145,22 @@ def test_non_finite_hessian_is_not_finite_before_eigvalsh():
     _check_pd(np.eye(2), "G", 4)
 
 
+def _step_weight(value, at, singular_at=None, count=21):
+    """A stack of count 1x1 weights: [[1]], but [[value]] at step `at` and [[0]] at singular_at."""
+    R = np.ones((count, 1, 1))
+    R[at] = value
+    if singular_at is not None:
+        R[singular_at] = 0.0
+    return R
+
+
 @pytest.mark.parametrize("costs, message", [
     # R = -0.5 keeps every input Hessian R + B'P B PD (the backward pass
     # solves), but the forward pass needs R^-1 of a PD R
     (QuadraticStageCost.constant([[2.0]], [[-0.5]]),
      r"input weight R at t=0 not PD \(min eigenvalue -5.000e-01\)"),
     # a varying R is checked as one stack; the error names its first bad step
-    (QuadraticStageCost.varying([[2.0]], lambda t: [[-0.5]] if t == 7 else [[1.0]]),
+    (QuadraticStageCost.varying([[2.0]], _step_weight(-0.5, 7)),
      r"input weight R at t=7 not PD \(min eigenvalue -5.000e-01\)"),
 ], ids=["constant", "varying"])
 def test_forward_pass_needs_a_pd_input_weight(costs, message):
@@ -160,16 +169,6 @@ def test_forward_pass_needs_a_pd_input_weight(costs, message):
     assert np.isfinite(hindsight_costs(sys, costs, [1.0], w, [1.0], [20])[0])
     with pytest.raises(ConditioningError, match=message):
         hindsight_costs(sys, costs, [1.0], w, [1.0, 1.0], [10, 20])
-
-
-def _step_weight(value, at, wrong_shape_at=None):
-    """A callable 1x1 weight: [[1]], but [[value]] at step `at` and a 2x2 (a ShapeError) at
-    wrong_shape_at."""
-    def weight(t):
-        if t == wrong_shape_at:
-            return np.eye(2)
-        return [[value]] if t == at else [[1.0]]
-    return weight
 
 
 def _nan_in_A5():
@@ -189,11 +188,11 @@ def _nan_in_A5():
     (SystemDynamics.ltv(_nan_in_A5(), np.ones((2, 1))),
      QuadraticStageCost.constant(np.eye(2), [[1.0]]),
      "input Hessian at t=4 is not finite (a NaN or inf entry, or an overflow)"),
-    # R raises ShapeError at t = 2, after the pass went past the bad G_7
+    # solve raises LinAlgError on G_2 = R_2 = 0, after the pass went past the bad G_7
     (SystemDynamics.lti([[1.0]], [[0.0]]),
-     QuadraticStageCost.varying([[1.0]], _step_weight(-5.0, 7, wrong_shape_at=2)),
+     QuadraticStageCost.varying([[1.0]], _step_weight(-5.0, 7, singular_at=2)),
      "input Hessian at t=7 not PD (min eigenvalue -5.000e+00)"),
-], ids=["singular-solve", "indefinite-R", "nan-in-A", "shape-error-after"])
+], ids=["singular-solve", "indefinite-R", "nan-in-A", "singular-solve-after"])
 def test_riccati_pass_raises_the_first_bad_hessian_of_a_per_step_check(sys, costs, message):
     # the messages a check at every step raised, T = 20
     n = sys.n
@@ -234,10 +233,7 @@ def test_split_pass_matches_the_per_step_pass_on_an_ltv_loop_and_short_horizons(
     T = 60
     A = 1.05 * np.linalg.qr(rng.standard_normal((T, 3, 3)))[0]
     sys = SystemDynamics.ltv(A, rng.standard_normal((T, 3, 2)))
-    costs = QuadraticStageCost.varying(
-        lambda t: (1.0 + 0.5 * np.sin(t)) * np.eye(3),
-        lambda t: np.diag([1.0 + 0.5 * np.cos(t), 2.0]),
-    )
+    costs = wavy_costs(T + 1, 3, 2)
     w = rng.standard_normal((T, 3))
     for horizon in (0, 1, 2, T):
         _assert_matches_reference_pass(sys, costs, np.ones(3), w, horizon)
@@ -273,7 +269,7 @@ def test_riccati_pass_stops_at_its_fixed_point_only_on_constant_loops(monkeypatc
     for sys, costs in (
         (builtin, QuadraticStageCost.varying(np.broadcast_to(1.5 * np.eye(2), (201, 2, 2)),
                                              [[1.0]])),
-        (SystemDynamics.ltv(lambda t: [[1.0, 1.0], [0.0, 1.0 + 0.1 * np.sin(t)]],
+        (SystemDynamics.ltv([[[1.0, 1.0], [0.0, 1.0 + 0.1 * np.sin(t)]] for t in range(200)],
                             [[1.0], [0.5]], 2, 1),
          QuadraticStageCost.constant(1.5 * np.eye(2), [[1.0]])),
     ):

@@ -147,18 +147,10 @@ def test_affine_policy_with_zero_offset_matches_linear():
     K = 0.3 * rng.standard_normal((sys.m, sys.n))
     plain = simulate(sys, LinearPolicy.constant(K), x0, w, costs, T)
     affine = simulate(
-        sys, LinearPolicy.varying(K, d=np.zeros(sys.m), d_max=0.0), x0, w, costs, T
+        sys, LinearPolicy.varying(K, d=np.zeros(sys.m)), x0, w, costs, T
     )
     assert np.array_equal(plain.states, affine.states)
     assert plain.total_cost == affine.total_cost
-
-
-def test_affine_offset_bound_enforced():
-    pol = LinearPolicy.varying([[1.0]], d=[2.0], d_max=1.0)
-    sys = SystemDynamics.lti([[1.0]], [[1.0]])
-    costs = QuadraticStageCost.constant([[1.0]], [[1.0]])
-    with pytest.raises(AssumptionViolationError):
-        simulate(sys, pol, [0.0], DisturbanceSignal.zeros(1, 2), costs, 2)
 
 
 def test_overflow_reports_first_offending_step():
@@ -276,10 +268,12 @@ def test_varying_cost_bounds_raise_the_first_failure_of_the_per_step_order():
     # Q_t then R_t for t = 0, 1, ...: the first failure in that order raises,
     # with its own class
     def indefinite_R(at):
-        return lambda t: [[-1.0]] if t == at else [[1.0]]
+        R = np.ones((21, 1, 1))
+        R[at] = -1.0
+        return R
 
-    def skewed_Q(t):
-        return [[1.0, 0.5], [0.2, 1.0]] if t == 3 else np.eye(2)
+    skewed_Q = np.array([np.eye(2)] * 21)
+    skewed_Q[3] = [[1.0, 0.5], [0.2, 1.0]]
 
     cases = [
         (np.eye(2), indefinite_R(7), ConditioningError, "R at t=7 not PD"),
@@ -307,20 +301,6 @@ def test_cost_bounds_quadratic_sandwich():
         assert c <= m_upper * (x @ x + u @ u) + 1e-12
 
 
-def test_generator_sequences_are_memoized():
-    calls = []
-
-    def gen(t):
-        calls.append(t)
-        return np.eye(2) * (t + 1)
-
-    seq = MatrixSequence(gen, (2, 2), "A")
-    a = seq(3)
-    b = seq(3)
-    assert a is b
-    assert calls == [3]
-
-
 def test_explicit_stack_bounds_checked():
     seq = MatrixSequence(np.zeros((4, 2, 2)), (2, 2), "A")
     with pytest.raises(ShapeError):
@@ -333,10 +313,10 @@ def test_disturbance_bound_validated():
     DisturbanceSignal(np.ones((3, 2)), np.sqrt(2.0))  # exactly at the bound
 
 
-def test_ltv_generator_system_simulation():
+def test_ltv_stack_system_simulation():
     # periodically switched scalar loop, exact hand recursion
-    A = lambda t: np.array([[2.0 if t % 2 == 0 else 0.25]])
-    B = lambda t: np.array([[0.0]])
+    A = np.array([[[2.0 if t % 2 == 0 else 0.25]] for t in range(6)])
+    B = np.zeros((6, 1, 1))
     sys = SystemDynamics.ltv(A, B, n=1, m=1)
     assert not sys.A.constant
     costs = QuadraticStageCost.constant([[1.0]], [[1.0]])
@@ -408,10 +388,21 @@ def test_system_dynamics_stores_only_its_sequences():
                            LinearPolicy.varying(np.zeros((4, 2, 3)))).constant
 
 
+def test_time_varying_closed_loop_is_one_stack_as_long_as_the_shortest():
+    rng = np.random.default_rng(13)
+    system = SystemDynamics.ltv(rng.standard_normal((7, 3, 3)), rng.standard_normal((3, 2)))
+    policy = LinearPolicy.varying(rng.standard_normal((5, 2, 3)))
+    F = closed_loop(system, policy)
+    assert F.values.shape == (5, 3, 3)
+    for t in range(5):
+        assert np.array_equal(F(t), system.A(t) - system.B(t) @ policy.K(t))
+    with pytest.raises(ShapeError):
+        F(5)
+
+
 @pytest.mark.parametrize("build", [
     lambda: QuadraticStageCost.varying(np.zeros((2, 3)), [[1.0]]),
     lambda: QuadraticStageCost.varying(np.eye(2), np.zeros((4, 1, 2))),
-    lambda: QuadraticStageCost.varying(lambda t: np.zeros((2, 3)), [[1.0]]),
     lambda: QuadraticStageCost.varying(np.zeros((2, 2, 2, 2)), [[1.0]]),
     lambda: LinearPolicy.varying(np.zeros((1, 2)), d=np.zeros((5, 2))),
     lambda: LinearPolicy.varying(np.zeros((4, 2, 3)), d=np.zeros(3)),
@@ -432,8 +423,6 @@ def test_distinct_is_step_zero_of_a_constant_sequence_else_the_stack():
     assert np.array_equal(const.distinct(7)[0], np.eye(2))
     stack = MatrixSequence(np.arange(12.0).reshape(3, 2, 2), (2, 2))
     assert np.array_equal(stack.distinct(3), stack.stack(3))
-    gen = MatrixSequence(lambda t: t * np.eye(2), (2, 2))
-    assert np.array_equal(gen.distinct(4), [t * np.eye(2) for t in range(4)])
 
 
 def test_rollout_kernel_matches_per_row_loop():
@@ -453,11 +442,11 @@ def test_rollout_kernel_matches_per_row_loop():
     n, m = 3, 2
     A = 0.6 * rng.standard_normal((T, n, n))
     B = rng.standard_normal((T, n, m))
-    ltv = SystemDynamics.ltv(lambda t: A[t], B, n=n, m=m)
+    ltv = SystemDynamics.ltv(A, B, n=n, m=m)
     Qs = np.array([random_pd(rng, n) for _ in range(T + 1)])
-    ltv_costs = QuadraticStageCost.varying(Qs, lambda t: (1.0 + t % 3) * np.eye(m))
+    ltv_costs = QuadraticStageCost.varying(Qs, cycling_weights(T + 1, m))
     d = rng.standard_normal((T + 1, m))
-    affine = LinearPolicy.varying(0.2 * rng.standard_normal((T + 1, m, n)), d=d, d_max=10.0)
+    affine = LinearPolicy.varying(0.2 * rng.standard_normal((T + 1, m, n)), d=d)
     x0 = rng.standard_normal((rows, n))
     base = rng.standard_normal((T, n))
     scales = rng.uniform(0.5, 2.0, rows)
@@ -498,8 +487,7 @@ def test_rollout_kernel_rows_overflow_at_their_own_steps():
 def open_loop(inputs, n):
     """The zero-gain policy whose offsets are the open-loop inputs (T+1, m), as simulate_inputs builds it."""
     m = inputs.shape[1]
-    return LinearPolicy.varying(np.zeros((m, n)), d=inputs,
-                                d_max=np.max(np.linalg.norm(inputs, axis=1)))
+    return LinearPolicy.varying(np.zeros((m, n)), d=inputs)
 
 
 def test_simulate_inputs_is_bit_identical_to_the_open_loop_reference():
@@ -515,12 +503,17 @@ def test_simulate_inputs_is_bit_identical_to_the_open_loop_reference():
             assert np.array_equal(got, want[:, 0]), T
 
 
+def cycling_weights(count, m):
+    """R_t = (1 + t mod 3) I_m for t < count."""
+    return (1.0 + np.arange(count) % 3)[:, None, None] * np.eye(m)
+
+
 def _ltv_case(rng, T, n=3, m=2, gain=0.2):
     A = 0.6 * rng.standard_normal((max(T, 1), n, n))
     B = rng.standard_normal((max(T, 1), n, m))
-    ltv = SystemDynamics.ltv(lambda t: A[t], B, n=n, m=m)
+    ltv = SystemDynamics.ltv(A, B, n=n, m=m)
     Qs = np.array([random_pd(rng, n) for _ in range(T + 1)])
-    costs = QuadraticStageCost.varying(Qs, lambda t: (1.0 + t % 3) * np.eye(m))
+    costs = QuadraticStageCost.varying(Qs, cycling_weights(T + 1, m))
     K = gain * rng.standard_normal((T + 1, m, n))
     return ltv, costs, K
 
@@ -544,7 +537,7 @@ def _kernel_cases():
         cases += [
             (f"lti T={T}", (sys, costs, x0, w, T, LinearPolicy.constant(K)), {}),
             (f"lti offsets T={T}",
-             (sys, costs, x0, w, T, LinearPolicy.varying(K, d=d, d_max=10.0)), {}),
+             (sys, costs, x0, w, T, LinearPolicy.varying(K, d=d)), {}),
             (f"lti 3-d w T={T}",
              (sys, costs, x0, rng.standard_normal((rows, T, n)), T, LinearPolicy.constant(K)), {}),
             (f"lti no input T={T}", (sys, costs, x0, w, T), {"scales": rng.uniform(0.5, 2, rows)}),
@@ -555,7 +548,7 @@ def _kernel_cases():
         x0 = rng.standard_normal((rows, n))
         w = rng.standard_normal((T, n))
         d = rng.standard_normal((T + 1, m))
-        affine = LinearPolicy.varying(Ks, d=d, d_max=10.0)
+        affine = LinearPolicy.varying(Ks, d=d)
         cases += [
             (f"ltv T={T}", (ltv, ltv_costs, x0, w, T, LinearPolicy.varying(Ks)), {}),
             (f"ltv offsets scales T={T}", (ltv, ltv_costs, x0, w, T, affine),
@@ -572,7 +565,7 @@ def _kernel_cases():
     scalar = SystemDynamics.lti([[3.0]], [[1.0]])
     unit = QuadraticStageCost.constant([[1.0]], [[1.0]])
     T = 400
-    offsets = LinearPolicy.varying([[0.0]], d=np.full((T + 1, 1), 0.5), d_max=1.0)
+    offsets = LinearPolicy.varying([[0.0]], d=np.full((T + 1, 1), 0.5))
     x0 = np.array([[1.0], [1e20], [1e-20], [1e300], [0.0]])
     zeros = np.zeros((T, 1))
     cases += [
@@ -587,14 +580,14 @@ def _kernel_cases():
     # a 2-state loop whose rows all die before T: the loop stops at the last death
     sys = SystemDynamics.lti([[3.0, 1.0], [0.0, 2.5]], [[1.0], [0.5]])
     costs = QuadraticStageCost.constant(np.eye(2), [[1.0]])
-    policy = LinearPolicy.varying([[0.1, 0.2]], d=np.ones((T + 1, 1)), d_max=1.0)
+    policy = LinearPolicy.varying([[0.1, 0.2]], d=np.ones((T + 1, 1)))
     x0 = np.array([[1.0, 1.0], [1e30, 0.0], [0.0, 1e-30]])
     cases.append(("all rows dead", (sys, costs, x0, rng.standard_normal((T, 2)), T, policy), {}))
 
     # overflow exactly at the last step: x_t = 3^t x0 passes 1e150 first at t = T
     T = 10
     last = 1.5e150 / 3.0**T
-    at_T = LinearPolicy.varying([[0.0]], d=np.full((T + 1, 1), 0.5), d_max=1.0)
+    at_T = LinearPolicy.varying([[0.0]], d=np.full((T + 1, 1), 0.5))
     cases += [
         ("overflow at T, all rows dead",
          (scalar, unit, np.array([[last], [1.2 * last]]), np.zeros((T, 1)), T, at_T), {}),
@@ -606,7 +599,7 @@ def _kernel_cases():
     n, m = sys.n, sys.m
     T, rows = 40, 3
     pol = LinearPolicy.varying(0.3 * rng.standard_normal((m, n)),
-                               d=rng.standard_normal((T + 1, m)), d_max=10.0)
+                               d=rng.standard_normal((T + 1, m)))
     w = rng.standard_normal((T, n))
     w[5, 0] = np.nan
     w3 = rng.standard_normal((rows, T, n))
@@ -670,7 +663,7 @@ def _grid_cases():
     # LTV loops, with a policy and offsets, and with zero input (the filter loop)
     ltv, ltv_costs, Ks = _ltv_case(rng, 60)
     n, m = ltv.n, ltv.m
-    affine = LinearPolicy.varying(Ks, d=rng.standard_normal((61, m)), d_max=10.0)
+    affine = LinearPolicy.varying(Ks, d=rng.standard_normal((61, m)))
     scales = np.repeat(rng.uniform(0.5, 2.0, 4), 3)
     horizons = np.arange(5, 61, 5)
     w = rng.standard_normal((60, n))

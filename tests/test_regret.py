@@ -34,7 +34,7 @@ from regretlab import (
     quadratic_floor_check,
 )
 
-from helpers import overdriven_loop, random_instance, random_loop, random_pd
+from helpers import overdriven_loop, random_instance, random_loop, random_pd, wavy_costs
 
 from regretlab.cli import BUILTIN_EXPERIMENT, SchemaError, builtin_experiment_curves
 
@@ -149,7 +149,7 @@ def test_cost_scaling_equivariance():
     for _ in range(10):
         sys, costs, x0, w, T = random_instance(rng, T_max=25)
         scaled = QuadraticStageCost.varying(
-            lambda t: gamma * costs.Q(t), lambda t: gamma * costs.R(t)
+            gamma * costs.Q.stack(T + 1), gamma * costs.R.stack(T + 1)
         )
         pol = LinearPolicy.constant(0.4 * rng.standard_normal((sys.m, sys.n)))
         r1 = regret(sys, costs, pol, x0, w, T)
@@ -477,7 +477,8 @@ def test_optimal_cost_rules_out_an_overflow_only_below_half_the_guard():
     for cost in (0.5e300, np.inf, np.nan):
         assert hindsight_module._may_overflow(cost, unit, 10)
     # a singular Q_t anywhere in 0..T rules out nothing
-    singular = QuadraticStageCost.varying(lambda t: np.diag([1.0, float(t != 7)]), [[1.0]])
+    singular = QuadraticStageCost.varying([np.diag([1.0, float(t != 7)]) for t in range(11)],
+                                          [[1.0]])
     assert not hindsight_module._may_overflow(1.0, singular, 6)
     assert hindsight_module._may_overflow(1.0, singular, 7)
 
@@ -528,10 +529,7 @@ def test_hindsight_costs_on_an_ltv_loop():
     A = 1.05 * np.linalg.qr(rng.standard_normal((T, 3, 3)))[0]
     B = rng.standard_normal((T, 3, 2))
     sys = SystemDynamics.ltv(A, B)
-    costs = QuadraticStageCost.varying(
-        lambda t: (1.0 + 0.5 * np.sin(t)) * np.eye(3),
-        lambda t: np.diag([1.0 + 0.5 * np.cos(t), 2.0]),
-    )
+    costs = wavy_costs(T + 1, 3, 2)
     w = random_ball(3, 1.0, T, 6).w
     horizons = np.arange(1, T + 1)
     scales = np.linspace(0.5, 2.0, T)
@@ -555,9 +553,7 @@ def test_hindsight_costs_from_a_zero_horizon():
     got = hindsight_costs(sys, costs, x0, w, [1.0, 1.0], [0, 8])
     assert got[0] == pytest.approx(x0 @ costs.Q(0) @ x0, rel=1e-15)
 
-    varying = QuadraticStageCost.varying(
-        lambda t: (1.0 + 0.5 * np.sin(t)) * np.eye(2), lambda t: [[1.0 + 0.5 * np.cos(t)]]
-    )
+    varying = wavy_costs(9, 2, 1)
     _assert_matches_per_horizon_solves(sys, varying, x0, w, [2.0, 1.0], [0, 8])
 
 

@@ -225,9 +225,7 @@ def test_classify_lti_agrees_with_norm_limit():
 
 
 def test_classify_ltv_periodic_contraction():
-    def F(t):
-        return np.diag([2.0, 0.3]) if t % 2 == 0 else np.diag([0.25, 0.3])
-
+    F = np.array([np.diag([2.0, 0.3]) if t % 2 == 0 else np.diag([0.25, 0.3]) for t in range(200)])
     rep = classify_ltv(F, 200)
     assert rep.classification is Stability.ASYMPTOTICALLY_STABLE
     assert rep.full_rank_ok
@@ -254,9 +252,8 @@ def test_classify_ltv_identity_marginal():
 
 
 def test_classify_ltv_flags_singular_step():
-    def F(t):
-        return np.zeros((2, 2)) if t == 3 else np.eye(2)
-
+    F = np.array([np.eye(2)] * 60)
+    F[3] = 0.0
     rep = classify_ltv(F, 60)
     assert not rep.full_rank_ok
 
@@ -282,9 +279,10 @@ def test_classify_ltv_agrees_with_norm_limit_at_500():
     theta = 0.3
     rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     cases = [
-        (lambda t: 0.97 * rot, True),
-        (lambda t: rot, False),
-        (lambda t: np.diag([0.99, 0.5]) if t % 2 else np.diag([0.95, 0.5]), True),
+        (np.array([0.97 * rot] * 500), True),
+        (np.array([rot] * 500), False),
+        (np.array([np.diag([0.99, 0.5]) if t % 2 else np.diag([0.95, 0.5]) for t in range(500)]),
+         True),
     ]
     for F, expect_stable in cases:
         rep = classify_ltv(F, 500)
@@ -361,10 +359,8 @@ def test_norm_sums_match_brute_force():
 
 def test_norm_sums_cap_rows_of_a_growing_ltv_loop():
     # the squared row sums pass NORM_CAP near t = 5, the row sums near t = 9
-    def F(t):
-        return np.diag([1e20, 0.5]) if t % 2 == 0 else np.diag([1e19, 0.4])
-
     T = 12
+    F = np.array([np.diag([1e20, 0.5]) if t % 2 == 0 else np.diag([1e19, 0.4]) for t in range(T)])
     seq = matrix_sequence(F, what="F")
     row_sums, row_squares = transition._row_norm_sums(seq, T)
     for got, power in ((row_sums, 1), (row_squares, 2)):
@@ -546,18 +542,27 @@ def test_transition_norms_edge_columns_match_the_per_step_loop(F, capped_at):
     assert capped and np.all(np.isinf(norms[capped_at:])) and np.all(np.isfinite(norms[:capped_at]))
 
 
-def test_transition_norms_nan_product_raises_like_the_per_step_loop():
-    with pytest.raises(np.linalg.LinAlgError):
-        reference_transition_norms(np.array([[np.nan]]), 3, transition.NORM_CAP)
-    with pytest.raises(np.linalg.LinAlgError):
-        transition_norms(np.array([[np.nan]]), 3)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_product_caps_the_column_and_the_sums(bad):
+    # Phi(t, 0) = 0.5^t I up to t = 10; F_10 has a NaN or inf entry, so Phi(11, 0) is not finite
+    F = 0.5 * np.array([np.eye(2)] * 30)
+    F[10, 0, 1] = bad
+    norms, capped = transition_norms(F, 30)
+    assert capped
+    np.testing.assert_array_equal(norms[:11], 0.5 ** np.arange(11))
+    assert np.all(np.isposinf(norms[11:]))
+    sums = norm_sums(F, 30)
+    assert np.all(np.isfinite(sums.sums[:11])) and np.all(np.isposinf(sums.sums[11:]))
+    assert sums.sup == sums.d_sum == sums.d_bar == sums.h_bar == np.inf
+    assert not (sums.bibs_converged or sums.d_sum_converged or sums.d_bar_converged
+                or sums.h_bar_converged)
 
 
 @pytest.mark.parametrize("F, norm_calls", [
     (F1, 1),
     (np.diag([0.9, 0.5]) + np.zeros((301, 2, 2)), 1),
     ([[1e120]], 1),  # capped before its products overflow
-    ([[np.inf]], 2),  # the non-finite product takes its own norm
+    ([[np.inf]], 1),  # the non-finite product caps without a norm of its own
 ])
 def test_transition_norms_takes_one_batched_norm_per_column(monkeypatch, F, norm_calls):
     calls = []
