@@ -40,6 +40,11 @@ LTI_HORIZON = 500  # classify_lti reads the norm table over steps 0..LTI_HORIZON
 
 ROW_CHUNK = 2**15  # floats of row blocks per _spectral_norms call in _row_norm_sums
 
+# _trig_gram_top hands a 3x3 Gram to eigvalsh when r = det((G - qI)/p)/2 is
+# below this: near r = -1 the top pair is (nearly) repeated, and the
+# trigonometric formula's cos(arccos(r)/3) has a 1/sqrt(1 + r) sensitivity.
+TRIG_GUARD = -0.9
+
 
 class Stability(str, Enum):
     ASYMPTOTICALLY_STABLE = "AsymptoticallyStable"
@@ -148,19 +153,62 @@ class NormSums:
 def _spectral_norms(stack: np.ndarray) -> np.ndarray:
     """The 2-norm of each finite block of a (k, n, n) stack, from scaled Gram eigenvalues.
 
-    Each block M is divided by big = max |M_ij| (an all-zero block gives 0),
-    and its norm is big * sqrt(lambda_max(S'S)) for S = M / big, with
-    lambda_max from one batched eigvalsh.  The scaling keeps the entries of
-    S'S within [-n, n], so no finite block overflows or underflows in the Gram
-    product.  Against np.linalg.norm(M, 2) (one SVD per block) the relative
-    gap is tested within 16 eps (about 5 eps seen); a norm beyond the float
-    range is +inf.
+    For n = 1 the norm is |m|.  Otherwise each block M is divided by
+    big = max |M_ij| (an all-zero block gives 0), and its norm is
+    big * sqrt(lambda_max(S'S)) for S = M / big.  The scaling keeps the entries
+    of S'S within [-n, n], so no finite block overflows or underflows in the
+    Gram product.  lambda_max comes in closed form for n = 3 (_trig_gram_top),
+    and from one batched eigvalsh (_eigvalsh_gram_top) for n = 2 and n >= 4.
+    Against np.linalg.norm(M, 2) (one SVD per block) the relative gap is tested
+    within 16 eps (about 5 eps seen); a norm beyond the float range is +inf.
     """
-    big = np.abs(stack).max(axis=(1, 2))
-    S = stack / np.where(big > 0.0, big, 1.0)[:, None, None]
-    lam = np.linalg.eigvalsh(np.matmul(S.transpose(0, 2, 1), S))[:, -1]
+    n = stack.shape[1]
+    if n == 1:
+        return np.abs(stack[:, 0, 0])
+    if n == 3:
+        cols = np.ascontiguousarray(stack.transpose(1, 2, 0))  # cols[r, i]: entry (r, i) of each block
+        big = np.abs(cols).max(axis=(0, 1))
+        lam = _trig_gram_top(cols / np.where(big > 0.0, big, 1.0))
+    else:
+        big = np.abs(stack).max(axis=(1, 2))
+        lam = _eigvalsh_gram_top(stack / np.where(big > 0.0, big, 1.0)[:, None, None])
     with np.errstate(over="ignore"):
         return big * np.sqrt(np.maximum(lam, 0.0))
+
+
+def _eigvalsh_gram_top(S: np.ndarray) -> np.ndarray:
+    """lambda_max(S'S) for each block of a (k, n, n) stack, from one batched eigvalsh."""
+    return np.linalg.eigvalsh(np.matmul(S.transpose(0, 2, 1), S))[:, -1]
+
+
+def _trig_gram_top(S: np.ndarray) -> np.ndarray:
+    """lambda_max(S'S) for each block of a (3, 3, k) stack of scaled blocks.
+
+    S[r, i] holds entry (r, i) of every block, so each Gram entry is a sum of
+    three elementwise products of two columns.  lambda_max comes from the
+    trigonometric formula of Smith (CACM 4(4), 1961),
+    q + 2p cos(arccos(r)/3) with q = tr G / 3, p = ||G - qI||_F / sqrt(6) and
+    r = det((G - qI)/p)/2; its error is about 2p times that of the cosine, so
+    it stays within a few eps of lambda_max except near r = -1 (Kopp, Int. J.
+    Mod. Phys. C 19, 2008), where the blocks below TRIG_GUARD go to eigvalsh.
+    Each block's value depends on that block alone.
+    """
+    def gram(i, j):
+        return (S[:, i] * S[:, j]).sum(axis=0)
+
+    g00, g11, g22, g01, g02, g12 = gram(0, 0), gram(1, 1), gram(2, 2), gram(0, 1), gram(0, 2), gram(1, 2)
+    q = (g00 + g11 + g22) / 3.0
+    d0, d1, d2 = g00 - q, g11 - q, g22 - q
+    p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12)) / 6.0)
+    inv = 1.0 / np.where(p > 0.0, p, 1.0)  # G = qI when p = 0, and then r = 0
+    d0, d1, d2, g01, g02, g12 = d0 * inv, d1 * inv, d2 * inv, g01 * inv, g02 * inv, g12 * inv
+    det = d0 * (d1 * d2 - g12 * g12) - g01 * (g01 * d2 - g12 * g02) + g02 * (g01 * g12 - d1 * g02)
+    r = np.clip(0.5 * det, -1.0, 1.0)
+    lam = q + 2.0 * p * np.cos(np.arccos(r) / 3.0)
+    near = np.flatnonzero(r < TRIG_GUARD)
+    if near.size:
+        lam[near] = _eigvalsh_gram_top(S[:, :, near].transpose(2, 0, 1))
+    return lam
 
 
 def _row_norm_sums(seq: MatrixSequence, T: int) -> tuple[np.ndarray, np.ndarray]:
@@ -168,8 +216,9 @@ def _row_norm_sums(seq: MatrixSequence, T: int) -> tuple[np.ndarray, np.ndarray]
 
     One row pass.  Consecutive rows' blocks are copied into a chunk of at
     most ROW_CHUNK floats (one row at least), and each chunk's norms come
-    from one _spectral_norms call (one batched eigvalsh, where an SVD per
-    block costs about twice as much); each row's sums are then taken alone,
+    from one _spectral_norms call (a closed-form largest Gram eigenvalue for
+    n = 3 and one batched eigvalsh for n = 2 and n >= 4, where an SVD per
+    block costs more than either); each row's sums are then taken alone,
     as a pass with one call per row takes them, to the same bits.  The
     column pass, transition_norms, keeps the SVD norm: its values reach the
     stability and certificate outputs of constant loops, which stay
@@ -382,8 +431,11 @@ def classify_ltv(F, T: int) -> StabilityReport:
     OSCILLATION_BAND is marginal; wilder oscillation is reported Inconclusive,
     since no finite norm table can decide between bounded oscillation and
     chaotic behaviour.
-    Requires T >= 50 so the trend is meaningful.  The sum fields come from
-    the first min(T, 150) steps of the same norm column.
+    Requires T >= 50 so the trend is meaningful.  The sum fields are those of
+    norm_sums at horizon min(T, 150): d_sum and d_bar from the first
+    min(T, 150) steps of the same norm column, bibs_sup and h_bar from the row
+    sums over rows t = 1..min(T, 150) of the transition table (the row pass,
+    or prefix sums of that column when F is constant).
     """
     if T < 50:
         raise ShapeError(f"trend classification needs T >= 50, got {T}")

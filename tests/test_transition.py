@@ -374,16 +374,31 @@ def test_norm_sums_cap_rows_of_a_growing_ltv_loop():
 
 
 def _spectral_norm_cases(rng, n, scale):
-    """(k, n, n) stacks at one scale: random, rank one, near rank one, orthogonal and all-zero blocks."""
+    """(k, n, n) stacks at one scale: random, rank one, near rank one, orthogonal and all-zero blocks.
+
+    For n = 3 also Q1 diag(1, 1 - g, s) Q2 with a top-pair gap g of 0, 1e-12
+    and 1e-6, where the trigonometric formula loses accuracy; for n = 2 also
+    c times a rotation, whose singular values are equal.
+    """
     u, v = rng.standard_normal((2, 20, n, 1))
     rank_one = u @ v.transpose(0, 2, 1)
-    return [scale * blocks for blocks in (
+    cases = [
         rng.standard_normal((20, n, n)),
         rank_one,
         rank_one + 1e-12 * rng.standard_normal((20, n, n)),
         np.linalg.qr(rng.standard_normal((20, n, n)))[0],
         np.zeros((3, n, n)),
-    )]
+    ]
+    if n == 3:
+        for gap in (0.0, 1e-12, 1e-6):
+            Q1, Q2 = np.linalg.qr(rng.standard_normal((2, 20, 3, 3)))[0]
+            sigma = np.stack([np.ones(20), np.full(20, 1.0 - gap), rng.uniform(0.0, 1.0, 20)], axis=1)
+            cases.append(Q1 * sigma[:, None, :] @ Q2)
+    if n == 2:
+        theta, c = rng.uniform(0.0, 2 * np.pi, 20), rng.uniform(0.1, 10.0, 20)
+        cases.append(c[:, None, None] * np.stack(
+            [np.cos(theta), -np.sin(theta), np.sin(theta), np.cos(theta)], axis=1).reshape(20, 2, 2))
+    return [scale * blocks for blocks in cases]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -411,6 +426,41 @@ def test_spectral_norms_near_the_float_maximum_raise_no_warning():
     want = np.linalg.norm(blocks, 2, axis=(1, 2))
     assert np.isinf(got[0]) and np.isinf(want[0])
     np.testing.assert_allclose(got[1:], want[1:], rtol=16 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_spectral_norms_send_only_guarded_blocks_to_eigvalsh(monkeypatch, n):
+    # none for n = 1; for n = 3 the blocks whose top Gram pair is nearly
+    # repeated (r < -0.9 is a gap ratio below 0.1606), about 1.2% of
+    # Gaussian blocks; for n = 2 and n >= 4 every block, through one
+    # eigvalsh of the scaled Gram
+    eigvalsh = np.linalg.eigvalsh
+    grams = []
+
+    def counted(G):
+        grams.append(np.array(G))
+        return eigvalsh(G)
+
+    blocks = np.random.default_rng(60 + n).standard_normal((20_000, n, n))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    got = transition._spectral_norms(blocks)
+    monkeypatch.undo()
+    routed = np.concatenate(grams) if grams else np.zeros((0, n, n))
+    if n == 1:
+        assert not grams
+    elif n == 3:
+        lam = eigvalsh(routed)
+        assert np.all(lam[:, 2] - lam[:, 1] < 0.17 * (lam[:, 2] - lam[:, 0]))
+        sv2 = np.linalg.svd(blocks, compute_uv=False) ** 2
+        ratio = (sv2[:, 0] - sv2[:, 1]) / (sv2[:, 0] - sv2[:, 2])
+        assert np.sum(ratio < 0.15) <= len(routed) <= np.sum(ratio < 0.17)
+        assert 0.005 < len(routed) / len(blocks) < 0.02
+    else:
+        assert len(grams) == 1 and len(routed) == len(blocks)
+        big = np.abs(blocks).max(axis=(1, 2))
+        S = blocks / big[:, None, None]
+        lam = eigvalsh(np.matmul(S.transpose(0, 2, 1), S))[:, -1]
+        np.testing.assert_array_equal(got, big * np.sqrt(np.maximum(lam, 0.0)))
 
 
 def test_row_norm_sums_match_the_frozen_svd_row_pass():
