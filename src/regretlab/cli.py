@@ -510,8 +510,12 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config, args)
     T = cfg.horizons[-1]
+    # the random recipe reads no policy, so one realization serves them all
+    shared = cfg.disturbance_for(None).realize(T) if cfg.recipe == "random" else None
     trajectories = {
-        name: simulate(cfg.system, pol, cfg.x0, cfg.disturbance_for(pol).realize(T), cfg.costs, T)
+        name: simulate(cfg.system, pol, cfg.x0,
+                       shared if shared is not None else cfg.disturbance_for(pol).realize(T),
+                       cfg.costs, T)
         for name, pol in cfg.policies
     }
     out = _out_dir(args)

@@ -43,9 +43,10 @@ FIXED_POINT_TOL = 4.0 * np.finfo(float).eps  # relative to the largest entry
 BATCH_ORACLE_CAP = 2000  # the largest T*m batch_oracle takes: its solve is O((T m)^3)
 
 
-def _settled(new: np.ndarray, old: np.ndarray) -> bool:
-    """True when no entry moved by more than FIXED_POINT_TOL of max|new|."""
-    return abs(new - old).max() <= FIXED_POINT_TOL * abs(new).max()
+def _settled(new: np.ndarray, old: np.ndarray, buf: np.ndarray) -> bool:
+    """True when no entry moved by more than FIXED_POINT_TOL of max|new|; buf takes the differences."""
+    moved = np.maximum.reduce(np.abs(np.subtract(new, old, out=buf), out=buf), axis=None)
+    return moved <= FIXED_POINT_TOL * np.maximum.reduce(np.abs(new, out=buf), axis=None)
 
 
 @dataclass
@@ -97,6 +98,63 @@ class HindsightSolution:
         )
 
 
+def _riccati_pass(system: SystemDynamics, costs: QuadraticStageCost, T: int):
+    """The data-free Riccati pass of solve_hindsight: (P, gains, L) with L_t = G_t^-1 B_t'.
+
+    Each step's operands come from MatrixSequence.steps, taken once before
+    the loop, so a short stack raises its ShapeError before any Hessian is
+    built.  The right-hand sides [H_t | B_t'] (H_t = B_t'P_{t+1}A_t) are
+    laid out once, with B_t' filled in up front and H_t written in place by
+    its matmul; the solve's output [gains_t | L_t] is kept whole and split
+    after the loop.  G_t and P_t are symmetrized in place into their slots.
+    The products, sums and solves are those of a per-step loop, in the same
+    order.
+    """
+    n, m = system.n, system.m
+    constant = all(seq.constant for seq in (system.A, system.B, costs.Q, costs.R))
+    Q = costs.Q.steps(T + 1)
+    A, B = system.A, system.B
+    operands = [X[::-1] for X in (A.steps(T), A.steps(T, transpose=True), B.steps(T),
+                                  B.steps(T, transpose=True), Q[:T], costs.R.steps(T))]
+    P = np.empty((T + 1, n, n))
+    Gs = np.empty((T, m, m))  # the input Hessians G_first..G_{T-1}, checked after the pass
+    # the solve's right-hand sides [H_t | B_t'] and outputs [gains_t | L_t]; for n = 1,
+    # H_t'gains_t is a dot product of length m, which OpenBLAS sums in another order on
+    # non-unit strides once m >= 4, so each (m, 2) block is then stored by column
+    if n == 1:
+        rhs, KL = np.empty((2, T, 2, m)).transpose(0, 1, 3, 2)
+    else:
+        rhs, KL = np.empty((2, T, m, 2 * n))
+    rhs[:, :, n:] = np.swapaxes(B.distinct(T), -1, -2)
+    H, K = rhs[:, :, :n], KL[:, :, :n]
+    outputs = (P[1:], P[:T], Gs, H, H.transpose(0, 2, 1), rhs, KL, K)
+    steps = zip(range(T - 1, -1, -1), *operands, *(X[::-1] for X in outputs))
+    diff = np.empty((n, n))
+    P[T] = _sym(Q[T])
+    first = T
+    failure = None
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t, At, ATt, Bt, BTt, Qt, Rt, Pn, Pt, G, Ht, HTt, rhs_t, KLt, Kt in steps:
+                BP = BTt @ Pn
+                _sym(Rt + BP @ Bt, out=G)
+                first = t
+                np.matmul(BP, At, out=Ht)
+                KLt[...] = np.linalg.solve(G, rhs_t)
+                _sym(Qt + ATt @ Pn @ At - HTt @ Kt, out=Pt)
+                if constant and _settled(Pt, Pn, diff):
+                    P[:t], KL[:t] = Pt, KLt  # earlier steps repeat this one
+                    break
+    except Exception as exc:  # raised after the check: a bad Hessian before it outranks it
+        failure = exc
+    _check_pd(Gs[first:][::-1], "input Hessian", range(T - 1, first - 1, -1))
+    if failure is not None:
+        raise failure
+    gains = np.zeros((T + 1, m, n))
+    gains[:T] = K
+    return P, gains, np.ascontiguousarray(KL[:, :, n:])
+
+
 def solve_hindsight(
     system: SystemDynamics,
     costs: QuadraticStageCost,
@@ -106,15 +164,17 @@ def solve_hindsight(
 ) -> HindsightSolution:
     """Backward affine value-function pass; the optimal rollout waits for its first reader.
 
-    The Riccati pass stores each input Hessian G_t = R_t + B_t'P_{t+1}B_t and
-    checks them all in one _check_pd call after its loop, labelled T-1, T-2,
-    ...: the error names the G_t that a check at every step would have named.
-    The loop runs with overflow warnings off; if it raises (a LinAlgError
-    from the solve), the Hessians built so far are checked first and their
-    error wins.  On a loop with constant A, B, Q and R it stops once P_t is
-    within FIXED_POINT_TOL of P_{t+1}, and earlier steps repeat that one.
-    The data pass is one matvec per step, p_t = F_t'(p_{t+1} + 2P_{t+1}w_t)
-    with F_t = A_t - B_t gains_t.
+    The Riccati pass (_riccati_pass) stores each input Hessian
+    G_t = R_t + B_t'P_{t+1}B_t and checks them all in one _check_pd call after
+    its loop, labelled T-1, T-2, ...: the error names the G_t that a check at
+    every step would have named.  The loop runs with overflow warnings off; if
+    it raises (a LinAlgError from the solve), the Hessians built so far are
+    checked first and their error wins.  On a loop with constant A, B, Q and R
+    it stops once P_t is within FIXED_POINT_TOL of P_{t+1}, and earlier steps
+    repeat that one.  The data pass is one matvec per step,
+    p_t = F_t'v_t with v_t = p_{t+1} + 2P_{t+1}w_t and F_t = A_t - B_t gains_t,
+    written into its row of v and p; it and the optimal cost also run with
+    overflow warnings off, so an overflow shows as an inf or NaN cost.
 
     The rollout is simulate() under feedback_policy(), run on first access to
     the solution's trajectory or inputs, so it carries the overflow guard: an
@@ -125,49 +185,22 @@ def solve_hindsight(
     wt, T = disturbance_prefix(w, system.n, T)
     check_dims(system, costs, x0[None])
     n, m = system.n, system.m
+    P, gains, L = _riccati_pass(system, costs, T)
 
-    P = np.zeros((T + 1, n, n))
-    gains = np.zeros((T + 1, m, n))
-    L = np.zeros((T, m, n))  # G_t^-1 B_t'
-    Gs = np.empty((T, m, m))  # the input Hessians G_first..G_{T-1}, checked after the pass
-    first = T
-    P[T] = _sym(costs.Q(T))
-    constant = all(seq.constant for seq in (system.A, system.B, costs.Q, costs.R))
-    failure = None
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t in reversed(range(T)):  # data-free Riccati pass
-                A, B, Pn = system.A(t), system.B(t), P[t + 1]
-                BP = B.T @ Pn
-                G = Gs[t] = _sym(costs.R(t) + BP @ B)
-                first = t
-                H = BP @ A
-                sol = np.linalg.solve(G, np.column_stack([H, B.T]))
-                gains[t], L[t] = sol[:, :n], sol[:, n:]
-                P[t] = _sym(costs.Q(t) + A.T @ Pn @ A - H.T @ gains[t])
-                if constant and _settled(P[t], Pn):  # earlier steps repeat this one
-                    P[:t], gains[:t], L[:t] = P[t], gains[t], L[t]
-                    break
-    except Exception as exc:  # raised after the check: a bad Hessian before it outranks it
-        failure = exc
-    _check_pd(Gs[first:][::-1], "input Hessian", range(T - 1, first - 1, -1))
-    if failure is not None:
-        raise failure
-
-    # data pass, linear in w: v_t = p_{t+1} + 2 P_{t+1} w_t and p_t = F_t' v_t
-    B = system.B.stack(T)
-    F = system.A.stack(T) - B @ gains[:T]
-    Pw2 = 2.0 * (P[1:] @ wt[:, :, None])[:, :, 0]
-    p = np.zeros((T + 1, n))
-    for t in reversed(range(T)):
-        p[t] = (p[t + 1] + Pw2[t]) @ F[t]
-    v = p[1:] + Pw2
-    kg = 0.5 * (L @ v[:, :, None])[:, :, 0]
-    terms = ((0.5 * Pw2 + p[1:]) * wt).sum(1) - 0.5 * np.einsum("ti,tij,tj->t", v, B, kg)
-    s = np.append(np.cumsum(terms[::-1])[::-1], 0.0)
-    offsets = np.vstack([kg, np.zeros((1, m))])
-
-    optimal = float(x0 @ P[0] @ x0 + p[0] @ x0 + s[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        # data pass, linear in w: v_t = p_{t+1} + 2 P_{t+1} w_t and p_t = F_t' v_t
+        B = system.B.stack(T)
+        F = system.A.stack(T) - B @ gains[:T]
+        Pw2 = 2.0 * (P[1:] @ wt[:, :, None])[:, :, 0]
+        p = np.zeros((T + 1, n))
+        v = np.empty((T, n))
+        for pn, pw, vt, Ft, pt in zip(p[1:][::-1], Pw2[::-1], v[::-1], F[::-1], p[:-1][::-1]):
+            np.matmul(np.add(pn, pw, out=vt), Ft, out=pt)
+        kg = 0.5 * (L @ v[:, :, None])[:, :, 0]
+        terms = ((0.5 * Pw2 + p[1:]) * wt).sum(1) - 0.5 * np.einsum("ti,tij,tj->t", v, B, kg)
+        s = np.append(np.cumsum(terms[::-1])[::-1], 0.0)
+        offsets = np.vstack([kg, np.zeros((1, m))])
+        optimal = float(x0 @ P[0] @ x0 + p[0] @ x0 + s[0])
     return HindsightSolution(optimal, P, p, s, gains, offsets, (system, costs, x0, wt))
 
 
@@ -222,6 +255,23 @@ def hindsight_costs(
         return out
 
     T, n, m = int(horizons[-2]), system.n, system.m
+    AS, QS = _cost_to_arrive(system, costs, T)
+    # the filter loop runs with zero input
+    filt = SystemDynamics.ltv(AS, np.zeros((n, m)))
+    weight = QuadraticStageCost.varying(QS, np.zeros((m, m)))
+    out[:-1], _ = simulate_grid(filt, None, x0, base, scales[:-1], horizons[:-1], weight)
+    return out
+
+
+def _cost_to_arrive(system: SystemDynamics, costs: QuadraticStageCost, T: int):
+    """The forward cost-to-arrive pass of hindsight_costs: the filter loop's A_t S_t and Q_t S_t.
+
+    Each step's operands are views of stacks built once; Sigma_{t+1} is
+    symmetrized in place into the one of two buffers that Sigma_t does not
+    hold.  The products, sums and inverses are those of a per-step loop, in
+    the same order.
+    """
+    n = system.n
     A, B, Q, R = system.A.stack(T), system.B.stack(T), costs.Q.stack(T + 1), costs.R.stack(T)
     R_distinct = costs.R.distinct(T)  # the pass needs each R_t^-1
     _check_pd(0.5 * (R_distinct + R_distinct.transpose(0, 2, 1)), "input weight R",
@@ -229,22 +279,21 @@ def hindsight_costs(
     BRB = B @ np.linalg.solve(R, B.transpose(0, 2, 1))  # B_t R_t^-1 B_t'
     AS = np.empty((T, n, n))
     QS = np.empty((T + 1, n, n))
-    Sigma, eye = np.zeros((n, n)), np.eye(n)
+    Sigma, nxt = np.zeros((2, n, n))  # Sigma_t and the buffer Sigma_{t+1} goes into
+    eye, diff = np.eye(n), np.empty((n, n))
     constant = all(seq.constant for seq in (system.A, system.B, costs.Q, costs.R))
-    for t in range(T + 1):
-        S = np.linalg.inv(eye + Sigma @ Q[t])
-        QS[t] = Q[t] @ S
-        if t < T:
-            AS[t] = A[t] @ S
-            Sigma, prev = _sym(AS[t] @ Sigma @ A[t].T + BRB[t]), Sigma
-            if constant and _settled(Sigma, prev):  # later steps repeat this one
-                AS[t + 1:], QS[t + 1:] = AS[t], QS[t]
-                break
-    # the filter loop runs with zero input
-    filt = SystemDynamics.ltv(AS, np.zeros((n, m)))
-    weight = QuadraticStageCost.varying(QS, np.zeros((m, m)))
-    out[:-1], _ = simulate_grid(filt, None, x0, base, scales[:-1], horizons[:-1], weight)
-    return out
+    for t, (At, ATt, Qt, BRBt, ASt, QSt) in enumerate(zip(A, A.transpose(0, 2, 1), Q, BRB, AS, QS)):
+        S = np.linalg.inv(eye + Sigma @ Qt)
+        np.matmul(Qt, S, out=QSt)
+        np.matmul(At, S, out=ASt)
+        _sym(ASt @ Sigma @ ATt + BRBt, out=nxt)
+        if constant and _settled(nxt, Sigma, diff):
+            AS[t + 1:], QS[t + 1:] = ASt, QSt  # later steps repeat this one
+            break
+        Sigma, nxt = nxt, Sigma
+    else:
+        np.matmul(Q[T], np.linalg.inv(eye + Sigma @ Q[T]), out=QS[T])
+    return AS, QS
 
 
 def batch_oracle(

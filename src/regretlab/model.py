@@ -95,6 +95,19 @@ class MatrixSequence:
             self(count - 1)  # raises the ShapeError naming the missing step
         return self.values[:count]
 
+    def steps(self, count: int, transpose: bool = False) -> list[np.ndarray] | np.ndarray:
+        """Steps 0..count-1 (each transposed when asked) for a loop to step through.
+
+        A stack's are the rows of stack(count); a constant's are its one
+        array, count times over in a list, so that no stack is built and no
+        view is made per step.  Either way each step has the strides of the
+        stack's row, so a product on it is the same BLAS call.
+        """
+        if self.constant:
+            return [self.values.T if transpose else self.values] * count
+        rows = self.stack(count)
+        return rows.transpose(0, 2, 1) if transpose else rows
+
     def distinct(self, count: int) -> np.ndarray:
         """Step 0 alone as a (1, *shape) array when constant, else stack(count)."""
         return self.values[None] if self.constant else self.stack(count)
@@ -189,8 +202,9 @@ class LinearPolicy:
         return None if self.d is None else self.d.stack(T + 1)
 
 
-def _sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
+def _sym(M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(M + M') / 2, written into out when given."""
+    return np.multiply(np.add(M, M.T, out=out), 0.5, out=out)
 
 
 def _check_pd(G: np.ndarray, what: str, t) -> np.ndarray:
@@ -460,9 +474,11 @@ def _rollout(system, costs, x0, w, T, policy=None, scales=None) -> _Rollout:
 
     The floats are those of a per-step loop with the guard after every step.
     The disturbance, scaled per row, is written into the states up front, and
-    each step adds x_t A_t' + u_t B_t' to it (IEEE addition commutes).  Every
-    row is stepped to T, a diverging one on inf and NaN; the guard runs once
-    after the loop, on the batch's sum of squares and, only when that breaks
+    each step adds x_t A_t' + u_t B_t' to it (IEEE addition commutes).  The
+    loop steps through views and MatrixSequence.steps zipped once, and
+    writes each product into a buffer made before it.  Every row is stepped
+    to T, a diverging one on inf and NaN; the guard runs once after the
+    loop, on the batch's sum of squares and, only when that breaks
     _BATCH_GUARD, on each state's norm.  Rows never depend on each other, so
     a row's states up to its overflow, its overflow step and its peak are
     those of a per-step guard.  The caller decides whether an overflow raises
@@ -470,8 +486,7 @@ def _rollout(system, costs, x0, w, T, policy=None, scales=None) -> _Rollout:
     """
     check_dims(system, costs, x0, policy)
     n, m = system.n, system.m
-    AT = system.A.stack(T).transpose(0, 2, 1)
-    BT = system.B.stack(T).transpose(0, 2, 1)
+    AT, BT = system.A.steps(T, transpose=True), system.B.steps(T, transpose=True)
     # x (-K)' equals -(x K') exactly, so the gain stack is negated once
     negKT = None if policy is None else (-policy.K.stack(T + 1)).transpose(0, 2, 1)
     d = None if policy is None else policy.offsets(T)
@@ -489,17 +504,22 @@ def _rollout(system, costs, x0, w, T, policy=None, scales=None) -> _Rollout:
             X[1:] = w
         else:
             np.multiply(scales[:, None], w, out=X[1:])
-        for t in range(T + 1):
-            x, u = X[t], U[t]
-            if negKT is not None:
-                np.matmul(x, negKT[t], out=u)
+        if policy is None:
+            for x, ATt, nxt in zip(X, AT, X[1:]):
+                nxt += np.matmul(x, ATt, out=drift)
+        else:
+            push = np.empty((rows, n))
+            offsets = [None] * T if d is None else d
+            for x, u, negKTt, dt, ATt, BTt, nxt in zip(X, U, negKT, offsets, AT, BT, X[1:]):
+                np.matmul(x, negKTt, out=u)
+                if dt is not None:
+                    u += dt
+                np.matmul(x, ATt, out=drift)
+                drift += np.matmul(u, BTt, out=push)
+                nxt += drift
+            np.matmul(X[T], negKT[T], out=U[T])  # the terminal input
             if d is not None:
-                u += d[t]
-            if t < T:
-                np.matmul(x, AT[t], out=drift)
-                if negKT is not None:
-                    np.add(drift, u @ BT[t], out=drift)
-                X[t + 1] += drift
+                U[T] += d[T]
 
         if not np.vdot(X[1:], X[1:]) <= _BATCH_GUARD:
             norms = np.linalg.norm(X[1:], axis=2)

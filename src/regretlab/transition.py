@@ -57,17 +57,31 @@ def spectral_radius(M) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
+def _steps(seq: MatrixSequence, start: int, count: int) -> np.ndarray:
+    """F_start..F_{start+count-1} as one (count, n, n) stack; a constant's is seq.stack(count).
+
+    A stack too short for them raises the ShapeError of its first missing
+    step, the one a loop that reads the steps in order stops at.
+    """
+    if seq.constant:
+        return seq.stack(count)
+    if count and len(seq.values) < start + count:
+        seq(max(start, len(seq.values)))
+    return seq.values[start : start + count]
+
+
 def _products(seq: MatrixSequence, T: int, x: np.ndarray, start: int = 0) -> np.ndarray:
     """The column recurrence: x, F_start x, F_{start+1} F_start x, ... as one (T+1, *x.shape) array.
 
-    Entry j is Phi(start + j, start) x, formed by one matmul per step into its
-    row of the result; an overflowing product runs on as inf and NaN.
+    Entry j is Phi(start + j, start) x, formed by one matmul per step of
+    _steps into its row of the result; an overflowing product runs on as inf
+    and NaN.
     """
     out = np.empty((T + 1, *np.shape(x)))
     out[0] = x
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, T + 1):
-            np.matmul(seq(start + j - 1), out[j - 1], out=out[j])
+        for F, prev, nxt in zip(_steps(seq, start, T), out, out[1:]):
+            np.matmul(F, prev, out=nxt)
     return out
 
 
@@ -84,15 +98,19 @@ def _row_stacks(seq: MatrixSequence, T: int):
 
     Phi(t, t) = I and Phi(t, k) = F_{t-1} Phi(t-1, k): one batched
     left-multiplication of the previous row per step, never the full table.
-    The yielded stack is a view that the next step overwrites.
+    The rows alternate between two buffers, each product written straight
+    into the one the previous row is not in, so the yielded stack is a view
+    that the step after next overwrites.
     """
     n = seq.shape[0]
-    rows = np.empty((T + 1, n, n))
-    rows[0] = np.eye(n)
-    for t in range(1, T + 1):
-        rows[:t] = seq(t - 1) @ rows[:t]
-        rows[t] = np.eye(n)
-        yield rows[: t + 1]
+    eye = np.eye(n)
+    prev, row = np.empty((2, T + 1, n, n))
+    prev[0] = eye
+    for t, F in enumerate(_steps(seq, 0, T), start=1):
+        np.matmul(F, prev[:t], out=row[:t])
+        row[t] = eye
+        yield row[: t + 1]
+        prev, row = row, prev
 
 
 def transition_row(F, t: int) -> list[np.ndarray]:

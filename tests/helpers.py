@@ -3,8 +3,15 @@
 import numpy as np
 
 from regretlab import LinearPolicy, QuadraticStageCost, SystemDynamics
-from regretlab.model import OVERFLOW_LIMIT, _stage_costs, matrix_sequence
-from regretlab.transition import _row_stacks
+from regretlab.hindsight import FIXED_POINT_TOL
+from regretlab.model import (
+    OVERFLOW_LIMIT,
+    _check_pd,
+    _stage_costs,
+    _sym,
+    disturbance_prefix,
+    matrix_sequence,
+)
 
 
 def random_loop(rng, n, m, rho_target):
@@ -132,7 +139,7 @@ def reference_row_norm_sums(F, T, cap, block_norms=_svd_norms):
     sums = np.full(T, np.inf)
     squares = np.full(T, np.inf)
     squares_ok = True
-    for t, row in enumerate(_row_stacks(seq, T), start=1):
+    for t, row in enumerate(reference_row_stacks(seq, T), start=1):
         blocks = row[1:]
         if not np.all(np.isfinite(blocks)):
             break
@@ -146,6 +153,21 @@ def reference_row_norm_sums(F, T, cap, block_norms=_svd_norms):
         if squares_ok:
             squares[t - 1] = square
     return sums, squares
+
+
+def reference_row_stacks(seq, T):
+    """The row recurrence that transition._row_stacks steps through views: one product per row.
+
+    Yields row t, Phi(t, k) for k = 0..t stacked, for t = 1..T; the yielded
+    stack is a view that the next step overwrites.
+    """
+    n = seq.shape[0]
+    rows = np.empty((T + 1, n, n))
+    rows[0] = np.eye(n)
+    for t in range(1, T + 1):
+        rows[:t] = seq(t - 1) @ rows[:t]
+        rows[t] = np.eye(n)
+        yield rows[: t + 1]
 
 
 def reference_transition_matrix(F, t, k):
@@ -259,3 +281,89 @@ def reference_hindsight_pass(system, costs, x0, w, T):
         offsets[t] = kg
     optimal = float(x0 @ P[0] @ x0 + p[0] @ x0 + s[0])
     return optimal, P, p, s, gains, offsets
+
+
+def _settled(new, old):
+    """True when no entry moved by more than FIXED_POINT_TOL of max|new|."""
+    return abs(new - old).max() <= FIXED_POINT_TOL * abs(new).max()
+
+
+def reference_split_pass(system, costs, x0, w, T=None):
+    """The per-step Riccati pass and data pass that solve_hindsight steps through views.
+
+    Each step reads its operands with seq(t), symmetrizes with _sym, stacks
+    the right-hand side [H | B'] anew and tests the fixed point with
+    _settled.  Returns (optimal_cost, P, p, s, gains, offsets) with the shapes
+    of HindsightSolution.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    wt, T = disturbance_prefix(w, system.n, T)
+    n, m = system.n, system.m
+
+    P = np.zeros((T + 1, n, n))
+    gains = np.zeros((T + 1, m, n))
+    L = np.zeros((T, m, n))  # G_t^-1 B_t'
+    Gs = np.empty((T, m, m))  # the input Hessians G_first..G_{T-1}, checked after the pass
+    first = T
+    P[T] = _sym(costs.Q(T))
+    constant = all(seq.constant for seq in (system.A, system.B, costs.Q, costs.R))
+    failure = None
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in reversed(range(T)):  # data-free Riccati pass
+                A, B, Pn = system.A(t), system.B(t), P[t + 1]
+                BP = B.T @ Pn
+                G = Gs[t] = _sym(costs.R(t) + BP @ B)
+                first = t
+                H = BP @ A
+                sol = np.linalg.solve(G, np.column_stack([H, B.T]))
+                gains[t], L[t] = sol[:, :n], sol[:, n:]
+                P[t] = _sym(costs.Q(t) + A.T @ Pn @ A - H.T @ gains[t])
+                if constant and _settled(P[t], Pn):  # earlier steps repeat this one
+                    P[:t], gains[:t], L[:t] = P[t], gains[t], L[t]
+                    break
+    except Exception as exc:  # raised after the check: a bad Hessian before it outranks it
+        failure = exc
+    _check_pd(Gs[first:][::-1], "input Hessian", range(T - 1, first - 1, -1))
+    if failure is not None:
+        raise failure
+
+    # data pass, linear in w: v_t = p_{t+1} + 2 P_{t+1} w_t and p_t = F_t' v_t
+    B = system.B.stack(T)
+    F = system.A.stack(T) - B @ gains[:T]
+    Pw2 = 2.0 * (P[1:] @ wt[:, :, None])[:, :, 0]
+    p = np.zeros((T + 1, n))
+    for t in reversed(range(T)):
+        p[t] = (p[t + 1] + Pw2[t]) @ F[t]
+    v = p[1:] + Pw2
+    kg = 0.5 * (L @ v[:, :, None])[:, :, 0]
+    terms = ((0.5 * Pw2 + p[1:]) * wt).sum(1) - 0.5 * np.einsum("ti,tij,tj->t", v, B, kg)
+    s = np.append(np.cumsum(terms[::-1])[::-1], 0.0)
+    offsets = np.vstack([kg, np.zeros((1, m))])
+
+    optimal = float(x0 @ P[0] @ x0 + p[0] @ x0 + s[0])
+    return optimal, P, p, s, gains, offsets
+
+
+def reference_cost_to_arrive(system, costs, T):
+    """The per-step cost-to-arrive pass that hindsight._cost_to_arrive steps through views.
+
+    Returns the filter loop's (AS, QS): A_t S_t for t < T and Q_t S_t for t <= T.
+    """
+    n = system.n
+    A, B, Q, R = system.A.stack(T), system.B.stack(T), costs.Q.stack(T + 1), costs.R.stack(T)
+    BRB = B @ np.linalg.solve(R, B.transpose(0, 2, 1))  # B_t R_t^-1 B_t'
+    AS = np.empty((T, n, n))
+    QS = np.empty((T + 1, n, n))
+    Sigma, eye = np.zeros((n, n)), np.eye(n)
+    constant = all(seq.constant for seq in (system.A, system.B, costs.Q, costs.R))
+    for t in range(T + 1):
+        S = np.linalg.inv(eye + Sigma @ Q[t])
+        QS[t] = Q[t] @ S
+        if t < T:
+            AS[t] = A[t] @ S
+            Sigma, prev = _sym(AS[t] @ Sigma @ A[t].T + BRB[t]), Sigma
+            if constant and _settled(Sigma, prev):  # later steps repeat this one
+                AS[t + 1:], QS[t + 1:] = AS[t], QS[t]
+                break
+    return AS, QS

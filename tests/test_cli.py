@@ -76,6 +76,32 @@ def test_simulate_cum_cost_matches_library(tmp_path, capsys):
     assert got == [float(v) for v in expected]  # bit-identical round trip
 
 
+def test_simulate_realizes_a_shared_random_disturbance_once(tmp_path, monkeypatch):
+    cfg = dict(FOUR_STATE, horizons="1:40", disturbance={"recipe": "random", "seed": 7},
+               policies=FOUR_STATE["policies"][:2])
+    realized = []
+    realize = cli.BallDisturbance.realize
+
+    def counted(self, T):
+        realized.append(T)
+        return realize(self, T)
+
+    monkeypatch.setattr(cli.BallDisturbance, "realize", counted)
+    assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert realized == [40]
+    # the files of one realization per policy
+    sys_ = SystemDynamics.lti(cfg["system"]["A"], cfg["system"]["B"])
+    costs = QuadraticStageCost.constant(cfg["cost"]["Q"], cfg["cost"]["R"])
+    (tmp_path / "per_policy").mkdir()
+    for policy in cfg["policies"]:
+        w = realize(cli.BallDisturbance(2, 1.0, 7), 40)
+        traj = simulate(sys_, LinearPolicy.constant(policy["K"]), np.zeros(2), w, costs, 40)
+        name = f"simulate_{policy['name']}.csv"
+        cli.write_trajectory_csv(tmp_path / "per_policy" / name, traj)
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "per_policy" / name).read_bytes()
+
+
 def test_stability_report_values(tmp_path):
     code = main(["stability", "--config", write_config(tmp_path, FOUR_STATE),
                  "--out", str(tmp_path / "out")])

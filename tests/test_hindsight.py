@@ -4,18 +4,28 @@ import pytest
 from regretlab import (
     ConditioningError,
     DisturbanceSignal,
+    LinearPolicy,
     QuadraticStageCost,
+    SimulationOverflowError,
     SystemDynamics,
     batch_oracle,
     hindsight_costs,
+    regret,
     simulate,
     simulate_inputs,
     solve_hindsight,
 )
-from regretlab.hindsight import _check_pd
+from regretlab.hindsight import _check_pd, _cost_to_arrive
 import regretlab.hindsight as hindsight_module
 
-from helpers import random_instance, random_pd, reference_hindsight_pass, wavy_costs
+from helpers import (
+    random_instance,
+    random_pd,
+    reference_cost_to_arrive,
+    reference_hindsight_pass,
+    reference_split_pass,
+    wavy_costs,
+)
 
 
 def scalar_instance():
@@ -286,6 +296,77 @@ def test_riccati_pass_without_a_fixed_point_runs_every_step(monkeypatch):
     rng = np.random.default_rng(43)
     _assert_matches_reference_pass(sys, costs, np.ones(2), rng.standard_normal((300, 2)), 300)
     assert sorted(steps) == list(range(300))
+
+
+def _assert_same_bits(got, want, name):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype, name
+    assert got.tobytes() == want.tobytes(), name  # also tells -0.0 from 0.0
+
+
+def _random_loop(rng, n, m, T):
+    """A random loop and costs, each of A, B, Q and R constant or a stack, chosen at random."""
+    def pick(constant, stacked):
+        return constant if rng.random() < 0.5 else stacked
+
+    rho = rng.uniform(0.2, 2.0)
+    A = pick(rho / np.sqrt(n) * rng.standard_normal((n, n)),
+             rho / np.sqrt(n) * rng.standard_normal((T + 1, n, n)))
+    B = pick(rng.standard_normal((n, m)), rng.standard_normal((T + 1, n, m)))
+    Q = pick(random_pd(rng, n), np.array([random_pd(rng, n) for _ in range(T + 1)]))
+    R = pick(random_pd(rng, m), np.array([random_pd(rng, m) for _ in range(T + 1)]))
+    return SystemDynamics.ltv(A, B), QuadraticStageCost.varying(Q, R)
+
+
+def _never_settling_loop():
+    """A constant loop whose first state is uncontrollable and marginal: P_t grows every step."""
+    return (SystemDynamics.lti(np.diag([1.0, 0.5]), [[0.0], [1.0]]),
+            QuadraticStageCost.constant(np.eye(2), [[1.0]]))
+
+
+def test_riccati_and_data_pass_match_the_frozen_split_pass_bit_for_bit():
+    # n = 1 with m >= 4 is included: there H_t'gains_t is a BLAS dot product,
+    # whose sum depends on the strides of its operands
+    rng = np.random.default_rng(44)
+    cases = [(*_never_settling_loop(), 60)]
+    for _ in range(150):
+        n, m, T = int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(0, 61))
+        cases.append((*_random_loop(rng, n, m, T), T))
+    names = ("optimal_cost", "P", "p", "s", "gains", "offsets")
+    for system, costs, T in cases:
+        x0 = rng.standard_normal(system.n)
+        w = rng.uniform(0.1, 3.0) * rng.standard_normal((T, system.n))
+        sol = solve_hindsight(system, costs, x0, w, T)
+        got = (sol.optimal_cost, sol.P, sol.p, sol.s, sol.gains, sol.offsets)
+        for name, a, b in zip(names, got, reference_split_pass(system, costs, x0, w, T)):
+            _assert_same_bits(a, b, name)
+    P = solve_hindsight(*cases[0][:2], np.ones(2), np.ones((60, 2)), 60).P
+    assert (P[:-1, 0, 0] > P[1:, 0, 0]).all()  # the first loop never reached a fixed point
+
+
+def test_cost_to_arrive_matches_the_frozen_pass_bit_for_bit():
+    rng = np.random.default_rng(45)
+    cases = [(*_never_settling_loop(), 60)]
+    for _ in range(150):
+        n, m, T = int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(0, 61))
+        cases.append((*_random_loop(rng, n, m, T), T))
+    for system, costs, T in cases:
+        for name, a, b in zip(("AS", "QS"), _cost_to_arrive(system, costs, T),
+                              reference_cost_to_arrive(system, costs, T)):
+            _assert_same_bits(a, b, name)
+
+
+@pytest.mark.parametrize("A, w, T", [
+    (0.9 * np.eye(2), 1e200, 3),  # the data pass's terms overflow
+    (3.0 * np.eye(2), 1.0, 400),  # the uncontrollable mode's value function overflows
+], ids=["huge-disturbance", "overflowing-value-function"])
+def test_an_overflowing_data_pass_raises_the_documented_error(A, w, T):
+    # with overflow warnings as errors, these raised a numpy RuntimeWarning from the data pass
+    system = SystemDynamics.lti(A, [[1.0], [0.0]])
+    costs = QuadraticStageCost.constant(np.eye(2), [[1.0]])
+    with pytest.raises(SimulationOverflowError):
+        regret(system, costs, LinearPolicy.constant(np.zeros((1, 2))), np.zeros(2),
+               np.full((T, 2), w), T)
 
 
 def test_batch_oracle_size_cap():

@@ -425,6 +425,31 @@ def test_distinct_is_step_zero_of_a_constant_sequence_else_the_stack():
     assert np.array_equal(stack.distinct(3), stack.stack(3))
 
 
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("values", [
+    np.arange(6.0).reshape(2, 3),  # constant, C order
+    np.asfortranarray(np.arange(6.0).reshape(2, 3)),  # constant, Fortran order
+    np.arange(24.0).reshape(4, 2, 3),  # a stack
+    np.arange(24.0).reshape(4, 3, 2).transpose(0, 2, 1),  # a stack of transposed views
+])
+def test_steps_are_the_rows_of_the_stack_with_their_strides(values, transpose):
+    # a product on a step is the same BLAS call as on the stack's row only if the strides match
+    seq = MatrixSequence(values, (2, 3))
+    rows = seq.stack(3).transpose(0, 2, 1) if transpose else seq.stack(3)
+    steps = seq.steps(3, transpose=transpose)
+    assert len(steps) == 3
+    for step, row in zip(steps, rows):
+        assert step.shape == row.shape and step.strides == row.strides
+        assert np.array_equal(step, row)
+    assert len(seq.steps(0)) == 0
+
+
+def test_steps_of_a_short_stack_raise_like_stack():
+    seq = MatrixSequence(np.zeros((4, 2, 2)), (2, 2), "A")
+    with pytest.raises(ShapeError, match=r"A defined for t < 4, got t=5"):
+        seq.steps(6, transpose=True)
+
+
 def test_rollout_kernel_matches_per_row_loop():
     rng = np.random.default_rng(10)
     T, rows = 30, 4

@@ -24,6 +24,7 @@ from helpers import (
     random_loop,
     random_ltv_stack,
     reference_row_norm_sums,
+    reference_row_stacks,
     reference_transition_matrix,
     reference_transition_norms,
 )
@@ -62,6 +63,38 @@ def test_transition_matrix_is_bit_identical_to_the_product_loop(seed):
     for t, k in [(T, 0), (T, T), (T, T // 2), (T // 2, 0), sorted(rng.integers(0, T + 1, 2))[::-1]]:
         got, want = transition_matrix(F, t, k), reference_transition_matrix(F, t, k)
         assert np.array_equal(got, want, equal_nan=True), (t, k)
+
+
+def test_row_stacks_match_the_frozen_row_recurrence_bit_for_bit():
+    rng = np.random.default_rng(26)
+    for case in range(60):
+        n, T = int(rng.integers(1, 6)), int(rng.integers(0, 61))
+        # contracting, about neutral, and overflowing to inf and NaN within the table
+        gain = (0.6, 1.0, 1e40)[case % 3] / np.sqrt(n)
+        F = gain * (rng.standard_normal((n, n)) if case % 4 == 0 else rng.standard_normal((T, n, n)))
+        seq = matrix_sequence(F, what="F")
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = [row.copy() for row in transition._row_stacks(seq, T)]
+            want = [row.copy() for row in reference_row_stacks(seq, T)]
+        assert len(got) == len(want) == T
+        for t, (g, w) in enumerate(zip(got, want), start=1):
+            assert g.shape == w.shape == (t + 1, n, n)
+            assert g.tobytes() == w.tobytes(), (case, t)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda F: transition_norms(F, 8), "got t=5"),
+    (lambda F: transition_matrix(F, 9, 3), "got t=5"),
+    (lambda F: transition_matrix(F, 9, 7), "got t=7"),
+    (lambda F: transition_row(F, 7), "got t=5"),
+], ids=["column", "product-from-3", "product-from-7", "row"])
+def test_a_short_stack_names_the_first_step_a_per_step_loop_misses(call, message):
+    with pytest.raises(ShapeError, match=f"F defined for t < 5, {message}$"):
+        call(0.5 * np.ones((5, 2, 2)))
+
+
+def test_a_product_of_no_steps_reads_no_step():
+    np.testing.assert_array_equal(transition_matrix(0.5 * np.ones((5, 2, 2)), 7, 7), np.eye(2))
 
 
 def test_transition_row_matches_per_entry_products():
