@@ -351,6 +351,8 @@ class ExperimentConfig:
     counterexample: dict
 
     def disturbance_for(self, policy: LinearPolicy):
+        """The disturbance recipe for policy; the random recipe reads no policy, so every
+        policy gets its one realization over the longest horizon (a fixed signal)."""
         if self.recipe == "eigvec":
             F = closed_loop_matrix(self.system, policy, 0)
             return constant_eigvec(F, self.W)
@@ -358,7 +360,12 @@ class ExperimentConfig:
             return TransitionAlignedDisturbance(
                 closed_loop(self.system, policy), self.W, self.w0
             )
-        return BallDisturbance(self.system.n, self.W, self.seed)
+        return self._ball
+
+    @functools.cached_property
+    def _ball(self):
+        """The random recipe's DisturbanceSignal, drawn on first use."""
+        return BallDisturbance(self.system.n, self.W, self.seed).realize(self.horizons[-1])
 
 
 def _read_json(path, what: str, schema: dict, field=None) -> dict:
@@ -510,12 +517,8 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config, args)
     T = cfg.horizons[-1]
-    # the random recipe reads no policy, so one realization serves them all
-    shared = cfg.disturbance_for(None).realize(T) if cfg.recipe == "random" else None
     trajectories = {
-        name: simulate(cfg.system, pol, cfg.x0,
-                       shared if shared is not None else cfg.disturbance_for(pol).realize(T),
-                       cfg.costs, T)
+        name: simulate(cfg.system, pol, cfg.x0, cfg.disturbance_for(pol).realize(T), cfg.costs, T)
         for name, pol in cfg.policies
     }
     out = _out_dir(args)

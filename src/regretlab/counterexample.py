@@ -26,6 +26,7 @@ from .model import (
     QuadraticStageCost,
     SystemDynamics,
     _rollout,
+    _sym,
     disturbance_prefix,
     jsonable,
     simulate,
@@ -65,18 +66,19 @@ def dare_modified(A, B, Q, R, alpha) -> np.ndarray:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     QuadraticStageCost.constant(Q, R).bounds(0)
     P = Q.copy()
+    fro = np.linalg.norm(P, "fro")  # ||P||_F, carried from one iterate to the next
     outcome = f"did not converge within {DARE_MAX_ITER} steps"
     for iterations in range(1, DARE_MAX_ITER + 1):
-        nxt = _riccati_step(P, A, B, Q, R, alpha)
-        nxt = 0.5 * (nxt + nxt.T)
-        step = np.linalg.eigvalsh(nxt - P)[0]
-        if step < -1e-9 * (1.0 + np.linalg.norm(P, "fro")):
+        nxt = _sym(_riccati_step(P, A, B, Q, R, alpha))
+        increment = nxt - P
+        step = np.linalg.eigvalsh(increment)[0]
+        if step < -1e-9 * (1.0 + fro):
             raise AssumptionViolationError(
                 f"Riccati iteration lost monotonicity (min eig of increment {step:.3e})"
             )
-        delta = float(np.linalg.norm(nxt - P, "fro"))
-        P = nxt
-        if delta <= DARE_TOL and np.isfinite(np.linalg.norm(P, "fro")):
+        delta = float(np.linalg.norm(increment, "fro"))
+        P, fro = nxt, np.linalg.norm(nxt, "fro")
+        if delta <= DARE_TOL and np.isfinite(fro):
             resid = dare_residual(A, B, Q, R, alpha, P)
             if not resid <= 1e-10:
                 raise ConvergenceError(
@@ -84,10 +86,10 @@ def dare_modified(A, B, Q, R, alpha) -> np.ndarray:
                     residual=resid,
                 )
             return P
-        if not np.isfinite(delta) or np.linalg.norm(P, "fro") > 1e120:
+        if not np.isfinite(delta) or fro > 1e120:
             outcome = f"diverged after {iterations} steps"
             break
-    resid = dare_residual(A, B, Q, R, alpha, P) if np.isfinite(np.linalg.norm(P, "fro")) else np.inf
+    resid = dare_residual(A, B, Q, R, alpha, P) if np.isfinite(fro) else np.inf
     raise ConvergenceError(
         f"Riccati iteration {outcome} (last residual {resid:.3e}); "
         f"the modified pair may not be stabilizable",

@@ -104,9 +104,9 @@ def _riccati_pass(system: SystemDynamics, costs: QuadraticStageCost, T: int):
     Each step's operands come from MatrixSequence.steps, taken once before
     the loop, so a short stack raises its ShapeError before any Hessian is
     built.  The right-hand sides [H_t | B_t'] (H_t = B_t'P_{t+1}A_t) are
-    laid out once, with B_t' filled in up front and H_t written in place by
-    its matmul; the solve's output [gains_t | L_t] is kept whole and split
-    after the loop.  G_t and P_t are symmetrized in place into their slots.
+    laid out once, by column, with B_t' filled in up front and H_t written in
+    place by its matmul; the solve's output [gains_t | L_t] is kept whole and
+    split after the loop.  G_t and P_t are symmetrized in place into their slots.
     The products, sums and solves are those of a per-step loop, in the same
     order.
     """
@@ -118,13 +118,10 @@ def _riccati_pass(system: SystemDynamics, costs: QuadraticStageCost, T: int):
                                   B.steps(T, transpose=True), Q[:T], costs.R.steps(T))]
     P = np.empty((T + 1, n, n))
     Gs = np.empty((T, m, m))  # the input Hessians G_first..G_{T-1}, checked after the pass
-    # the solve's right-hand sides [H_t | B_t'] and outputs [gains_t | L_t]; for n = 1,
-    # H_t'gains_t is a dot product of length m, which OpenBLAS sums in another order on
-    # non-unit strides once m >= 4, so each (m, 2) block is then stored by column
-    if n == 1:
-        rhs, KL = np.empty((2, T, 2, m)).transpose(0, 1, 3, 2)
-    else:
-        rhs, KL = np.empty((2, T, m, 2 * n))
+    # the solve's right-hand sides [H_t | B_t'] and outputs [gains_t | L_t], each block
+    # stored by column: for n = 1, H_t'gains_t is a dot product of length m, which
+    # OpenBLAS sums in another order on non-unit strides once m >= 4
+    rhs, KL = np.empty((2, T, 2 * n, m)).transpose(0, 1, 3, 2)
     rhs[:, :, n:] = np.swapaxes(B.distinct(T), -1, -2)
     H, K = rhs[:, :, :n], KL[:, :, :n]
     outputs = (P[1:], P[:T], Gs, H, H.transpose(0, 2, 1), rhs, KL, K)
@@ -266,13 +263,14 @@ def hindsight_costs(
 def _cost_to_arrive(system: SystemDynamics, costs: QuadraticStageCost, T: int):
     """The forward cost-to-arrive pass of hindsight_costs: the filter loop's A_t S_t and Q_t S_t.
 
-    Each step's operands are views of stacks built once; Sigma_{t+1} is
+    Each step's operands come from MatrixSequence.steps; Sigma_{t+1} is
     symmetrized in place into the one of two buffers that Sigma_t does not
     hold.  The products, sums and inverses are those of a per-step loop, in
     the same order.
     """
     n = system.n
-    A, B, Q, R = system.A.stack(T), system.B.stack(T), costs.Q.stack(T + 1), costs.R.stack(T)
+    A, AT = system.A.steps(T), system.A.steps(T, transpose=True)
+    B, Q, R = system.B.stack(T), costs.Q.steps(T + 1), costs.R.stack(T)
     R_distinct = costs.R.distinct(T)  # the pass needs each R_t^-1
     _check_pd(0.5 * (R_distinct + R_distinct.transpose(0, 2, 1)), "input weight R",
               range(len(R_distinct)))
@@ -282,7 +280,7 @@ def _cost_to_arrive(system: SystemDynamics, costs: QuadraticStageCost, T: int):
     Sigma, nxt = np.zeros((2, n, n))  # Sigma_t and the buffer Sigma_{t+1} goes into
     eye, diff = np.eye(n), np.empty((n, n))
     constant = all(seq.constant for seq in (system.A, system.B, costs.Q, costs.R))
-    for t, (At, ATt, Qt, BRBt, ASt, QSt) in enumerate(zip(A, A.transpose(0, 2, 1), Q, BRB, AS, QS)):
+    for t, (At, ATt, Qt, BRBt, ASt, QSt) in enumerate(zip(A, AT, Q, BRB, AS, QS)):
         S = np.linalg.inv(eye + Sigma @ Qt)
         np.matmul(Qt, S, out=QSt)
         np.matmul(At, S, out=ASt)

@@ -87,25 +87,31 @@ class MatrixSequence:
             raise ShapeError(f"{self.what} defined for t < {len(self.values)}, got t={t}")
         return self.values[t]
 
+    def _rows(self, start: int, count: int) -> np.ndarray:
+        """Rows start..start+count-1 of a stack; a stack too short for them raises the
+        ShapeError of its first missing step, the one a loop reading them in order stops at."""
+        if count and len(self.values) < start + count:
+            self(max(start, len(self.values)))
+        return self.values[start : start + count]
+
     def stack(self, count: int) -> np.ndarray:
         """Steps 0..count-1 as one (count, *shape) array; a read-only view when constant."""
         if self.constant:
             return np.broadcast_to(self.values, (count, *self.shape))
-        if count > len(self.values):
-            self(count - 1)  # raises the ShapeError naming the missing step
-        return self.values[:count]
+        return self._rows(0, count)
 
-    def steps(self, count: int, transpose: bool = False) -> list[np.ndarray] | np.ndarray:
-        """Steps 0..count-1 (each transposed when asked) for a loop to step through.
+    def steps(self, count: int, transpose: bool = False, start: int = 0) -> list[np.ndarray] | np.ndarray:
+        """Steps start..start+count-1 (each transposed when asked) for a loop to step through.
 
-        A stack's are the rows of stack(count); a constant's are its one
-        array, count times over in a list, so that no stack is built and no
-        view is made per step.  Either way each step has the strides of the
-        stack's row, so a product on it is the same BLAS call.
+        The one step reader of the kernel loops.  A stack's are its rows; a
+        constant's are its one array, count times over in a list, so that no
+        stack is built and no view is made per step.  Either way each step has
+        the strides of a row of stack(), so a product on it is the same BLAS
+        call.  A short stack raises as stack() does, naming its first missing step.
         """
         if self.constant:
             return [self.values.T if transpose else self.values] * count
-        rows = self.stack(count)
+        rows = self._rows(start, count)
         return rows.transpose(0, 2, 1) if transpose else rows
 
     def distinct(self, count: int) -> np.ndarray:
@@ -321,6 +327,10 @@ class DisturbanceSignal:
     @classmethod
     def zeros(cls, n: int, T: int) -> "DisturbanceSignal":
         return cls(np.zeros((T, n)), 0.0)
+
+    def realize(self, T: int) -> "DisturbanceSignal":
+        """The first T rows: a fixed signal is its own recipe."""
+        return DisturbanceSignal(self.w[:T], self.bound)
 
     @property
     def horizon(self) -> int:
@@ -617,10 +627,7 @@ def simulate_inputs(
         raise ShapeError(f"inputs have m={inputs.shape[1]}, expected {m}")
     u = np.zeros((T + 1, m))
     u[:T] = inputs
-    policy = LinearPolicy.varying(np.zeros((m, n)), d=u)
-    roll = _rollout(system, costs, np.asarray(x0, dtype=float)[None], w, T, policy)
-    roll.raise_overflow()
-    return roll.trajectory()
+    return simulate(system, LinearPolicy.varying(np.zeros((m, n)), d=u), x0, w, costs, T)
 
 
 def evaluate_cost(traj: Trajectory, costs: QuadraticStageCost) -> float:

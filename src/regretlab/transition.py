@@ -57,30 +57,17 @@ def spectral_radius(M) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
-def _steps(seq: MatrixSequence, start: int, count: int) -> np.ndarray:
-    """F_start..F_{start+count-1} as one (count, n, n) stack; a constant's is seq.stack(count).
-
-    A stack too short for them raises the ShapeError of its first missing
-    step, the one a loop that reads the steps in order stops at.
-    """
-    if seq.constant:
-        return seq.stack(count)
-    if count and len(seq.values) < start + count:
-        seq(max(start, len(seq.values)))
-    return seq.values[start : start + count]
-
-
 def _products(seq: MatrixSequence, T: int, x: np.ndarray, start: int = 0) -> np.ndarray:
     """The column recurrence: x, F_start x, F_{start+1} F_start x, ... as one (T+1, *x.shape) array.
 
     Entry j is Phi(start + j, start) x, formed by one matmul per step of
-    _steps into its row of the result; an overflowing product runs on as inf
-    and NaN.
+    MatrixSequence.steps into its row of the result; an overflowing product
+    runs on as inf and NaN.
     """
     out = np.empty((T + 1, *np.shape(x)))
     out[0] = x
     with np.errstate(over="ignore", invalid="ignore"):
-        for F, prev, nxt in zip(_steps(seq, start, T), out, out[1:]):
+        for F, prev, nxt in zip(seq.steps(T, start=start), out, out[1:]):
             np.matmul(F, prev, out=nxt)
     return out
 
@@ -106,7 +93,7 @@ def _row_stacks(seq: MatrixSequence, T: int):
     eye = np.eye(n)
     prev, row = np.empty((2, T + 1, n, n))
     prev[0] = eye
-    for t, F in enumerate(_steps(seq, 0, T), start=1):
+    for t, F in enumerate(seq.steps(T), start=1):
         np.matmul(F, prev[:t], out=row[:t])
         row[t] = eye
         yield row[: t + 1]
@@ -171,19 +158,16 @@ class NormSums:
 def _spectral_norms(stack: np.ndarray) -> np.ndarray:
     """The 2-norm of each finite block of a (k, n, n) stack, from scaled Gram eigenvalues.
 
-    For n = 1 the norm is |m|.  Otherwise each block M is divided by
-    big = max |M_ij| (an all-zero block gives 0), and its norm is
-    big * sqrt(lambda_max(S'S)) for S = M / big.  The scaling keeps the entries
-    of S'S within [-n, n], so no finite block overflows or underflows in the
-    Gram product.  lambda_max comes in closed form for n = 3 (_trig_gram_top),
-    and from one batched eigvalsh (_eigvalsh_gram_top) for n = 2 and n >= 4.
+    Each block M is divided by big = max |M_ij| (an all-zero block gives 0),
+    and its norm is big * sqrt(lambda_max(S'S)) for S = M / big.  The scaling
+    keeps the entries of S'S within [-n, n], so no finite block overflows or
+    underflows in the Gram product.  lambda_max comes in closed form for
+    n = 3 (_trig_gram_top), and from one batched eigvalsh (_eigvalsh_gram_top)
+    for every other n; for n = 1 that gives |m| exactly, since m / big is +-1.
     Against np.linalg.norm(M, 2) (one SVD per block) the relative gap is tested
     within 16 eps (about 5 eps seen); a norm beyond the float range is +inf.
     """
-    n = stack.shape[1]
-    if n == 1:
-        return np.abs(stack[:, 0, 0])
-    if n == 3:
+    if stack.shape[1] == 3:
         cols = np.ascontiguousarray(stack.transpose(1, 2, 0))  # cols[r, i]: entry (r, i) of each block
         big = np.abs(cols).max(axis=(0, 1))
         lam = _trig_gram_top(cols / np.where(big > 0.0, big, 1.0))
@@ -235,7 +219,7 @@ def _row_norm_sums(seq: MatrixSequence, T: int) -> tuple[np.ndarray, np.ndarray]
     One row pass.  Consecutive rows' blocks are copied into a chunk of at
     most ROW_CHUNK floats (one row at least), and each chunk's norms come
     from one _spectral_norms call (a closed-form largest Gram eigenvalue for
-    n = 3 and one batched eigvalsh for n = 2 and n >= 4, where an SVD per
+    n = 3 and one batched eigvalsh for every other n, where an SVD per
     block costs more than either); each row's sums are then taken alone,
     as a pass with one call per row takes them, to the same bits.  The
     column pass, transition_norms, keeps the SVD norm: its values reach the

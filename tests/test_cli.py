@@ -16,7 +16,7 @@ from regretlab import (
     Trajectory,
     simulate,
 )
-from regretlab import cli
+from regretlab import adversary, cli
 from regretlab.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main, parse_horizons
 from regretlab.errors import ConfigError
 
@@ -111,6 +111,32 @@ def test_stability_report_values(tmp_path):
     assert rep["K1"]["spectral_radius"] == pytest.approx(np.sqrt(0.7), rel=1e-10)
     assert rep["K2"]["classification"] == "MarginallyStable"
     assert rep["K3"]["classification"] == "Unstable"
+
+
+def test_regret_realizes_a_shared_random_disturbance_once(tmp_path, monkeypatch):
+    cfg = dict(FOUR_STATE, horizons="5:60:5", disturbance={"recipe": "random", "seed": 11})
+    drawn = []
+    random_ball = adversary.random_ball
+
+    def counted(*args, **kwargs):
+        drawn.append(args)
+        return random_ball(*args, **kwargs)
+
+    monkeypatch.setattr(adversary, "random_ball", counted)
+    assert main(["regret", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "all")]) == EXIT_OK
+    assert drawn == [(2, 1.0, 60, 11)]
+    # the files of three one-policy configs with the same seed
+    report = json.loads((tmp_path / "all" / "regret_report.json").read_text())
+    for policy in cfg["policies"]:
+        one = dict(cfg, policies=[policy])
+        out = tmp_path / policy["name"]
+        assert main(["regret", "--config", write_config(tmp_path, one, f"{policy['name']}.json"),
+                     "--out", str(out)]) == EXIT_OK
+        name = f"regret_{policy['name']}.csv"
+        assert (tmp_path / "all" / name).read_bytes() == (out / name).read_bytes()
+        single = json.loads((out / "regret_report.json").read_text())
+        assert report[policy["name"]] == single[policy["name"]]
 
 
 def test_regret_outputs_and_determinism(tmp_path):

@@ -332,6 +332,10 @@ def test_riccati_and_data_pass_match_the_frozen_split_pass_bit_for_bit():
     for _ in range(150):
         n, m, T = int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(0, 61))
         cases.append((*_random_loop(rng, n, m, T), T))
+    # every m up to 8 at n = 1, and n = 6: the one block layout holds for each
+    for n, m in [(1, m) for m in range(1, 9)] * 3 + [(6, m) for m in range(1, 7)] * 2:
+        T = int(rng.integers(0, 61))
+        cases.append((*_random_loop(rng, n, m, T), T))
     names = ("optimal_cost", "P", "p", "s", "gains", "offsets")
     for system, costs, T in cases:
         x0 = rng.standard_normal(system.n)
@@ -354,6 +358,23 @@ def test_cost_to_arrive_matches_the_frozen_pass_bit_for_bit():
         for name, a, b in zip(("AS", "QS"), _cost_to_arrive(system, costs, T),
                               reference_cost_to_arrive(system, costs, T)):
             _assert_same_bits(a, b, name)
+
+
+def test_cost_to_arrive_gives_a_constant_the_bits_of_its_stack():
+    # R is a stack throughout, so no pass stops at a fixed point: only how A_t and Q_t are read differs
+    rng = np.random.default_rng(46)
+    T = 40
+    for n, m in [(1, 1), (1, 5), (2, 1), (3, 2), (4, 4), (6, 3)]:
+        A = rng.uniform(0.3, 1.5) / np.sqrt(n) * rng.standard_normal((n, n))
+        B, Q = rng.standard_normal((n, m)), random_pd(rng, n)
+        R = np.array([random_pd(rng, m) for _ in range(T + 1)])
+        stacks = (np.repeat(A[None], T + 1, axis=0), np.repeat(Q[None], T + 1, axis=0))
+        want = _cost_to_arrive(SystemDynamics.ltv(stacks[0], B),
+                               QuadraticStageCost.varying(stacks[1], R), T)
+        for A_in, Q_in in ((A, Q), (A, stacks[1]), (stacks[0], Q)):
+            got = _cost_to_arrive(SystemDynamics.ltv(A_in, B), QuadraticStageCost.varying(Q_in, R), T)
+            for name, a, b in zip(("AS", "QS"), got, want):
+                _assert_same_bits(a, b, name)
 
 
 @pytest.mark.parametrize("A, w, T", [

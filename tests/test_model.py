@@ -444,10 +444,18 @@ def test_steps_are_the_rows_of_the_stack_with_their_strides(values, transpose):
     assert len(seq.steps(0)) == 0
 
 
-def test_steps_of_a_short_stack_raise_like_stack():
+@pytest.mark.parametrize("read, missing", [
+    (lambda seq: seq.stack(6), 4),
+    (lambda seq: seq.steps(6, transpose=True), 4),
+    (lambda seq: seq.steps(3, start=2), 4),
+    (lambda seq: seq.steps(2, start=7), 7),
+], ids=["stack", "steps", "steps-from-2", "steps-from-7"])
+def test_steps_of_a_short_stack_raise_like_stack(read, missing):
+    # both name the first missing step, the one a loop reading the steps in order stops at
     seq = MatrixSequence(np.zeros((4, 2, 2)), (2, 2), "A")
-    with pytest.raises(ShapeError, match=r"A defined for t < 4, got t=5"):
-        seq.steps(6, transpose=True)
+    with pytest.raises(ShapeError, match=rf"A defined for t < 4, got t={missing}$"):
+        read(seq)
+    assert len(seq.steps(0, start=7)) == 0
 
 
 def test_rollout_kernel_matches_per_row_loop():

@@ -463,10 +463,9 @@ def test_spectral_norms_near_the_float_maximum_raise_no_warning():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_spectral_norms_send_only_guarded_blocks_to_eigvalsh(monkeypatch, n):
-    # none for n = 1; for n = 3 the blocks whose top Gram pair is nearly
-    # repeated (r < -0.9 is a gap ratio below 0.1606), about 1.2% of
-    # Gaussian blocks; for n = 2 and n >= 4 every block, through one
-    # eigvalsh of the scaled Gram
+    # for n = 3 the blocks whose top Gram pair is nearly repeated (r < -0.9
+    # is a gap ratio below 0.1606), about 1.2% of Gaussian blocks; for every
+    # other n every block, through one eigvalsh of the scaled Gram
     eigvalsh = np.linalg.eigvalsh
     grams = []
 
@@ -479,9 +478,7 @@ def test_spectral_norms_send_only_guarded_blocks_to_eigvalsh(monkeypatch, n):
     got = transition._spectral_norms(blocks)
     monkeypatch.undo()
     routed = np.concatenate(grams) if grams else np.zeros((0, n, n))
-    if n == 1:
-        assert not grams
-    elif n == 3:
+    if n == 3:
         lam = eigvalsh(routed)
         assert np.all(lam[:, 2] - lam[:, 1] < 0.17 * (lam[:, 2] - lam[:, 0]))
         sv2 = np.linalg.svd(blocks, compute_uv=False) ** 2
@@ -494,6 +491,40 @@ def test_spectral_norms_send_only_guarded_blocks_to_eigvalsh(monkeypatch, n):
         S = blocks / big[:, None, None]
         lam = eigvalsh(np.matmul(S.transpose(0, 2, 1), S))[:, -1]
         np.testing.assert_array_equal(got, big * np.sqrt(np.maximum(lam, 0.0)))
+
+
+def test_spectral_norms_of_1x1_blocks_are_their_magnitudes_bit_for_bit():
+    # m / max|m| is exactly +-1 and eigvalsh([[1.0]]) is 1.0, so the Gram route gives |m|
+    rng = np.random.default_rng(61)
+    tiny = np.finfo(float).smallest_subnormal
+    for scale in (1e-300, 1e-150, 1.0, 1e150, 1e300):
+        blocks = scale * rng.standard_normal((5_000, 1, 1))
+        blocks[::50] = 0.0
+        blocks[1::50] = -0.0
+        got = transition._spectral_norms(blocks)
+        assert got.tobytes() == np.abs(blocks[:, 0, 0]).tobytes(), scale
+    subnormal = tiny * rng.integers(-2**20, 2**20, (5_000, 1, 1)).astype(float)
+    got = transition._spectral_norms(subnormal)
+    assert got.tobytes() == np.abs(subnormal[:, 0, 0]).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_column_and_row_passes_give_a_constant_the_bits_of_its_stack(n):
+    # a constant's steps are its one array, a stack's its rows: the same strides, the same products
+    rng = np.random.default_rng(62 + n)
+    T = 40
+    for gain in (0.6, 1.0, 1e40):  # the last overflows to inf and NaN within the table
+        F = gain / np.sqrt(n) * rng.standard_normal((n, n))
+        const = matrix_sequence(F, what="F")
+        stack = matrix_sequence(np.repeat(F[None], T, axis=0), what="F")
+        x = rng.standard_normal((n, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = transition._products(const, T, x)
+            want = transition._products(stack, T, x)
+            assert got.tobytes() == want.tobytes()
+            rows = zip(transition._row_stacks(const, T), transition._row_stacks(stack, T))
+            for t, (g, w) in enumerate(rows, start=1):
+                assert g.tobytes() == w.tobytes(), t
 
 
 def test_row_norm_sums_match_the_frozen_svd_row_pass():
