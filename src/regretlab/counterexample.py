@@ -26,6 +26,7 @@ from .model import (
     QuadraticStageCost,
     SystemDynamics,
     _rollout,
+    _step_product,
     _sym,
     disturbance_prefix,
     jsonable,
@@ -39,9 +40,11 @@ INSTABILITY_TRIALS = 8  # signals of the instability report: the eigenvector one
 
 
 def _riccati_step(P, A, B, Q, R, alpha):
-    APB = alpha * A.T @ P @ B
-    G = R + alpha * B.T @ P @ B
-    return Q + alpha * A.T @ P @ A - APB @ np.linalg.solve(G, APB.T)
+    """The discounted Riccati map of P; products associate as ((alpha A')P)B, via _step_product."""
+    dot = _step_product(len(A))
+    APB = dot(dot(alpha * A.T, P), B)
+    G = R + dot(dot(alpha * B.T, P), B)
+    return Q + dot(dot(alpha * A.T, P), A) - dot(APB, np.linalg.solve(G, APB.T))
 
 
 def dare_residual(A, B, Q, R, alpha, P) -> float:

@@ -10,14 +10,14 @@ class AssumptionViolationError(ValueError):
 
 
 class SimulationOverflowError(RuntimeError):
-    """State norm exceeded the overflow guard during a rollout."""
+    """State norm (or the quantity `what` names) exceeded the overflow guard at step t."""
 
-    def __init__(self, t, norm, limit):
+    def __init__(self, t, norm, limit, what="state norm"):
         self.t = int(t)
         self.norm = float(norm)
         self.limit = float(limit)
         super().__init__(
-            f"state norm {norm:.3e} exceeded {limit:.1e} at step t={t}"
+            f"{what} {norm:.3e} exceeded {limit:.1e} at step t={t}"
         )
 
 

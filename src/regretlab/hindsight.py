@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConditioningError
+from .errors import ConditioningError, SimulationOverflowError
 from .model import (
     OVERFLOW_LIMIT,
     LinearPolicy,
@@ -30,6 +30,7 @@ from .model import (
     SystemDynamics,
     Trajectory,
     _check_pd,
+    _step_product,
     _sym,
     check_dims,
     check_grid,
@@ -104,11 +105,13 @@ def _riccati_pass(system: SystemDynamics, costs: QuadraticStageCost, T: int):
     Each step's operands come from MatrixSequence.steps, taken once before
     the loop, so a short stack raises its ShapeError before any Hessian is
     built.  The right-hand sides [H_t | B_t'] (H_t = B_t'P_{t+1}A_t) are
-    laid out once, by column, with B_t' filled in up front and H_t written in
-    place by its matmul; the solve's output [gains_t | L_t] is kept whole and
+    laid out once, by column, with B_t' filled in up front; H_t' = A_t'(B_t'P_{t+1})'
+    is written into the transpose of the left half, a C-contiguous view as
+    dot's out must be, the BLAS call of matmul(B_t'P_{t+1}, A_t) into the
+    block itself.  The solve's output [gains_t | L_t] is kept whole and
     split after the loop.  G_t and P_t are symmetrized in place into their slots.
-    The products, sums and solves are those of a per-step loop, in the same
-    order.
+    The products (_step_product), sums and solves are those of a per-step
+    loop, in the same order.
     """
     n, m = system.n, system.m
     constant = all(seq.constant for seq in (system.A, system.B, costs.Q, costs.R))
@@ -123,22 +126,23 @@ def _riccati_pass(system: SystemDynamics, costs: QuadraticStageCost, T: int):
     # OpenBLAS sums in another order on non-unit strides once m >= 4
     rhs, KL = np.empty((2, T, 2 * n, m)).transpose(0, 1, 3, 2)
     rhs[:, :, n:] = np.swapaxes(B.distinct(T), -1, -2)
-    H, K = rhs[:, :, :n], KL[:, :, :n]
-    outputs = (P[1:], P[:T], Gs, H, H.transpose(0, 2, 1), rhs, KL, K)
+    HT, K = rhs[:, :, :n].transpose(0, 2, 1), KL[:, :, :n]
+    outputs = (P[1:], P[:T], Gs, HT, rhs, KL, K)
     steps = zip(range(T - 1, -1, -1), *operands, *(X[::-1] for X in outputs))
     diff = np.empty((n, n))
+    dot = _step_product(n)
     P[T] = _sym(Q[T])
     first = T
     failure = None
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            for t, At, ATt, Bt, BTt, Qt, Rt, Pn, Pt, G, Ht, HTt, rhs_t, KLt, Kt in steps:
-                BP = BTt @ Pn
-                _sym(Rt + BP @ Bt, out=G)
+            for t, At, ATt, Bt, BTt, Qt, Rt, Pn, Pt, G, HTt, rhs_t, KLt, Kt in steps:
+                BP = dot(BTt, Pn)
+                _sym(Rt + dot(BP, Bt), out=G)
                 first = t
-                np.matmul(BP, At, out=Ht)
+                dot(ATt, BP.T, out=HTt)
                 KLt[...] = np.linalg.solve(G, rhs_t)
-                _sym(Qt + ATt @ Pn @ At - HTt @ Kt, out=Pt)
+                _sym(Qt + dot(dot(ATt, Pn), At) - dot(HTt, Kt), out=Pt)
                 if constant and _settled(Pt, Pn, diff):
                     P[:t], KL[:t] = Pt, KLt  # earlier steps repeat this one
                     break
@@ -168,7 +172,7 @@ def solve_hindsight(
     it raises (a LinAlgError from the solve), the Hessians built so far are
     checked first and their error wins.  On a loop with constant A, B, Q and R
     it stops once P_t is within FIXED_POINT_TOL of P_{t+1}, and earlier steps
-    repeat that one.  The data pass is one matvec per step,
+    repeat that one.  The data pass is one matvec (_step_product) per step,
     p_t = F_t'v_t with v_t = p_{t+1} + 2P_{t+1}w_t and F_t = A_t - B_t gains_t,
     written into its row of v and p; it and the optimal cost also run with
     overflow warnings off, so an overflow shows as an inf or NaN cost.
@@ -191,8 +195,9 @@ def solve_hindsight(
         Pw2 = 2.0 * (P[1:] @ wt[:, :, None])[:, :, 0]
         p = np.zeros((T + 1, n))
         v = np.empty((T, n))
+        dot = _step_product(n)
         for pn, pw, vt, Ft, pt in zip(p[1:][::-1], Pw2[::-1], v[::-1], F[::-1], p[:-1][::-1]):
-            np.matmul(np.add(pn, pw, out=vt), Ft, out=pt)
+            dot(np.add(pn, pw, out=vt), Ft, out=pt)
         kg = 0.5 * (L @ v[:, :, None])[:, :, 0]
         terms = ((0.5 * Pw2 + p[1:]) * wt).sum(1) - 0.5 * np.einsum("ti,tij,tj->t", v, B, kg)
         s = np.append(np.cumsum(terms[::-1])[::-1], 0.0)
@@ -229,7 +234,10 @@ def hindsight_costs(
     The longest horizon's cost is the optimal_cost of solve_hindsight at
     T_max, which also checks every input Hessian.  Its optimal rollout runs
     only when that cost cannot rule out an overflow (_may_overflow); an
-    overflowing one raises SimulationOverflowError.  The shorter ones come from
+    overflowing one raises SimulationOverflowError.  Before it runs, a
+    value function with a non-finite entry in P_t or p_t (an overflowed
+    backward pass, whose offsets are NaN) raises SimulationOverflowError at
+    its latest non-finite step instead.  The shorter ones come from
     the forward cost-to-arrive pass: with Sigma_0 = 0, S_t = (I + Sigma_t Q_t)^-1
     and Sigma_{t+1} = A_t S_t Sigma_t A_t' + B_t R_t^-1 B_t' (data-free), the
     cost at horizon T is J*_T = sum_{t <= T} mu_t' Q_t S_t mu_t along
@@ -245,6 +253,12 @@ def hindsight_costs(
     base, T_max = disturbance_prefix(base, system.n, horizons[-1])
     ref = solve_hindsight(system, costs, x0, scales[-1] * base, T_max)
     if _may_overflow(ref.optimal_cost, costs, T_max):
+        # a non-finite value function gives NaN offsets, under which the rollout's state is NaN
+        entries = np.abs(np.column_stack([ref.P.reshape(T_max + 1, -1), ref.p])).max(axis=1)
+        if not np.isfinite(entries).all():
+            t = T_max - int(np.argmin(np.isfinite(entries[::-1])))
+            raise SimulationOverflowError(t, entries[t], np.finfo(float).max,
+                                          "value function entry")
         ref.trajectory  # raises SimulationOverflowError if the optimal rollout overflows
     out = np.empty(len(horizons))
     out[-1] = ref.optimal_cost
@@ -265,8 +279,8 @@ def _cost_to_arrive(system: SystemDynamics, costs: QuadraticStageCost, T: int):
 
     Each step's operands come from MatrixSequence.steps; Sigma_{t+1} is
     symmetrized in place into the one of two buffers that Sigma_t does not
-    hold.  The products, sums and inverses are those of a per-step loop, in
-    the same order.
+    hold.  The products (_step_product), sums and inverses are those of a
+    per-step loop, in the same order.
     """
     n = system.n
     A, AT = system.A.steps(T), system.A.steps(T, transpose=True)
@@ -280,17 +294,18 @@ def _cost_to_arrive(system: SystemDynamics, costs: QuadraticStageCost, T: int):
     Sigma, nxt = np.zeros((2, n, n))  # Sigma_t and the buffer Sigma_{t+1} goes into
     eye, diff = np.eye(n), np.empty((n, n))
     constant = all(seq.constant for seq in (system.A, system.B, costs.Q, costs.R))
+    dot = _step_product(n)
     for t, (At, ATt, Qt, BRBt, ASt, QSt) in enumerate(zip(A, AT, Q, BRB, AS, QS)):
-        S = np.linalg.inv(eye + Sigma @ Qt)
-        np.matmul(Qt, S, out=QSt)
-        np.matmul(At, S, out=ASt)
-        _sym(ASt @ Sigma @ ATt + BRBt, out=nxt)
+        S = np.linalg.inv(eye + dot(Sigma, Qt))
+        dot(Qt, S, out=QSt)
+        dot(At, S, out=ASt)
+        _sym(dot(dot(ASt, Sigma), ATt) + BRBt, out=nxt)
         if constant and _settled(nxt, Sigma, diff):
             AS[t + 1:], QS[t + 1:] = ASt, QSt  # later steps repeat this one
             break
         Sigma, nxt = nxt, Sigma
     else:
-        np.matmul(Q[T], np.linalg.inv(eye + Sigma @ Q[T]), out=QS[T])
+        dot(Q[T], np.linalg.inv(eye + dot(Sigma, Q[T])), out=QS[T])
     return AS, QS
 
 

@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ShapeError
-from .model import MatrixSequence, jsonable, matrix_sequence
+from .model import MatrixSequence, _step_product, jsonable, matrix_sequence
 
 # Norm products larger than this are treated as numerically divergent.
 NORM_CAP = 1e140
@@ -60,15 +60,16 @@ def spectral_radius(M) -> float:
 def _products(seq: MatrixSequence, T: int, x: np.ndarray, start: int = 0) -> np.ndarray:
     """The column recurrence: x, F_start x, F_{start+1} F_start x, ... as one (T+1, *x.shape) array.
 
-    Entry j is Phi(start + j, start) x, formed by one matmul per step of
-    MatrixSequence.steps into its row of the result; an overflowing product
-    runs on as inf and NaN.
+    Entry j is Phi(start + j, start) x, formed by one product per step of
+    MatrixSequence.steps (_step_product) into its row of the result; an
+    overflowing product runs on as inf and NaN.
     """
     out = np.empty((T + 1, *np.shape(x)))
     out[0] = x
     with np.errstate(over="ignore", invalid="ignore"):
+        dot = _step_product(seq.shape[0])
         for F, prev, nxt in zip(seq.steps(T, start=start), out, out[1:]):
-            np.matmul(F, prev, out=nxt)
+            dot(F, prev, out=nxt)
     return out
 
 

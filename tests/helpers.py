@@ -1,4 +1,9 @@
-"""Construction helpers for randomized test instances, and the loops batched code must match."""
+"""Construction helpers for randomized test instances, and the loops batched code must match.
+
+The frozen reference loops keep np.matmul and @ on purpose, where the kernel
+loops call ndarray.dot (model._step_product): a reference that took the same
+route would repeat the kernels' premise instead of checking it.
+"""
 
 import numpy as np
 

@@ -238,6 +238,26 @@ def test_regret_exits_numerical_when_the_benchmark_overflows(tmp_path, capsys):
     assert (diag["error"], diag["t"]) == ("numerical", 315)
 
 
+def test_regret_names_an_overflowed_value_function_not_a_nan_state(tmp_path, capsys):
+    # the uncontrolled mode's entry of P_t grows as 9^(T - t), +inf for t <= 77 at T = 400; the
+    # optimal rollout under the NaN offsets would report "state norm nan ... at step t=1"
+    cfg = {
+        "system": {"A": [[3.0, 0.0], [0.0, 3.0]], "B": [[1.0], [0.0]]},
+        "cost": {"Q": [[1.0, 0.0], [0.0, 1.0]], "R": [[1.0]]},
+        "policies": [{"name": "K", "K": [[1.0, 0.0]]}],
+        "x0": [0.0, 0.0],
+        "W": 2.0,
+        "disturbance": {"recipe": "eigvec"},
+        "horizons": "40:400:40",
+    }
+    code = main(["regret", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_NUMERICAL
+    diag = json.loads(capsys.readouterr().err.strip())
+    assert (diag["error"], diag["t"]) == ("numerical", 77)
+    assert diag["message"] == "value function entry inf exceeded 1.8e+308 at step t=77"
+
+
 def test_figure1_outputs(tmp_path):
     out = tmp_path / "fig"
     assert main(["figure1", "--out", str(out)]) == EXIT_OK

@@ -390,6 +390,19 @@ def test_an_overflowing_data_pass_raises_the_documented_error(A, w, T):
                np.full((T, 2), w), T)
 
 
+def test_a_non_finite_value_function_raises_at_its_latest_step_not_a_nan_state():
+    # the first mode grows by 1e160 per step and B cannot reach it: P_t is non-finite for
+    # t <= 5, the offsets are NaN, and a rollout under them would overflow at t = 1 on a NaN
+    system = SystemDynamics.lti(np.diag([1e160, 0.5]), [[0.0], [1.0]])
+    costs = QuadraticStageCost.constant(np.eye(2), [[1.0]])
+    w = np.ones((6, 2))
+    with pytest.raises(SimulationOverflowError, match="^value function entry inf") as err:
+        hindsight_costs(system, costs, np.zeros(2), w, np.ones(3), [2, 4, 6])
+    assert err.value.t == 5
+    # solve_hindsight itself keeps its documented NaN cost
+    assert np.isnan(solve_hindsight(system, costs, np.zeros(2), w, 6).optimal_cost)
+
+
 def test_batch_oracle_size_cap():
     sys, costs = scalar_instance()
     with pytest.raises(ValueError):

@@ -39,7 +39,17 @@ from regretlab import (
     vq_recursion,
 )
 from regretlab.cli import BUILTIN_EXPERIMENT
-from regretlab.model import _BATCH_GUARD, OVERFLOW_LIMIT, _rollout, _stage_costs, jsonable, write_csv
+from regretlab.hindsight import _cost_to_arrive
+from regretlab.model import (
+    _BATCH_GUARD,
+    OVERFLOW_LIMIT,
+    _rollout,
+    _stage_costs,
+    _step_product,
+    jsonable,
+    write_csv,
+)
+from regretlab.transition import _products
 
 from helpers import random_instance, random_pd, reference_rollout, reference_simulate_grid
 
@@ -745,3 +755,123 @@ def test_write_csv_gives_the_bytes_of_csv_writer(tmp_path):
         writer.writerow(["T", "x", "y", "flag"])
         writer.writerows([t, f"{x:.17g}", f"{y:.17g}", flag] for t, x, y, flag in rows)
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+LAYOUTS = ("c", "transposed", "stack row", "reversed stack row", "reversed stack, transposed")
+EXTREMES = (0.0, -0.0, 1e300, np.inf, -np.inf, np.nan)  # 1e300 overflows a product
+
+
+def _operand(rng, shape, layout, entries=()):
+    """A float operand of `shape` in one layout that the kernel loops pass to their products.
+
+    A 2-d operand is C-contiguous, a transposed view (steps(transpose=True)
+    of a constant), a row of a stack (steps()), a row of a reversed stack
+    (the Riccati and data passes) or a transposed row of one; a 1-d operand
+    is a vector, or a row of a reversed stack for any other layout.
+    entries replace normals at random positions.
+    """
+    values = rng.standard_normal(int(np.prod(shape)))
+    count = min(len(entries), values.size)
+    values[rng.permutation(values.size)[:count]] = entries[:count]
+    r, c = (shape[0], 1) if len(shape) == 1 else shape
+    stack = np.stack([values.reshape(c, r) if layout.endswith("transposed") else values.reshape(r, c)] * 3)
+    if len(shape) == 1:
+        return values if layout == "c" else stack[::-1][1].ravel()
+    return {
+        "c": values.reshape(r, c),
+        "transposed": values.reshape(c, r).T,
+        "stack row": stack[1],
+        "reversed stack row": stack[::-1][1],
+        "reversed stack, transposed": stack[::-1].transpose(0, 2, 1)[1],
+    }[layout]
+
+
+def _kernel_products(n, m, rows):
+    """(a, b) shapes of the 2-d products that the kernel loops make on n states and m inputs."""
+    return [
+        ((rows, n), (n, n)), ((rows, n), (n, m)), ((rows, m), (m, n)),  # rollout: x A', -x K', u B'
+        ((n, n), (n,)), ((n, n), (n, n)),  # column recurrence of a vector and of a matrix
+        ((m, n), (n, n)), ((m, n), (n, m)), ((n, n), (n, m)), ((n, m), (m, n)),  # Riccati steps
+        ((n,), (n, n)),  # data pass
+    ]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_dot_gives_the_bits_of_matmul_on_every_kernel_layout(n):
+    # the premise of _step_product: ndarray.dot, with and without out, reaches the BLAS call of
+    # np.matmul on every 2-d operand layout the kernel loops pass, overflowing entries included
+    rng = np.random.default_rng(n)
+    dot = _step_product(n)
+    assert dot is np.ndarray.dot
+    for m in range(1, 6):
+        for rows in (1, 3):
+            for a_shape, b_shape in _kernel_products(n, m, rows):
+                for a_layout in LAYOUTS:
+                    for b_layout in LAYOUTS:
+                        for extreme in (False, True):
+                            a_entries = rng.permutation(EXTREMES) if extreme else ()
+                            a = _operand(rng, a_shape, a_layout, a_entries)
+                            # a one-element operand (a single row's u_t for m = 1) multiplies
+                            # B_t', which the loop takes finite: dot's axpy skips a zero u_t
+                            b_entries = EXTREMES[:3] if a.size == 1 else rng.permutation(EXTREMES)
+                            b = _operand(rng, b_shape, b_layout, b_entries if extreme else ())
+                            with np.errstate(all="ignore"):
+                                want = np.matmul(a, b)
+                                out = np.empty(want.shape)
+                                got = (dot(a, b), dot(a, b, out=out), out)
+                            for g in got:
+                                assert g.shape == want.shape and g.tobytes() == want.tobytes(), (
+                                    m, rows, a_shape, b_shape, a_layout, b_layout, a, b, want, g)
+
+
+def test_one_state_loops_keep_matmul_where_dot_takes_its_scalar_route():
+    # with a one-element operand dot multiplies without matmul's sum from +0.0, and its axpy
+    # skips a zero factor, so an n = 1 loop would change the sign of zeros and lose 0 * inf
+    assert _step_product(1) is np.matmul
+    zero, minus = np.zeros((1, 1)), -np.ones((1, 1))
+    assert np.signbit(zero.dot(minus)[0, 0]) and not np.signbit(np.matmul(zero, minus)[0, 0])
+    col = np.array([[np.inf], [1.0]])
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(np.matmul(col, zero)[0, 0]) and col.dot(zero)[0, 0] == 0.0
+    # so a one-state rollout from the origin keeps the +0.0 inputs that simulate writes as "0"
+    system = SystemDynamics.lti([[0.5]], [[1.0]])
+    costs = QuadraticStageCost.constant([[1.0]], [[1.0]])
+    traj = simulate(system, LinearPolicy.constant([[1.0]]), [0.0], np.zeros((3, 1)), costs, 3)
+    assert not np.signbit(traj.inputs).any()
+
+
+def test_kernel_loops_call_matmul_as_often_at_any_horizon(monkeypatch):
+    # every 2-d product inside a kernel loop goes through ndarray.dot: no np.matmul per step
+    calls = []
+    matmul = np.matmul
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    rng = np.random.default_rng(7)
+    n, m = 3, 2
+
+    def counts(T):
+        # stacks, so that no loop stops early at a fixed point
+        A = rng.standard_normal((T + 1, n, n)) / n
+        system = SystemDynamics.ltv(A, rng.standard_normal((T + 1, n, m)))
+        costs = QuadraticStageCost.varying(
+            np.array([random_pd(rng, n) for _ in range(T + 1)]),
+            np.array([random_pd(rng, m) for _ in range(T + 1)]))
+        policy = LinearPolicy.varying(rng.standard_normal((T + 1, m, n)))
+        kernels = {
+            "_rollout": lambda: _rollout(system, costs, rng.standard_normal((2, n)),
+                                         rng.standard_normal((T, n)), T, policy),
+            "_cost_to_arrive": lambda: _cost_to_arrive(system, costs, T),
+            "_products": lambda: _products(system.A, T, np.eye(n)),
+        }
+        out = {}
+        for name, run in kernels.items():
+            calls.clear()
+            run()
+            out[name] = len(calls)
+        return out
+
+    assert counts(10) == counts(100)
